@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 perfbench/bench_diff.py BASE.jsonl CHANGE.jsonl [--allow-env-mismatch]
+    python3 perfbench/bench_diff.py BASE.jsonl CHANGE.jsonl
 
 Both files hold records appended by ``run.py --record``.  For each
 (workload, metric) pair present in both sets, using each side's median
@@ -23,9 +23,9 @@ and quartiles, the pair lands in exactly one bucket:
     everything else.
 
 Runs from different environments (see ``run.py``'s stamp) or of
-different lengths are refused unless ``--allow-env-mismatch`` is given,
-and then the difference is printed first.  Exit code 1 when any pair
-regressed, 2 on unusable input.
+different lengths are refused, and the differing stamp fields are
+printed as the reason.  Exit code 1 when any pair regressed, 2 on
+unusable input.
 """
 
 from __future__ import annotations
@@ -135,7 +135,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--allow-env-mismatch", action="store_true")
     args = parser.parse_args(argv)
 
     base, base_better, base_stamps = load(args.base)
@@ -145,11 +144,10 @@ def main(argv=None) -> int:
         return 2
     differences = _differences(base_stamps + change_stamps)
     if differences:
-        print("ENVIRONMENTS DIFFER: " + json.dumps(differences, sort_keys=True))
-        if not args.allow_env_mismatch:
-            print("bench_diff: refusing to compare (--allow-env-mismatch)",
-                  file=sys.stderr)
-            return 2
+        print("bench_diff: refusing to compare runs from different "
+              "environments: " + json.dumps(differences, sort_keys=True),
+              file=sys.stderr)
+        return 2
 
     spec = json.loads(BENCHMARK_JSON.read_text())
     rules = {

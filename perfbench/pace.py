@@ -9,9 +9,6 @@ changes, and its time is rescaled to the pace at which the kernel takes
 
     paced = measured * REFERENCE_S / kernel_seconds()
 
-With a NumPy-only kernel, ten runs of the ``stream`` workload on one
-host and one commit read 0.30 to 0.42 s raw and 0.464 to 0.487 s paced.
-
 The kernel mixes the operations the workloads spend their time in:
 NumPy bin counting and random draws over a few MiB, and interpreted
 dictionary updates.

@@ -63,15 +63,6 @@ def itemset_digest(result) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def support_gap(result, reference) -> float:
-    """Largest support difference over the itemsets both results hold."""
-    ours, theirs = result.frequent(), reference.frequent()
-    return max(
-        (abs(ours[itemset] - theirs[itemset]) for itemset in ours.keys() & theirs.keys()),
-        default=0.0,
-    )
-
-
 def run_paper(args) -> dict:
     """One cold ``frapp all`` into an empty result store."""
     start = time.perf_counter()
@@ -173,41 +164,128 @@ def run_stream(args) -> dict:
             tracer, statistics.fmean(traced), calls=len(traced)
         )
         tracer.write_chrome(args.trace_out)
-    reference = stream_reference(args, schema, source, out)
-    out["support_gap"] = support_gap(results[0], reference)
+    stream_checks(args, schema, source, out)
     return out
 
 
-def stream_reference(args, schema, source, out: dict):
-    """Outside the timed region: record total and an independent estimate.
+def stream_checks(args, schema, source, out: dict) -> None:
+    """Outside the timed region: check one more ``mine_stream`` call.
 
-    Re-accumulates the same perturbed stream and mines it through the
-    mechanism registry's generic marginal-inversion estimator instead
-    of ``mine_stream``'s Eq.-28 closed form; records the totals and the
-    reference digest in ``out`` and returns the reference result.
+    ``PerturbationPipeline.accumulate`` is wrapped for this call only,
+    to keep the accumulator ``mine_stream`` builds.  Records in ``out``:
+
+    * that accumulator's record count and count total;
+    * the largest gap between each mined support and the one the
+      mechanism registry's generic marginal-inversion estimator gives
+      over the same counts, in place of ``mine_stream``'s Eq.-28 closed
+      form, which checks the estimator.  Supports are compared, not
+      itemset sets: the two agree to about 1e-14, and an itemset that
+      close to the threshold may fall on either side of it;
+    * :func:`exact_check` against the unperturbed file, which shares
+      neither the sampler nor the accumulator with ``mine_stream``.
     """
-    from repro.core.engine import GammaDiagonalPerturbation
     from repro.mechanisms import MechanismSpec, from_spec
     from repro.mechanisms.base import MarginalInversionEstimator
-    from repro.mining.apriori import apriori
-    from repro.pipeline import PerturbationPipeline
+    from repro.pipeline import PerturbationPipeline, mine_stream
 
-    pipeline = PerturbationPipeline(GammaDiagonalPerturbation(schema, GAMMA))
-    accumulator = pipeline.accumulate(source, seed=args.seed)
-    mechanism = from_spec(
-        MechanismSpec("det-gd", {"gamma": GAMMA}), schema
-    )
+    accumulators = []
+    accumulate = PerturbationPipeline.accumulate
+
+    def keep(self, *call_args, **kwargs):
+        accumulators.append(accumulate(self, *call_args, **kwargs))
+        return accumulators[-1]
+
+    PerturbationPipeline.accumulate = keep
+    try:
+        result = mine_stream(source, schema, GAMMA, MIN_SUPPORT, workers=1,
+                             seed=args.seed)
+    finally:
+        PerturbationPipeline.accumulate = accumulate
+    (accumulator,) = accumulators
+    mechanism = from_spec(MechanismSpec("det-gd", {"gamma": GAMMA}), schema)
     estimator = MarginalInversionEstimator(
         mechanism, accumulator.subset_counts, accumulator.n_records
     )
-    reference = apriori(estimator, schema, MIN_SUPPORT)
+    mined = result.frequent()
+    reference = estimator.supports(list(mined))
+    exact_max_z, exact_missed = exact_check(source, schema, mined)
     out.update(
+        digests=sorted(set(out["digests"]) | {itemset_digest(result)}),
         accumulated_records=int(accumulator.n_records),
         accumulated_total=int(accumulator.counts.sum()),
         expected_records=STREAM_RECORDS,
-        reference_digest=itemset_digest(reference),
+        support_gap=max(
+            (abs(support - ref) for support, ref in zip(mined.values(), reference)),
+            default=0.0,
+        ),
+        exact_max_z=exact_max_z,
+        exact_missed=exact_missed,
+        z_tolerance=Z_TOLERANCE,
     )
-    return reference
+
+
+#: A mined support may sit this many of its standard deviations from
+#: the exact support before the stream check fails (a false alarm has
+#: odds of about 2e-9 per itemset).
+Z_TOLERANCE = 6.0
+
+
+def exact_check(source, schema, mined: dict) -> tuple[float, int]:
+    """Mined supports against the exact supports of the unperturbed file.
+
+    The exact supports come from one plain ``bincount`` of the joint cell
+    over the file's memory-mapped columns.  Returns the largest
+    ``|mined - exact| / sigma`` over ``mined``, and the number of 1- and
+    2-itemsets missing from ``mined`` although their exact support is
+    :data:`Z_TOLERANCE` sigmas above the threshold.  Sigma is the
+    standard deviation of a DET-GD support reconstructed from ``n``
+    records: the binomial noise of the observed share, amplified by the
+    inversion.
+    """
+    import itertools
+    import math
+
+    import numpy as np
+
+    from repro.mining.itemsets import Itemset
+
+    cards = schema.cardinalities
+    n = source.n_records
+    joint = np.zeros(math.prod(cards), dtype=np.int64)
+    for start in range(0, n, STREAM_BLOCK):
+        cell = 0
+        for j, card in enumerate(cards):
+            column = source.column(j)[start:start + STREAM_BLOCK]
+            cell = cell * card + column.astype(np.int64)
+        joint += np.bincount(cell, minlength=joint.size)
+    joint = joint.reshape(cards) / n
+    # DET-GD keeps a record's joint cell with probability gamma * x and
+    # moves it to each other cell with probability x.
+    x = 1.0 / (GAMMA + joint.size - 1)
+
+    def exact_and_sigma(items):
+        index = [slice(None)] * len(cards)
+        for attribute, value in items:
+            index[attribute] = value
+        exact = float(joint[tuple(index)].sum())
+        cells = joint.size // math.prod(cards[a] for a, _ in items)
+        observed = (cells + (GAMMA - 1) * exact) * x
+        sigma = math.sqrt(observed * (1 - observed) / n) / ((GAMMA - 1) * x)
+        return exact, sigma
+
+    max_z = 0.0
+    for itemset, support in mined.items():
+        exact, sigma = exact_and_sigma(itemset.items)
+        max_z = max(max_z, abs(support - exact) / sigma)
+    missed = 0
+    for length in (1, 2):
+        for attributes in itertools.combinations(range(len(cards)), length):
+            for values in itertools.product(*(range(cards[a]) for a in attributes)):
+                items = tuple(zip(attributes, values))
+                exact, sigma = exact_and_sigma(items)
+                missed += (exact - Z_TOLERANCE * sigma >= MIN_SUPPORT
+                           and Itemset(items) not in mined)
+    return max_z, missed
 
 
 def main(argv=None) -> int:
