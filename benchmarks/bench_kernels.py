@@ -3,13 +3,15 @@
 Two ablations on the paper's CENSUS workload (honouring
 ``$REPRO_SCALE``):
 
-* **Counting-backend ablation** -- ``loops`` / ``bitmap`` / ``native``
-  on exactly the candidate batches Apriori issues.
-  ``test_native_counting_speedup`` asserts the tentpole claim: the
-  compiled threaded AND+popcount kernel counts paper-scale CENSUS
-  supports >= 3x faster than the NumPy bitmap backend (gated on hosts
-  with >= 4 CPUs, where the thread pool actually engages; elsewhere the
-  ratio is reported but not asserted).
+* **Counting-kernel ablation** -- ``loops`` (the per-subset
+  ``bincount`` oracle) / ``bitmap`` (the NumPy kernels, forced through
+  the selection predicate) / ``native`` (the kernel the predicate
+  selects: compiled when built) on exactly the candidate batches
+  Apriori issues.  ``test_native_counting_speedup`` asserts the
+  tentpole claim: the compiled threaded AND+popcount kernel counts
+  paper-scale CENSUS supports >= 3x faster than the NumPy bitmap
+  kernel (gated on hosts with >= 4 CPUs, where the thread pool
+  actually engages; elsewhere the ratio is reported but not asserted).
 * **Fused-sampler ablation** -- ``perturb_chunk`` with the compiled
   draw+realise+encode kernel versus the pure-NumPy path, asserting
   bit-identical outputs inside the timed comparison.
@@ -24,7 +26,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import once
+from conftest import kernel_side, once, support_counter
 
 import repro.core.engine as engine_module
 from repro.core.engine import (
@@ -57,7 +59,7 @@ needs_native = pytest.mark.skipif(
 
 def _apriori_batches(dataset, min_support=MIN_SUPPORT):
     """The candidate batches Apriori issues, level by level."""
-    counter = ExactSupportCounter(dataset, count_backend="bitmap")
+    counter = ExactSupportCounter(dataset)
     batches = []
     candidates = all_items(dataset.schema)
     while candidates:
@@ -85,13 +87,14 @@ def _best_of(func, rounds=5):
 def test_support_counting(benchmark, backend, census):
     """Warm counting cost of every Apriori candidate batch (CENSUS)."""
     batches = _apriori_batches(census)
-    counter = ExactSupportCounter(census, count_backend=backend)
-    counter.supports(batches[0][:1])  # pack outside the timer
-    supports = benchmark.pedantic(
-        lambda: [counter.supports(batch) for batch in batches],
-        rounds=3,
-        iterations=1,
-    )
+    counter = support_counter(census, backend)
+    with kernel_side(backend):
+        counter.supports(batches[0][:1])  # pack outside the timer
+        supports = benchmark.pedantic(
+            lambda: [counter.supports(batch) for batch in batches],
+            rounds=3,
+            iterations=1,
+        )
     assert len(supports) == len(batches)
 
 
@@ -122,19 +125,14 @@ def test_native_counting_speedup(census, report):
     """
     batches = _apriori_batches(census)
     n_candidates = sum(len(batch) for batch in batches)
-    counters = {
-        backend: ExactSupportCounter(census, count_backend=backend)
-        for backend in ("loops", "bitmap", "native")
-    }
-    for counter in counters.values():
-        counter.supports(batches[0][:1])  # pack outside the timer
     times, supports = {}, {}
-    for backend, counter in counters.items():
-        times[backend], supports[backend] = _best_of(
-            lambda counter=counter: [
-                counter.supports(batch) for batch in batches
-            ]
-        )
+    for backend in ("loops", "bitmap", "native"):
+        counter = support_counter(census, backend)
+        with kernel_side(backend):
+            counter.supports(batches[0][:1])  # pack outside the timer
+            times[backend], supports[backend] = _best_of(
+                lambda counter=counter: [counter.supports(batch) for batch in batches]
+            )
     for backend in ("bitmap", "native"):
         for expected, got in zip(supports["loops"], supports[backend]):
             assert (expected == got).all()

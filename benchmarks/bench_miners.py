@@ -9,20 +9,21 @@ Two questions, on the paper's workloads (CENSUS / HEALTH, honouring
   (per-pass reconstruction is candidate-shaped), so this bounds the
   overhead attributable to mining rather than reconstruction.
 * **Counting-kernel ablation** -- the ``"loops"`` per-subset bincount
-  backend vs the ``"bitmap"`` packed AND/popcount kernel, on exactly
-  the candidate batches Apriori issues.
+  oracle vs the ``"bitmap"`` packed AND/popcount kernel (the NumPy
+  kernels, forced through the selection predicate), on exactly the
+  candidate batches Apriori issues.
   ``test_bitmap_counting_speedup`` asserts the headline claim: the
-  bitmap backend counts exact Apriori supports >= 5x faster than the
+  bitmap kernel counts exact Apriori supports >= 5x faster than the
   loop path on CENSUS.
 """
 
 import time
 
 import pytest
-from conftest import once
+from conftest import kernel_side, once, support_counter
 
 from repro.experiments.config import dataset_scale
-from repro.mining.apriori import generate_candidates
+from repro.mining.apriori import apriori, generate_candidates
 from repro.mining.counting import ExactSupportCounter
 from repro.mining.itemsets import all_items
 from repro.mining.fpgrowth import fpgrowth
@@ -41,7 +42,7 @@ REQUIRED_SPEEDUP_SMOKE = 3.0
 
 def _apriori_batches(dataset, min_support=MIN_SUPPORT):
     """The candidate batches Apriori issues, level by level."""
-    counter = ExactSupportCounter(dataset, count_backend="bitmap")
+    counter = ExactSupportCounter(dataset)
     batches = []
     candidates = all_items(dataset.schema)
     while candidates:
@@ -58,17 +59,21 @@ def _apriori_batches(dataset, min_support=MIN_SUPPORT):
 
 def _count_batches(dataset, backend, batches):
     """One full Apriori counting pass (cold: includes bitmap packing)."""
-    counter = ExactSupportCounter(dataset, count_backend=backend)
-    return [counter.supports(batch) for batch in batches]
+    with kernel_side(backend):
+        counter = support_counter(dataset, backend)
+        return [counter.supports(batch) for batch in batches]
 
 
 @pytest.mark.parametrize("backend", ["loops", "bitmap"])
 @pytest.mark.parametrize("dataset_name", ["census", "health"])
 def test_apriori_exact(benchmark, dataset_name, backend, census, health):
     data = census if dataset_name == "census" else health
-    result = once(
-        benchmark, lambda: mine_exact(data, MIN_SUPPORT, count_backend=backend)
-    )
+
+    def mine():
+        with kernel_side(backend):
+            return apriori(support_counter(data, backend), data.schema, MIN_SUPPORT)
+
+    result = once(benchmark, mine)
     assert result.n_frequent > 0
 
 
@@ -109,16 +114,16 @@ def test_bitmap_counting_speedup(census, report):
         return min(times), result
 
     counters = {
-        backend: ExactSupportCounter(census, count_backend=backend)
-        for backend in ("loops", "bitmap")
+        backend: support_counter(census, backend) for backend in ("loops", "bitmap")
     }
-    counters["bitmap"].supports(batches[0][:1])  # pack outside the timer
     t_loops, supports_loops = best_of(
         lambda: [counters["loops"].supports(batch) for batch in batches]
     )
-    t_bitmap, supports_bitmap = best_of(
-        lambda: [counters["bitmap"].supports(batch) for batch in batches]
-    )
+    with kernel_side("bitmap"):
+        counters["bitmap"].supports(batches[0][:1])  # pack outside the timer
+        t_bitmap, supports_bitmap = best_of(
+            lambda: [counters["bitmap"].supports(batch) for batch in batches]
+        )
     t_cold, _ = best_of(lambda: _count_batches(census, "bitmap", batches))
     speedup = t_loops / t_bitmap
     rows = [

@@ -26,6 +26,7 @@ cumulative).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import resource
 from pathlib import Path
@@ -35,6 +36,8 @@ import pytest
 from repro.data.census import CENSUS_N_RECORDS, generate_census
 from repro.data.health import HEALTH_N_RECORDS, generate_health
 from repro.experiments.config import dataset_scale
+from repro.mining.counting import ExactSupportCounter, supports_from_subset_counts
+from repro.mining.kernels import native
 
 RESULTS_DIR = Path(
     os.environ.get("REPRO_RESULTS_DIR", Path(__file__).parent / "results")
@@ -121,3 +124,39 @@ def report():
 def once(benchmark, func):
     """Run an expensive experiment exactly once under the timer."""
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+class LoopCounter:
+    """The per-subset ``bincount`` supports the counting ablations time
+    as their ``loops`` side (the kernels' test oracle)."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+
+    def supports(self, itemsets):
+        """Exact fractional supports of ``itemsets``."""
+        return supports_from_subset_counts(
+            self.dataset.schema,
+            self.dataset.n_records,
+            self.dataset.subset_counts,
+            list(itemsets),
+        )
+
+
+@contextlib.contextmanager
+def kernel_side(side: str):
+    """Count on one side: ``bitmap`` forces the NumPy kernels through
+    the kernel layer's selection predicate; ``loops`` and ``native``
+    leave it alone (``native`` is the compiled kernel when built)."""
+    saved = native._lib
+    if side == "bitmap":
+        native._lib = None
+    try:
+        yield
+    finally:
+        native._lib = saved
+
+
+def support_counter(dataset, side: str):
+    """A support source counting on ``side`` (see :func:`kernel_side`)."""
+    return LoopCounter(dataset) if side == "loops" else ExactSupportCounter(dataset)

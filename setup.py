@@ -9,8 +9,8 @@ pyproject.toml carries only tool configuration (pytest markers).
 
 The native kernel extension (``repro._native_kernels``) is strictly
 optional: a missing or failing compiler downgrades the build to a
-pure-python install (``count_backend=native`` then falls back to
-``bitmap`` at import time) instead of aborting it.
+pure-python install (the kernel layer then counts and samples with
+its NumPy kernels) instead of aborting it.
 """
 
 import platform
@@ -57,8 +57,8 @@ class optional_build_ext(build_ext):
     def _skip(self, exc):
         print(
             "WARNING: building repro._native_kernels failed "
-            f"({exc!r}); installing pure-python (count_backend=native "
-            "will fall back to bitmap)",
+            f"({exc!r}); installing pure-python (the NumPy kernels "
+            "will run instead)",
             file=sys.stderr,
         )
 

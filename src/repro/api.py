@@ -40,7 +40,6 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import ExperimentError
 from repro.mechanisms import MechanismSpec, from_spec
-from repro.mechanisms.registry import factory_accepts, get as get_mechanism
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.itemsets import Itemset
 
@@ -50,7 +49,7 @@ _DEFAULT_MECHANISM = "det-gd"
 _DEFAULT_PARAMS = {"gamma": 19.0}
 
 
-def _resolve_mechanism(schema: Schema, mechanism, params, count_backend):
+def _resolve_mechanism(schema: Schema, mechanism, params):
     """Turn any accepted mechanism designator into a live mechanism.
 
     Accepts a registry name, a ``{"name", "params"}`` dict, a
@@ -84,10 +83,6 @@ def _resolve_mechanism(schema: Schema, mechanism, params, count_backend):
     merged = spec.as_params()
     if params:
         merged.update(params)
-    if count_backend is not None and factory_accepts(
-        get_mechanism(spec.name).factory, "count_backend"
-    ):
-        merged.setdefault("count_backend", count_backend)
     return from_spec(MechanismSpec(spec.name, merged), schema)
 
 
@@ -140,11 +135,6 @@ class Session:
         Execution knobs routed to
         :class:`~repro.pipeline.PerturbationPipeline` (in-process and
         one-shot when left at their defaults).
-    count_backend:
-        Support-counting kernel (``"bitmap"``, ``"loops"``, or
-        ``"native"`` -- the compiled threaded kernels, degrading to
-        ``"bitmap"`` when the extension is absent) for mechanisms
-        that take one; ignored otherwise.
     """
 
     def __init__(
@@ -157,12 +147,9 @@ class Session:
         workers: int = 1,
         chunk_size: int | None = None,
         dispatch: str = "pickle",
-        count_backend: str | None = None,
     ):
         self.schema = schema
-        self.mechanism = _resolve_mechanism(
-            schema, mechanism, params, count_backend
-        )
+        self.mechanism = _resolve_mechanism(schema, mechanism, params)
         self.seed = seed
         self.workers = int(workers)
         self.chunk_size = chunk_size

@@ -81,7 +81,7 @@ def _native_sampler(n):
         from repro.mining.kernels import native
 
         _native = native
-    if _native.sampling_active() and n <= _native.MAX_NATIVE_DOMAIN:
+    if _native.available() and n <= _native.MAX_NATIVE_DOMAIN:
         return _native
     return None
 

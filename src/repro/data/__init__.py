@@ -23,7 +23,6 @@ supplies that substrate:
 """
 
 from repro.data.backing import (
-    DATASET_BACKENDS,
     column_dtypes,
     minimal_dtype,
     record_dtype,
@@ -56,7 +55,6 @@ from repro.data.synthetic import MixtureModel, Prototype
 __all__ = [
     "Attribute",
     "CategoricalDataset",
-    "DATASET_BACKENDS",
     "FrdDataset",
     "FrdSpool",
     "FrdWriter",

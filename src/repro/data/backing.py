@@ -37,22 +37,8 @@ import numpy as np
 from repro.data.schema import Schema, as_integer_array
 from repro.exceptions import DataError
 
-#: Dataset materialisation backends (``ExperimentConfig.backend`` /
-#: ``--backend``): ``"compact"`` stores cells at :func:`record_dtype`,
-#: ``"int64"`` reproduces the seed library's blanket 8-byte cells.
-DATASET_BACKENDS = ("compact", "int64")
-
 #: The unsigned dtype ladder minimal dtypes are drawn from.
 _DTYPE_LADDER = (np.uint8, np.uint16, np.uint32)
-
-
-def validate_dataset_backend(backend: str) -> str:
-    """Validate and return a dataset backend name."""
-    if backend not in DATASET_BACKENDS:
-        raise DataError(
-            f"backend must be one of {DATASET_BACKENDS}, got {backend!r}"
-        )
-    return backend
 
 
 def validate_in_domain(schema: Schema, records: np.ndarray) -> None:
@@ -92,19 +78,6 @@ def column_dtypes(schema: Schema) -> tuple[np.dtype, ...]:
 def record_dtype(schema: Schema) -> np.dtype:
     """The uniform compact cell dtype: widest per-attribute minimum."""
     return max(column_dtypes(schema), key=lambda dtype: dtype.itemsize)
-
-
-def backend_dtype(schema: Schema, backend: str) -> np.dtype:
-    """The cell dtype a dataset backend materialises records at."""
-    validate_dataset_backend(backend)
-    return np.dtype(np.int64) if backend == "int64" else record_dtype(schema)
-
-
-def backend_of(records: np.ndarray) -> str:
-    """Classify an existing record array's backend by its cell width."""
-    if records.dtype.itemsize < np.dtype(np.int64).itemsize:
-        return "compact"
-    return "int64"
 
 
 class ArrayRecordBlock:

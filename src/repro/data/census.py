@@ -87,7 +87,7 @@ def census_mixture() -> MixtureModel:
 
 
 def generate_census(
-    n_records: int = CENSUS_N_RECORDS, seed=7001, backend: str = "compact"
+    n_records: int = CENSUS_N_RECORDS, seed=7001
 ) -> CategoricalDataset:
     """Generate the synthetic CENSUS dataset.
 
@@ -98,8 +98,5 @@ def generate_census(
     seed:
         Seed (or generator); the default makes the canonical dataset
         reproducible across the whole repo.
-    backend:
-        Record-cell storage: ``"compact"`` (default, minimal dtype) or
-        ``"int64"``; identical values for the same seed either way.
     """
-    return census_mixture().sample(n_records, seed=seed, backend=backend)
+    return census_mixture().sample(n_records, seed=seed)

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.backing import (
-    backend_dtype,
-    backend_of,
-    validate_dataset_backend,
-    validate_in_domain,
-)
+from repro.data.backing import record_dtype, validate_in_domain
 from repro.data.schema import Schema
 from repro.exceptions import DataError, SchemaError
 
@@ -114,9 +109,7 @@ class CategoricalDataset:
         a fresh compact record array, so the result is adopted directly
         -- no second validation pass, no extra copy.
         """
-        decoded = schema.decode(
-            np.asarray(joint_indices), dtype=backend_dtype(schema, "compact")
-        )
+        decoded = schema.decode(np.asarray(joint_indices), dtype=record_dtype(schema))
         return cls._trusted(schema, decoded)
 
     @classmethod
@@ -146,29 +139,9 @@ class CategoricalDataset:
         return int(self.records.shape[0])
 
     @property
-    def backend(self) -> str:
-        """Storage backend of the record cells: ``"compact"`` or ``"int64"``."""
-        return backend_of(self.records)
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the record array (the resident footprint)."""
         return int(self.records.nbytes)
-
-    def with_backend(self, backend: str) -> "CategoricalDataset":
-        """Records re-materialised at a backend's cell dtype.
-
-        ``"compact"`` stores cells at the schema's minimal uniform
-        width (:func:`repro.data.backing.record_dtype`), ``"int64"``
-        at the seed library's blanket 8 bytes.  Returns ``self`` when
-        the records already have that dtype; counts and equality are
-        dtype-independent either way.
-        """
-        validate_dataset_backend(backend)
-        dtype = backend_dtype(self.schema, backend)
-        if self.records.dtype == dtype:
-            return self
-        return CategoricalDataset._trusted(self.schema, self.records.astype(dtype))
 
     def __len__(self) -> int:
         return self.n_records

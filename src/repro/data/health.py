@@ -95,11 +95,7 @@ def health_mixture() -> MixtureModel:
 
 
 def generate_health(
-    n_records: int = HEALTH_N_RECORDS, seed=7002, backend: str = "compact"
+    n_records: int = HEALTH_N_RECORDS, seed=7002
 ) -> CategoricalDataset:
-    """Generate the synthetic HEALTH dataset (defaults: paper-scale, seeded).
-
-    ``backend`` picks the record-cell storage (``"compact"`` or
-    ``"int64"``); the drawn values are identical for the same seed.
-    """
-    return health_mixture().sample(n_records, seed=seed, backend=backend)
+    """Generate the synthetic HEALTH dataset (defaults: paper-scale, seeded)."""
+    return health_mixture().sample(n_records, seed=seed)

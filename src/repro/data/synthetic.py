@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.backing import backend_dtype
+from repro.data.backing import record_dtype
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError
@@ -109,15 +109,11 @@ class MixtureModel:
         """Probability that a record is background (marginals-only)."""
         return 1.0 - self._prototype_mass
 
-    def sample(
-        self, n_records: int, seed=None, backend: str = "compact"
-    ) -> CategoricalDataset:
+    def sample(self, n_records: int, seed=None) -> CategoricalDataset:
         """Draw ``n_records`` i.i.d. records from the mixture.
 
-        ``backend`` fixes the cell dtype of the materialised records:
-        ``"compact"`` (default) uses the schema's minimal uniform width,
-        ``"int64"`` the legacy 8-byte cells.  The drawn values are
-        identical either way for the same seed.
+        Records are stored at the schema's compact cell dtype
+        (:func:`repro.data.backing.record_dtype`).
         """
         if n_records < 0:
             raise DataError(f"n_records must be >= 0, got {n_records}")
@@ -125,7 +121,7 @@ class MixtureModel:
         m = self.schema.n_attributes
 
         # Background draw for every record; prototype rows overwrite below.
-        records = np.empty((n_records, m), dtype=backend_dtype(self.schema, backend))
+        records = np.empty((n_records, m), dtype=record_dtype(self.schema))
         for j, marg in enumerate(self.marginals):
             records[:, j] = rng.choice(marg.size, size=n_records, p=marg)
 

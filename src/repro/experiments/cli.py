@@ -15,12 +15,11 @@ and runs the always-on perturbation service:
    $ frapp serve --port 0        # the perturbation daemon (random port)
    $ frapp ledger ls             # per-tenant privacy-budget summaries
    $ frapp ledger show acme      # one tenant's full ledger
-   $ frapp kernels               # counting-backend / native-kernel report
+   $ frapp kernels               # active counting kernel / native-kernel report
 
-Execution knobs (``--workers``, ``--chunk-size``, ``--count-backend``,
-``--backend``, ``--dispatch``, ``--jobs``) are shared across all
-subcommands via :mod:`repro.experiments.options`; the historical
-spellings still parse but warn.
+Execution knobs (``--workers``, ``--chunk-size``, ``--dispatch``,
+``--solver``, ``--jobs``, ``--claim-dir``, ``--lease``) are shared
+across all subcommands via :mod:`repro.experiments.options`.
 
 Experiment results are memoised in a content-addressed store (default
 ``~/.cache/frapp``, override with ``--cache-dir`` or
@@ -99,8 +98,6 @@ def _config_from_args(args) -> ExperimentConfig:
         n_records=args.records,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        count_backend=args.count_backend,
-        backend=args.backend,
         dispatch=args.dispatch,
         solver=args.solver,
     )
@@ -292,9 +289,7 @@ def _run_privacy(args) -> str:
             for spec in extra_specs:
                 try:
                     statements.append(accountant.statement(from_spec(spec, schema)))
-                # TypeError covers factory-signature mismatches (typoed
-                # or missing parameters in the JSON spec).
-                except (FrappError, TypeError) as error:
+                except FrappError as error:
                     raise SystemExit(
                         f"frapp privacy: cannot build {spec.name!r} over the "
                         f"CENSUS schema: {error}"
@@ -305,29 +300,29 @@ def _run_privacy(args) -> str:
 
 
 def _run_kernels(args) -> str:
-    """``frapp kernels``: the counting-backend / native-kernel report.
+    """``frapp kernels``: the active counting kernel and the native layer.
 
-    Shows the requested versus active ``--count-backend`` (they differ
-    exactly when ``native`` was asked for on a pure-python install),
-    whether the compiled extension is importable, and whether
+    Shows which counting kernel the kernel layer selected, whether the
+    compiled extension is importable, and whether
     ``REPRO_FORCE_PYTHON=1`` is pinning the NumPy paths.  Ends with a
-    cross-backend probe: a fixed miniature dataset counted on every
-    available backend, asserting identical counts.
+    probe: a fixed miniature dataset counted by the active kernel and
+    by the ``bincount`` oracle, asserting identical supports.
     """
     import numpy as np
 
     from repro.data.dataset import CategoricalDataset
-    from repro.mining.counting import ExactSupportCounter
+    from repro.mining.counting import (
+        ExactSupportCounter,
+        supports_from_subset_counts,
+    )
     from repro.mining.itemsets import all_items
-    from repro.mining.kernels import COUNT_BACKENDS, native, resolve_backend
+    from repro.mining.kernels import native
 
-    requested = args.count_backend
-    active = resolve_backend(requested)
     info = native.status()
     lines = [
         "Native kernel layer",
-        f"  requested count-backend : {requested}",
-        f"  active count-backend    : {active}",
+        f"  active counting kernel  : "
+        f"{'native' if info['available'] else 'bitmap'}",
         f"  extension available     : {'yes' if info['available'] else 'no'}",
         f"  forced python (env)     : "
         f"{'yes (REPRO_FORCE_PYTHON=1)' if info['forced_python'] else 'no'}",
@@ -340,15 +335,12 @@ def _run_kernels(args) -> str:
     )
     dataset = CategoricalDataset(schema, records)
     probe = list(all_items(schema))
-    counted = {
-        backend: ExactSupportCounter(dataset, backend).supports(probe)
-        for backend in COUNT_BACKENDS
-    }
-    agree = all(
-        np.array_equal(counted["loops"], counts) for counts in counted.values()
+    oracle = supports_from_subset_counts(
+        schema, dataset.n_records, dataset.subset_counts, probe
     )
+    agree = np.array_equal(ExactSupportCounter(dataset).supports(probe), oracle)
     lines.append(
-        f"  cross-backend probe     : "
+        f"  bincount-oracle probe   : "
         f"{'ok (identical counts)' if agree else 'MISMATCH'}"
     )
     if not agree:
@@ -563,7 +555,6 @@ def _run_serve(args) -> int:
             if args.drain_deadline is None
             else args.drain_deadline
         ),
-        count_backend=args.count_backend,
     )
 
     def announce(port):

@@ -11,10 +11,8 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.privacy import gamma_from_rho
-from repro.data.backing import DATASET_BACKENDS
 from repro.exceptions import ExperimentError
 from repro.mechanisms.registry import paper_mechanisms
-from repro.mining.kernels import COUNT_BACKENDS
 from repro.pipeline.executor import DISPATCH_MODES
 from repro.solvers import SOLVER_MODES
 
@@ -78,18 +76,6 @@ class ExperimentConfig:
     #: (MASK and C&P always run direct).
     workers: int = 1
     chunk_size: int | None = None
-    #: Support-counting backend for every mining pass: ``"bitmap"``
-    #: (packed AND/popcount kernels, the default), ``"loops"``
-    #: (per-subset ``bincount``), or ``"native"`` (compiled threaded
-    #: AND+popcount, degrading to ``"bitmap"`` when the extension is
-    #: absent).  Results are identical; see
-    #: :mod:`repro.mining.kernels`.
-    count_backend: str = "bitmap"
-    #: Dataset record-storage backend: ``"compact"`` (minimal cell
-    #: dtype from the schema cardinalities, the default) or ``"int64"``
-    #: (the legacy blanket 8-byte cells).  Values -- and therefore all
-    #: results -- are identical; only the memory footprint changes.
-    backend: str = "compact"
     #: How multi-worker perturbation ships chunk data: ``"pickle"``
     #: (per-chunk pipe copies) or ``"shm"`` (zero-copy shared-memory /
     #: memmap spans).  Bit-identical outputs; see
@@ -125,15 +111,6 @@ class ExperimentConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ExperimentError(
                 f"chunk_size must be >= 1 (or None), got {self.chunk_size}"
-            )
-        if self.count_backend not in COUNT_BACKENDS:
-            raise ExperimentError(
-                f"count_backend must be one of {COUNT_BACKENDS}, "
-                f"got {self.count_backend!r}"
-            )
-        if self.backend not in DATASET_BACKENDS:
-            raise ExperimentError(
-                f"backend must be one of {DATASET_BACKENDS}, got {self.backend!r}"
             )
         if self.dispatch not in DISPATCH_MODES:
             raise ExperimentError(

@@ -1,55 +1,22 @@
 """Shared execution-knob options for every ``frapp`` invocation.
 
-The execution knobs -- ``--workers``, ``--chunk-size``,
-``--count-backend``, ``--backend``, ``--dispatch``, ``--jobs`` -- used
-to be declared inline in the CLI parser; they now live in one parent
-parser (:func:`execution_options`) so every subcommand (experiments,
-``serve``, future tools) spells them identically and help text cannot
-drift.
-
-Historical spellings (``--num-workers``, ``--chunksize``,
-``--counting-backend``, ``--dispatch-mode``, ``--n-jobs``) keep
-working as hidden aliases that emit a deprecation warning and set the
-same destination, so existing scripts survive the unification.  The
-warning class is :class:`FutureWarning` -- the category Python shows
-by default -- because the audience is people running ``frapp`` from a
-shell, whom the default-ignored :class:`DeprecationWarning` would
-never reach.
+The execution knobs -- ``--workers``, ``--chunk-size``, ``--dispatch``,
+``--solver``, ``--jobs``, ``--claim-dir`` and ``--lease`` -- live in
+one parent parser (:func:`execution_options`) so every subcommand
+(experiments, ``serve``, future tools) spells them identically and
+help text cannot drift.  None of them changes a result.  The counting
+kernel and the record storage are not knobs at all: the kernel layer
+picks the kernel (:mod:`repro.mining.kernels`) and datasets are always
+stored compact (:mod:`repro.data.backing`).
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 
-from repro.data.backing import DATASET_BACKENDS
-from repro.mining.kernels import COUNT_BACKENDS
 from repro.pipeline.executor import DISPATCH_MODES
 from repro.solvers import SOLVER_MODES
 from repro.store.claims import DEFAULT_CLAIM_LEASE
-
-
-class DeprecatedAlias(argparse.Action):
-    """A hidden option spelling that warns and forwards to the new one.
-
-    Deprecated aliases are invisible in ``--help`` (the canonical
-    spelling owns the documentation) but still parse, store into the
-    canonical destination, and emit a :class:`FutureWarning` naming
-    the replacement.
-    """
-
-    def __init__(self, option_strings, dest, preferred: str = "", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self.preferred = preferred
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; use {self.preferred}",
-            FutureWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def execution_options() -> argparse.ArgumentParser:
@@ -67,47 +34,10 @@ def execution_options() -> argparse.ArgumentParser:
         help="worker processes for DET-GD/RAN-GD perturbation (1 = in-process)",
     )
     group.add_argument(
-        "--num-workers",
-        action=DeprecatedAlias,
-        dest="workers",
-        type=int,
-        preferred="--workers",
-    )
-    group.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         help="records per pipeline chunk (unset = one-shot when workers=1)",
-    )
-    group.add_argument(
-        "--chunksize",
-        action=DeprecatedAlias,
-        dest="chunk_size",
-        type=int,
-        preferred="--chunk-size",
-    )
-    group.add_argument(
-        "--count-backend",
-        choices=list(COUNT_BACKENDS),
-        default="bitmap",
-        help="support-counting kernel: packed AND/popcount bitmaps (default), "
-        "per-subset bincount loops, or the compiled threaded kernels "
-        "(native; falls back to bitmap if the extension is absent -- "
-        "identical results either way)",
-    )
-    group.add_argument(
-        "--counting-backend",
-        action=DeprecatedAlias,
-        dest="count_backend",
-        choices=list(COUNT_BACKENDS),
-        preferred="--count-backend",
-    )
-    group.add_argument(
-        "--backend",
-        choices=list(DATASET_BACKENDS),
-        default="compact",
-        help="dataset record storage: minimal compact cell dtype (default) "
-        "or legacy int64 cells (identical results, ~8x the memory)",
     )
     group.add_argument(
         "--dispatch",
@@ -116,13 +46,6 @@ def execution_options() -> argparse.ArgumentParser:
         help="multi-worker chunk transport: per-chunk pickling (default) or "
         "zero-copy shared-memory spans (identical results; needs --workers > 1 "
         "to matter)",
-    )
-    group.add_argument(
-        "--dispatch-mode",
-        action=DeprecatedAlias,
-        dest="dispatch",
-        choices=list(DISPATCH_MODES),
-        preferred="--dispatch",
     )
     group.add_argument(
         "--solver",
@@ -152,12 +75,5 @@ def execution_options() -> argparse.ArgumentParser:
         default=DEFAULT_CLAIM_LEASE,
         help="seconds before a dead peer's claims are stolen "
         "(default %(default)s; needs --claim-dir)",
-    )
-    group.add_argument(
-        "--n-jobs",
-        action=DeprecatedAlias,
-        dest="jobs",
-        type=int,
-        preferred="--jobs",
     )
     return parent

@@ -23,8 +23,8 @@ Cache keys
 ----------
 A cell's key hashes ``{"func", "params"}`` together with the
 :func:`~repro.store.code_fingerprint` of the library source.  Knobs
-that cannot change the numbers (``count_backend``, worker counts, the
-dataset storage ``backend``, the chunk ``dispatch`` mode) live in
+that cannot change the numbers (worker counts, the chunk ``dispatch``
+mode, the reconstruction ``solver``) live in
 :attr:`Cell.env` and stay *out* of the key; knobs that can (the
 spawn-seeded chunk layout of a multi-worker perturbation) are
 normalised into ``params``.
@@ -103,16 +103,10 @@ class DatasetSpec:
             n_records = int(default_n * dataset_scale())
         return cls(key, int(n_records), default_seed if seed is None else int(seed))
 
-    def build(self, backend: str = "compact"):
-        """Generate the dataset this spec describes.
-
-        ``backend`` fixes the record-cell storage (``"compact"`` or
-        ``"int64"``); the generated values are identical either way,
-        which is why the backend lives in cell ``env``, not in the
-        cache key.
-        """
+    def build(self):
+        """Generate the dataset this spec describes."""
         _, _, generate, _ = _DATASET_DEFAULTS[self.name]
-        return generate(self.n_records, seed=self.seed, backend=backend)
+        return generate(self.n_records, seed=self.seed)
 
     def schema(self):
         """The dataset's schema (no data generation)."""
@@ -173,8 +167,8 @@ class Cell:
     deps:
         Names of cells whose decoded results this cell consumes.
     env:
-        Result-invariant execution knobs (``count_backend``, worker
-        counts); excluded from the cache key by construction.
+        Result-invariant execution knobs (worker counts, dispatch,
+        solver); excluded from the cache key by construction.
     """
 
     name: str
@@ -258,14 +252,8 @@ def _lengths_from_payload(series: dict) -> dict:
 def _compute_exact(params, deps, env):
     from repro.mining.reconstructing import mine_exact
 
-    dataset = DatasetSpec(**params["dataset"]).build(
-        backend=env.get("backend", "compact")
-    )
-    result = mine_exact(
-        dataset,
-        params["min_support"],
-        count_backend=env.get("count_backend", "bitmap"),
-    )
+    dataset = DatasetSpec(**params["dataset"]).build()
+    result = mine_exact(dataset, params["min_support"])
     return encode_apriori(result)
 
 
@@ -276,9 +264,7 @@ def _decode_exact(payload, arrays):
 def _compute_mechanism(params, deps, env):
     from repro.experiments.runner import run_mechanism
 
-    dataset = DatasetSpec(**params["dataset"]).build(
-        backend=env.get("backend", "compact")
-    )
+    dataset = DatasetSpec(**params["dataset"]).build()
     mechanism = params["mechanism"]
     if isinstance(mechanism, dict):
         # Spec-built mechanisms are self-describing; the config only
@@ -294,8 +280,6 @@ def _compute_mechanism(params, deps, env):
         protocol=params["protocol"],
         workers=env.get("workers", 1),
         chunk_size=env.get("chunk_size"),
-        count_backend=env.get("count_backend", "bitmap"),
-        backend=env.get("backend", "compact"),
         dispatch=env.get("dispatch", "pickle"),
         solver=env.get("solver", "closed"),
     )
@@ -421,17 +405,14 @@ def config_env(config: ExperimentConfig) -> dict:
     """The result-invariant execution knobs of a config, as cell env.
 
     Everything here is guaranteed (and tested) not to move any cell's
-    numbers: the support-counting kernel, the worker layout, the
-    dataset storage backend, the chunk-dispatch mode and the
+    numbers: the worker layout, the chunk-dispatch mode and the
     reconstruction solver mode all produce bit-identical results.
     Keeping them out of the cache key means a warm cache survives
     switching any of them.
     """
     return {
-        "count_backend": config.count_backend,
         "workers": config.workers,
         "chunk_size": config.chunk_size,
-        "backend": config.backend,
         "dispatch": config.dispatch,
         "solver": config.solver,
     }
@@ -820,6 +801,13 @@ class Orchestrator:
                         continue
                     if not self.claims.acquire(key):
                         continue  # live peer claim: poll again later
+                    if self._adopt(cell, key):
+                        # A peer committed and released between the
+                        # store check and our claim: adopt, don't redo.
+                        self.claims.release(key)
+                        del pending[cell.name]
+                        progressed = True
+                        continue
                     if pool is None:
                         try:
                             payload, arrays = _execute_cell(self._task(cell))

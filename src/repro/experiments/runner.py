@@ -68,12 +68,6 @@ def _build_miner(mechanism, schema, config: ExperimentConfig) -> MechanismMiner:
         return MechanismMiner(from_spec(mechanism, schema))
     entry = mechanism_registry.get(mechanism)
     extra = _CONFIG_KWARGS.get(entry.key, lambda config: {})(config)
-    # count_backend is an execution knob, not a mechanism parameter:
-    # forward it only to factories that take it (the paper line-up
-    # does; warner / additive-noise / composites and most custom
-    # mechanisms have no counting pass of their own).
-    if mechanism_registry.factory_accepts(entry.factory, "count_backend"):
-        extra["count_backend"] = config.count_backend
     return make_miner(entry.key, schema, config.gamma, **extra)
 
 
@@ -92,9 +86,7 @@ def run_mechanism(
     :class:`~repro.mechanisms.Mechanism`.
     """
     if true_result is None:
-        true_result = mine_exact(
-            dataset, config.min_support, count_backend=config.count_backend
-        )
+        true_result = mine_exact(dataset, config.min_support)
     miner = _build_miner(mechanism, dataset.schema, config)
     effective_seed = seed if seed is not None else config.seed
     # Only pipeline-capable mechanisms (the gamma-diagonal engines and
@@ -142,9 +134,7 @@ def run_comparison(
     ``config.seed`` so the comparison is reproducible yet uncorrelated.
     """
     config = config or ExperimentConfig()
-    true_result = mine_exact(
-        dataset, config.min_support, count_backend=config.count_backend
-    )
+    true_result = mine_exact(dataset, config.min_support)
     streams = spawn_generators(config.seed, len(config.mechanisms))
     runs = {}
     for mechanism, stream in zip(config.mechanisms, streams):

@@ -405,22 +405,10 @@ class ColumnarMechanism(Mechanism):
             dispatch=dispatch,
         )
         if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
-            import functools
-
-            from repro.mining.kernels import resolve_backend
-
             accumulator = pipeline.accumulate_bitmaps(dataset, seed=seed)
-            # Wide-schema marginal queries are pure AND+popcount, so the
-            # mechanism's counting backend (when it has one) carries
-            # through to the word kernels.
-            backend = resolve_backend(getattr(self, "count_backend", "bitmap"))
-            if backend == "loops":
-                backend = "bitmap"
             return MarginalInversionEstimator(
                 self,
-                functools.partial(
-                    accumulator.bitmaps.subset_counts, backend=backend
-                ),
+                accumulator.bitmaps.subset_counts,
                 accumulator.n_records,
                 solver=solver,
             )

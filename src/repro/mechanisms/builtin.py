@@ -38,10 +38,13 @@ from repro.core.privacy import amplification as matrix_amplification
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MatrixError
-from repro.mechanisms.base import ColumnarMechanism, Mechanism, MechanismSpec
+from repro.mechanisms.base import (
+    MAX_JOINT_ACCUMULATION,
+    ColumnarMechanism,
+    Mechanism,
+    MechanismSpec,
+)
 from repro.mechanisms.registry import register
-from repro.mining.kernels import validate_backend
-from repro.mining.kernels.counting import BITMAP_BACKENDS
 from repro.stats.kronecker import KroneckerOperator
 
 
@@ -57,17 +60,10 @@ class GammaDiagonalMechanism(ColumnarMechanism):
     key = "det-gd"
     display = "DET-GD"
 
-    def __init__(
-        self,
-        schema: Schema,
-        gamma: float,
-        method: str = "vectorized",
-        count_backend: str = "bitmap",
-    ):
+    def __init__(self, schema: Schema, gamma: float, method: str = "vectorized"):
         self.schema = schema
         self.gamma = float(gamma)
         self.method = method
-        self.count_backend = validate_backend(count_backend)
         self.engine = GammaDiagonalPerturbation(schema, gamma, method=method)
 
     @property
@@ -141,17 +137,18 @@ class GammaDiagonalMechanism(ColumnarMechanism):
 
         The direct path (``workers=1``, no ``chunk_size``) perturbs in
         one shot; any pipeline option routes through
-        :class:`repro.pipeline.PerturbationPipeline` with the same
-        accumulated-count / bitmap estimators the drivers used (see
-        their docstrings for the memory trade-offs).
+        :class:`repro.pipeline.PerturbationPipeline`.  Like
+        :meth:`ColumnarMechanism.build_estimator`, the pipeline then
+        accumulates joint counts while the joint domain fits
+        :data:`~repro.mechanisms.base.MAX_JOINT_ACCUMULATION` and packed
+        bitmaps beyond it (see the two estimators' docstrings for the
+        memory trade-offs).
         """
         from repro.mining.counting import GammaDiagonalSupportEstimator
 
         if workers == 1 and chunk_size is None:
             perturbed = self.perturb(dataset, seed=seed)
-            return GammaDiagonalSupportEstimator(
-                perturbed, self.gamma, count_backend=self.count_backend
-            )
+            return GammaDiagonalSupportEstimator(perturbed, self.gamma)
         from repro.pipeline import (
             DEFAULT_CHUNK_SIZE,
             AccumulatedSupportEstimator,
@@ -165,13 +162,9 @@ class GammaDiagonalMechanism(ColumnarMechanism):
             workers=workers,
             dispatch=dispatch,
         )
-        if self.count_backend in BITMAP_BACKENDS and isinstance(
-            dataset, CategoricalDataset
-        ):
+        if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
             return BitmapStreamSupportEstimator(
-                pipeline.accumulate_bitmaps(dataset, seed=seed),
-                self.gamma,
-                count_backend=self.count_backend,
+                pipeline.accumulate_bitmaps(dataset, seed=seed), self.gamma
             )
         return AccumulatedSupportEstimator(
             pipeline.accumulate(dataset, seed=seed), self.gamma
@@ -194,14 +187,12 @@ class RandomizedGammaDiagonalMechanism(GammaDiagonalMechanism):
         gamma: float,
         relative_alpha: float | None = None,
         alpha: float | None = None,
-        count_backend: str = "bitmap",
     ):
         if relative_alpha is None and alpha is None:
             relative_alpha = 0.5
         self.schema = schema
         self.gamma = float(gamma)
         self.method = "vectorized"
-        self.count_backend = validate_backend(count_backend)
         self._by_alpha = alpha is not None
         # Keep the constructor's own parameterisation for spec() --
         # recomputing relative_alpha from the realised alpha would
@@ -286,10 +277,9 @@ class MaskMechanism(Mechanism):
     display = "MASK"
     supports_pipeline = False
 
-    def __init__(self, schema: Schema, gamma: float, count_backend: str = "bitmap"):
+    def __init__(self, schema: Schema, gamma: float):
         self.schema = schema
         self.gamma = float(gamma)
-        self.count_backend = validate_backend(count_backend)
         self.operator = MaskPerturbation.for_gamma(schema, gamma)
 
     @property
@@ -323,12 +313,7 @@ class MaskMechanism(Mechanism):
 
         self._reject_pipeline(workers, chunk_size)
         perturbed_bits = self.perturb(dataset, seed=seed)
-        return MaskSupportEstimator(
-            self.schema,
-            perturbed_bits,
-            self.operator,
-            count_backend=self.count_backend,
-        )
+        return MaskSupportEstimator(self.schema, perturbed_bits, self.operator)
 
 
 class CutAndPasteMechanism(Mechanism):
@@ -338,19 +323,10 @@ class CutAndPasteMechanism(Mechanism):
     display = "C&P"
     supports_pipeline = False
 
-    def __init__(
-        self,
-        schema: Schema,
-        gamma: float,
-        max_cut: int = 3,
-        count_backend: str = "loops",
-    ):
+    def __init__(self, schema: Schema, gamma: float, max_cut: int = 3):
         self.schema = schema
         self.gamma = float(gamma)
         self.max_cut = int(max_cut)
-        # Accepted for interface uniformity; the partial-support system
-        # has no bitmap path (see CutAndPasteSupportEstimator).
-        self.count_backend = validate_backend(count_backend)
         self.operator = CutAndPastePerturbation.for_gamma(schema, gamma, max_cut)
 
     @property

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.data.schema import Schema
-from repro.exceptions import ExperimentError, UnknownMechanismError
+from repro.exceptions import ExperimentError, FrappError, UnknownMechanismError
 from repro.mechanisms.base import Mechanism, MechanismSpec
 
 #: Registered entries by canonical key.
@@ -168,18 +168,40 @@ def available() -> tuple[str, ...]:
 
 
 def create(name: str, schema: Schema, **params) -> Mechanism:
-    """Resolve ``name`` and instantiate it over ``schema``."""
-    return get(name).create(schema, **params)
+    """Resolve ``name`` and instantiate it over ``schema``.
+
+    The one place factories are called with caller-supplied parameters,
+    so it is where bad ones fail closed: a parameter the factory does
+    not take, or a value it rejects (a raw ``TypeError``,
+    ``ValueError`` or ``LookupError``), raises
+    :class:`~repro.exceptions.ExperimentError` naming the mechanism and
+    the parameters.  Typed errors the factory raises itself
+    (:class:`~repro.exceptions.FrappError` subclasses) pass through
+    unchanged.
+    """
+    entry = get(name)
+    for key in params:
+        if not factory_accepts(entry.factory, key):
+            raise ExperimentError(
+                f"mechanism {entry.key!r} got an unexpected keyword "
+                f"parameter {key!r}"
+            )
+    try:
+        return entry.create(schema, **params)
+    except FrappError:
+        raise
+    except (TypeError, ValueError, LookupError) as error:
+        raise ExperimentError(
+            f"mechanism {entry.key!r} rejected parameters {params!r}: {error}"
+        ) from None
 
 
 def factory_accepts(factory, name: str) -> bool:
     """Whether ``factory`` takes a keyword argument called ``name``.
 
-    The shared gate for forwarding optional knobs (``gamma``,
-    ``count_backend``) only to factories that declare them -- a named
-    parameter or a ``**kwargs`` catch-all both count.  Used by the
-    driver factory and the experiment runner so the acceptance rule
-    cannot diverge between the two resolution paths.
+    A named parameter or a ``**kwargs`` catch-all both count.  Used to
+    forward ``gamma`` only to factories that declare it, and by
+    :func:`create` to refuse parameters a factory does not take.
     """
     import inspect
 

@@ -3,9 +3,9 @@
 * :mod:`repro.mining.itemsets` -- categorical items and itemsets;
 * :mod:`repro.mining.apriori` -- the Apriori miner (from scratch);
 * :mod:`repro.mining.counting` -- exact and reconstruction-based
-  support sources (both backed by a selectable counting backend);
+  support sources;
 * :mod:`repro.mining.kernels` -- the bit-packed vectorized
-  support-counting kernels (the ``"bitmap"`` backend);
+  support-counting kernels they count with;
 * :mod:`repro.mining.reconstructing` -- one driver per mechanism
   (DET-GD / RAN-GD / MASK / C&P), as evaluated in paper Section 7;
 * :mod:`repro.mining.rules` -- association-rule post-processing.
@@ -21,11 +21,7 @@ from repro.mining.counting import (
 )
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.itemsets import Itemset, all_items
-from repro.mining.kernels import (
-    COUNT_BACKENDS,
-    BitmapSupportCounter,
-    TransactionBitmaps,
-)
+from repro.mining.kernels import BitmapSupportCounter, TransactionBitmaps
 from repro.mining.reconstructing import (
     CutAndPasteMiner,
     DetGDMiner,
@@ -41,7 +37,6 @@ __all__ = [
     "AprioriResult",
     "AssociationRule",
     "BitmapSupportCounter",
-    "COUNT_BACKENDS",
     "CutAndPasteMiner",
     "CutAndPasteSupportEstimator",
     "DetGDMiner",

@@ -20,22 +20,13 @@ Implementations:
   partial-support system.
 
 Every *observed*-support side (exact counting, and the counting pass of
-the DET-GD/RAN-GD and MASK estimators) runs on one of three backends,
-selected with ``count_backend``:
-
-* ``"bitmap"`` (default) -- the packed AND/popcount kernels of
-  :mod:`repro.mining.kernels`: whole candidate batches per Apriori
-  level, with the previous level's itemset bitmaps cached;
-* ``"native"`` -- the same bitmap layout counted by the compiled,
-  thread-parallel hardware-popcount kernels
-  (:mod:`repro.mining.kernels.native`); degrades to ``"bitmap"`` with
-  a one-time warning when the extension is absent;
-* ``"loops"`` -- the original per-subset ``bincount`` passes, kept as a
-  dependency-free fallback and as the equivalence oracle.
-
-The backends produce *identical* integer counts (and therefore
-bit-identical supports); the estimator outputs follow the same
-closed forms either way.
+the DET-GD/RAN-GD and MASK estimators) runs on the packed AND/popcount
+kernels of :mod:`repro.mining.kernels`: whole candidate batches per
+Apriori level, with the previous level's itemset bitmaps cached.  The
+kernel layer itself picks the compiled or the NumPy kernels; both give
+integer counts identical to a per-subset ``bincount``
+(:func:`supports_from_subset_counts`, the tests' oracle), so supports
+are bit-identical floats either way.
 """
 
 from __future__ import annotations
@@ -52,10 +43,8 @@ from repro.mining.kernels import (
     BitmapSupportCounter,
     TransactionBitmaps,
     pattern_counts,
-    resolve_backend,
-    validate_backend,
 )
-from repro.mining.kernels.counting import BITMAP_BACKENDS, MAX_PATTERN_BITS
+from repro.mining.kernels.counting import MAX_PATTERN_BITS
 
 
 def supports_from_subset_counts(
@@ -67,8 +56,9 @@ def supports_from_subset_counts(
     subset's sub-domain -- a dataset's ``subset_counts`` for direct
     counting, or a :class:`repro.pipeline.JointCountAccumulator`'s for
     the streaming path.  One lookup per distinct subset is shared by all
-    its itemsets.  This is the ``"loops"`` backend; the ``"bitmap"``
-    backend lives in :mod:`repro.mining.kernels`.
+    its itemsets.  :class:`repro.pipeline.AccumulatedSupportEstimator`
+    counts this way, and over ``dataset.subset_counts`` it is the
+    ``bincount`` oracle the bitmap kernels are tested against.
     """
     if n_records == 0:
         raise MiningError("cannot count supports of an empty dataset")
@@ -85,13 +75,6 @@ def supports_from_subset_counts(
         cell = int(np.ravel_multi_index(itemset.values, dims=dims))
         supports[i] = counts[cell] / n_records
     return supports
-
-
-def _subset_support_lookup(dataset: CategoricalDataset, itemsets) -> np.ndarray:
-    """Fractional support of each itemset by direct dataset counting."""
-    return supports_from_subset_counts(
-        dataset.schema, dataset.n_records, dataset.subset_counts, itemsets
-    )
 
 
 def reconstruct_gamma_diagonal_supports(
@@ -117,34 +100,25 @@ def reconstruct_gamma_diagonal_supports(
 class ExactSupportCounter:
     """True fractional supports on an unperturbed dataset.
 
+    Counts through the packed AND/popcount kernel
+    (:class:`~repro.mining.kernels.BitmapSupportCounter`), packed
+    lazily on first use.
+
     Parameters
     ----------
     dataset:
         The categorical dataset to count over.
-    count_backend:
-        ``"bitmap"`` (default) counts through the packed AND/popcount
-        kernel, built lazily on first use; ``"native"`` counts the same
-        bitmaps with the compiled threaded kernels (resolved through
-        :func:`repro.mining.kernels.resolve_backend`); ``"loops"``
-        keeps the per-subset ``bincount`` path.  All return identical
-        values.
     """
 
-    def __init__(self, dataset: CategoricalDataset, count_backend: str = "bitmap"):
+    def __init__(self, dataset: CategoricalDataset):
         self.dataset = dataset
-        self.count_backend = resolve_backend(count_backend)
         self._bitmap_counter: BitmapSupportCounter | None = None
 
     def supports(self, itemsets) -> np.ndarray:
         """Fraction of records supporting each itemset."""
-        itemsets = list(itemsets)
-        if self.count_backend in BITMAP_BACKENDS:
-            if self._bitmap_counter is None:
-                self._bitmap_counter = BitmapSupportCounter.from_dataset(
-                    self.dataset, backend=self.count_backend
-                )
-            return self._bitmap_counter.supports(itemsets)
-        return _subset_support_lookup(self.dataset, itemsets)
+        if self._bitmap_counter is None:
+            self._bitmap_counter = BitmapSupportCounter.from_dataset(self.dataset)
+        return self._bitmap_counter.supports(itemsets)
 
 
 class GammaDiagonalSupportEstimator:
@@ -158,25 +132,12 @@ class GammaDiagonalSupportEstimator:
         The amplification bound used at perturbation time.  RAN-GD uses
         the same estimator because ``E[Ã]`` equals the deterministic
         matrix (paper Section 4.2).
-    count_backend:
-        Backend for the *observed*-support counting pass (the Eq.-28
-        inverse is the same closed form either way).
     """
 
-    def __init__(
-        self,
-        perturbed: CategoricalDataset,
-        gamma: float,
-        count_backend: str = "bitmap",
-    ):
+    def __init__(self, perturbed: CategoricalDataset, gamma: float):
         self.perturbed = perturbed
         self.gamma = float(gamma)
-        self._observed = ExactSupportCounter(perturbed, count_backend)
-
-    @property
-    def count_backend(self) -> str:
-        """The counting kernel used for the observed supports."""
-        return self._observed.count_backend
+        self._observed = ExactSupportCounter(perturbed)
 
     def supports(self, itemsets) -> np.ndarray:
         """Eq.-28 closed-form estimates; may be negative for rare sets."""
@@ -190,20 +151,17 @@ class GammaDiagonalSupportEstimator:
 class MaskSupportEstimator:
     """Reconstructed supports from MASK-perturbed boolean data.
 
-    With ``count_backend="bitmap"`` the observed pattern distribution of
-    each candidate is computed from packed bit columns (superset
-    popcounts + a Möbius transform, see
+    The observed pattern distribution of each candidate is computed from
+    packed bit columns (superset popcounts + a Möbius transform, see
     :func:`repro.mining.kernels.pattern_counts`) instead of re-scanning
-    the ``(N, M_b)`` bit matrix per candidate; the tensor-power solve is
-    shared, so estimates are identical.
+    the ``(N, M_b)`` bit matrix per candidate.  Only candidates wider
+    than :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits
+    are scanned directly.  The tensor-power solve is shared, so
+    estimates are identical either way.
     """
 
     def __init__(
-        self,
-        schema: Schema,
-        perturbed_bits: np.ndarray,
-        mask: MaskPerturbation,
-        count_backend: str = "bitmap",
+        self, schema: Schema, perturbed_bits: np.ndarray, mask: MaskPerturbation
     ):
         perturbed_bits = np.asarray(perturbed_bits)
         if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
@@ -214,7 +172,6 @@ class MaskSupportEstimator:
         self.schema = schema
         self.perturbed_bits = perturbed_bits
         self.mask = mask
-        self.count_backend = resolve_backend(count_backend)
         self._bitmaps: TransactionBitmaps | None = None
 
     def _pattern_counts(self, positions) -> np.ndarray:
@@ -222,7 +179,7 @@ class MaskSupportEstimator:
             self._bitmaps = TransactionBitmaps.from_boolean_matrix(
                 self.schema, self.perturbed_bits
             )
-        return pattern_counts(self._bitmaps, positions, backend=self.count_backend)
+        return pattern_counts(self._bitmaps, positions)
 
     def supports(self, itemsets) -> np.ndarray:
         """Tensor-power reconstruction per candidate (paper Section 7)."""
@@ -231,10 +188,7 @@ class MaskSupportEstimator:
         estimates = np.empty(len(itemsets))
         for i, itemset in enumerate(itemsets):
             positions = itemset.boolean_positions(self.schema)
-            if (
-                self.count_backend in BITMAP_BACKENDS
-                and len(positions) <= MAX_PATTERN_BITS
-            ):
+            if len(positions) <= MAX_PATTERN_BITS:
                 if n_records == 0:
                     raise DataError("empty perturbed database")
                 observed = self._pattern_counts(positions).astype(float)
@@ -253,8 +207,7 @@ class CutAndPasteSupportEstimator:
 
     The partial-support system consumes per-record set-bit counts over
     the candidate's columns (not an all-bits AND), so this estimator
-    stays on the loop path; it accepts ``count_backend`` for interface
-    uniformity and ignores it.
+    scans the bit matrix per candidate rather than counting bitmaps.
     """
 
     def __init__(
@@ -262,7 +215,6 @@ class CutAndPasteSupportEstimator:
         schema: Schema,
         perturbed_bits: np.ndarray,
         operator: CutAndPastePerturbation,
-        count_backend: str = "loops",
     ):
         perturbed_bits = np.asarray(perturbed_bits)
         if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
@@ -273,11 +225,11 @@ class CutAndPasteSupportEstimator:
         self.schema = schema
         self.perturbed_bits = perturbed_bits
         self.operator = operator
-        self.count_backend = validate_backend(count_backend)
 
     def supports(self, itemsets) -> np.ndarray:
         """Partial-support-system reconstruction per candidate."""
-        estimates = np.empty(len(list(itemsets)))
+        itemsets = list(itemsets)
+        estimates = np.empty(len(itemsets))
         for i, itemset in enumerate(itemsets):
             positions = itemset.boolean_positions(self.schema)
             estimates[i] = self.operator.estimate_itemset_support(

@@ -19,13 +19,14 @@ itemset bitmaps so a level-``k`` candidate costs a single AND.
 * :mod:`repro.mining.kernels.native` -- typed wrappers around the
   optional compiled extension (``repro._native_kernels``): threaded
   hardware-popcount AND reductions and the fused sample-and-encode
-  kernels, selected as ``count_backend=native``.
+  kernels.
 
-Every kernel is *exact*: counts are integers identical to the
-``bincount`` loop path, so the backends are interchangeable
-(``count_backend={"loops","bitmap","native"}`` throughout the
-library; ``native`` degrades to ``bitmap`` via
-:func:`resolve_backend` when the extension is absent).
+Every kernel is *exact*: counts are integers identical to a
+per-subset ``bincount`` (the oracle the tests compare against).  So
+the layer picks the kernel itself -- the compiled ones when
+:func:`repro.mining.kernels.native.available` is true (it honours
+``REPRO_FORCE_PYTHON=1``), the NumPy bitmap ones otherwise -- and no
+caller selects one.
 """
 
 from repro.mining.kernels import native
@@ -35,18 +36,12 @@ from repro.mining.kernels.bitmap import (
     popcount_words,
 )
 from repro.mining.kernels.counting import (
-    BITMAP_BACKENDS,
-    COUNT_BACKENDS,
     BitmapSupportCounter,
     compress_transactions,
     pattern_counts,
-    resolve_backend,
-    validate_backend,
 )
 
 __all__ = [
-    "BITMAP_BACKENDS",
-    "COUNT_BACKENDS",
     "BitmapSupportCounter",
     "TransactionBitmaps",
     "compress_transactions",
@@ -54,6 +49,4 @@ __all__ = [
     "pack_bit_rows",
     "pattern_counts",
     "popcount_words",
-    "resolve_backend",
-    "validate_backend",
 ]

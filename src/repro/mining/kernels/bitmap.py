@@ -256,20 +256,20 @@ class TransactionBitmaps:
         rows = self.itemset_rows(itemset)
         return np.bitwise_and.reduce(self.words[rows], axis=0)
 
-    def itemset_count(self, itemset, backend: str = "bitmap") -> int:
+    def itemset_count(self, itemset) -> int:
         """Number of records supporting ``itemset`` (exact).
 
-        ``backend="native"`` runs the compiled fused AND+popcount
-        kernel (identical count, no intermediate bitmap row); any
-        other value takes the NumPy reduction.
+        Runs the compiled fused AND+popcount kernel when the extension
+        is available (identical count, no intermediate bitmap row) and
+        the NumPy reduction otherwise.
         """
         rows = self.itemset_rows(itemset)
-        if backend == "native" and native.available():
+        if native.available():
             groups = np.asarray([rows], dtype=np.int64)
             return int(native.and_group_counts(self.words, groups)[0])
         return int(popcount_words(np.bitwise_and.reduce(self.words[rows], axis=0)))
 
-    def subset_counts(self, positions, backend: str = "bitmap") -> np.ndarray:
+    def subset_counts(self, positions) -> np.ndarray:
         """Exact counts over an attribute subset's sub-domain.
 
         Indexed like :meth:`repro.data.schema.Schema.encode_subset`
@@ -282,8 +282,9 @@ class TransactionBitmaps:
         what lets wide-schema pipelines (joint domains beyond any
         materialisable count vector) answer the same marginal queries.
 
-        ``backend="native"`` batches every cell's AND+popcount into one
-        threaded kernel call (identical counts, same cell ordering).
+        With the extension available, every cell's AND+popcount runs
+        in one threaded kernel call (identical counts, same cell
+        ordering).
         """
         positions = [int(p) for p in positions]
         if not positions:
@@ -294,7 +295,7 @@ class TransactionBitmaps:
             if not 0 <= p < len(self._cards):
                 raise DataError(f"attribute position {p} out of range")
         cards = [self._cards[p] for p in positions]
-        if backend == "native" and native.available():
+        if native.available():
             # Cell rows for the whole sub-domain at once: np.indices
             # enumerates C-order (first position most significant),
             # matching the itertools.product walk below.

@@ -21,8 +21,6 @@ Also here:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.data.dataset import CategoricalDataset
@@ -30,58 +28,11 @@ from repro.exceptions import DataError, MiningError
 from repro.mining.kernels import native
 from repro.mining.kernels.bitmap import TransactionBitmaps, popcount_words
 
-#: The selectable support-counting backends, everywhere a
-#: ``count_backend`` knob exists (config, CLI, estimators, miners).
-COUNT_BACKENDS = ("loops", "bitmap", "native")
-
-#: The backends that count over packed transaction bitmaps.  ``native``
-#: is the compiled AND+popcount kernel; everywhere the code routes
-#: "bitmap-shaped" work (wide schemas, ``mine_stream``, the bitmap
-#: estimators) it accepts either member and passes the resolved value
-#: down to the word kernels.
-BITMAP_BACKENDS = ("bitmap", "native")
-
-#: Pattern spaces larger than this fall back to the loop path in the
-#: MASK bitmap estimator: 2^k AND/popcounts (and the 2^k x 2^k
-#: tensor-power solve downstream) stop paying off.
+#: Pattern spaces larger than this are beyond :func:`pattern_counts`:
+#: 2^k AND/popcounts (and the 2^k x 2^k tensor-power solve downstream)
+#: stop paying off, so the MASK estimator scans those candidates
+#: directly instead.
 MAX_PATTERN_BITS = 12
-
-_fallback_warned = False
-
-
-def validate_backend(backend: str) -> str:
-    """Normalise and validate a ``count_backend`` value."""
-    backend = str(backend).lower()
-    if backend not in COUNT_BACKENDS:
-        raise MiningError(
-            f"count_backend must be one of {COUNT_BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate ``backend`` and downgrade ``native`` when unavailable.
-
-    ``native`` resolves to ``bitmap`` (identical counts, pure-NumPy
-    kernels) when the compiled extension is absent or disabled via
-    ``REPRO_FORCE_PYTHON=1``.  The downgrade warns exactly once per
-    process -- pure-sdist installs should run quietly, but operators
-    who *asked* for native deserve one breadcrumb.
-    """
-    global _fallback_warned
-    backend = validate_backend(backend)
-    if backend == "native" and not native.available():
-        if not _fallback_warned:
-            _fallback_warned = True
-            warnings.warn(
-                "count_backend=native requested but the compiled kernel "
-                "extension is unavailable; falling back to 'bitmap' "
-                "(identical results, NumPy kernels)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "bitmap"
-    return backend
 
 
 class BitmapSupportCounter:
@@ -94,40 +45,29 @@ class BitmapSupportCounter:
         (build with :meth:`from_dataset`, or fold chunks through
         :class:`repro.pipeline.BitmapAccumulator`).
 
-    backend:
-        ``"bitmap"`` (NumPy AND + popcount, the default) or ``"native"``
-        (the compiled threaded kernels; resolved through
-        :func:`resolve_backend`, so it silently degrades to ``bitmap``
-        on pure-python installs).  Both produce identical counts.
-
     Notes
     -----
-    Counts are integers identical to the ``bincount`` loop path of
-    :class:`repro.mining.counting.ExactSupportCounter`, so supports are
-    bit-identical floats.  The level cache holds only the most recent
-    batch's bitmaps: Apriori prefixes always come from the immediately
-    preceding level, so older levels can never be parents again.
+    Each batch runs on the compiled threaded kernels when
+    :func:`repro.mining.kernels.native.available` is true and on NumPy
+    AND + popcount otherwise.  Either way the counts are integers
+    identical to a per-subset ``bincount``
+    (:func:`repro.mining.counting.supports_from_subset_counts`), so
+    supports are bit-identical floats.  The level cache holds only the
+    most recent batch's bitmaps: Apriori prefixes always come from the
+    immediately preceding level, so older levels can never be parents
+    again.
     """
 
-    def __init__(self, bitmaps: TransactionBitmaps, backend: str = "bitmap"):
-        backend = resolve_backend(backend)
-        if backend not in BITMAP_BACKENDS:
-            raise MiningError(
-                f"BitmapSupportCounter backend must be one of "
-                f"{BITMAP_BACKENDS}, got {backend!r}"
-            )
+    def __init__(self, bitmaps: TransactionBitmaps):
         self.bitmaps = bitmaps
         self.schema = bitmaps.schema
-        self.backend = backend
         self._cache_rows: dict = {}
         self._cache_words: np.ndarray | None = None
 
     @classmethod
-    def from_dataset(
-        cls, dataset: CategoricalDataset, backend: str = "bitmap"
-    ) -> "BitmapSupportCounter":
+    def from_dataset(cls, dataset: CategoricalDataset) -> "BitmapSupportCounter":
         """Pack a dataset and wrap it in a counter."""
-        return cls(TransactionBitmaps.from_dataset(dataset), backend=backend)
+        return cls(TransactionBitmaps.from_dataset(dataset))
 
     # ------------------------------------------------------------------
     # batched counting
@@ -164,7 +104,7 @@ class BitmapSupportCounter:
                 out.append(i)
                 row_lists.append(rows)
 
-        if self.backend == "native":
+        if native.available():
             # Fused path: each segment's AND lands in ``batch`` (the
             # next level's cache) and its popcount comes back from the
             # same kernel pass -- no second sweep over the words.
@@ -218,18 +158,16 @@ class BitmapSupportCounter:
         return self.counts(itemsets) / self.bitmaps.n_records
 
 
-def pattern_counts(
-    bitmaps: TransactionBitmaps, positions, backend: str = "bitmap"
-) -> np.ndarray:
+def pattern_counts(bitmaps: TransactionBitmaps, positions) -> np.ndarray:
     """Exact counts of all ``2^k`` bit patterns over ``k`` bitmap rows.
 
     Index convention matches
     :meth:`repro.baselines.mask.MaskPerturbation.estimate_pattern_counts`:
     pattern code ``sum_i b_i * 2^(k-1-i)`` with ``b_i`` the bit at
     ``positions[i]`` (most significant first), so index ``2^k - 1`` is
-    the all-bits-set itemset count.  ``backend="native"`` swaps each
-    node's popcount for the compiled threaded kernel (identical
-    counts); the lattice walk itself is shared.
+    the all-bits-set itemset count.  Each node's popcount runs on the
+    compiled kernel when the extension is available (identical counts);
+    the lattice walk itself is shared.
 
     The kernel computes superset counts ``m[S]`` -- records with every
     bit of ``S`` set -- walking the subset lattice depth-first so each
@@ -244,8 +182,7 @@ def pattern_counts(
     if k > MAX_PATTERN_BITS:
         raise DataError(f"pattern space 2^{k} too large for the bitmap kernel")
     words = bitmaps.words
-    use_native = resolve_backend(backend) == "native"
-    count_one = native.popcount_total if use_native else popcount_words
+    count_one = native.popcount_total if native.available() else popcount_words
     superset = np.empty(1 << k, dtype=np.int64)
     superset[0] = bitmaps.n_records
 

@@ -4,19 +4,19 @@ The C extension (built by ``setup.py``; see ``src/repro/_native_kernels.c``)
 works on raw contiguous buffers and trusts its caller for dtypes, so
 every entry point here validates shapes/dtypes, forces contiguity, and
 allocates outputs before handing plain buffers down.  Nothing in this
-module raises when the extension is absent: :func:`available` reports
-capability, :func:`resolve_backend` (in ``counting``) downgrades
-``count_backend=native`` to ``bitmap`` with a single warning, and the
-sampling hooks in ``repro.core.engine`` check :func:`sampling_active`
-before fusing.
+module raises when the extension is absent: :func:`available` is the
+one selection predicate.  The counting kernels in
+:mod:`repro.mining.kernels` and the sampling hooks in
+``repro.core.engine`` run the compiled paths exactly when it is true,
+and the NumPy paths otherwise.
 
 Set ``REPRO_FORCE_PYTHON=1`` to ignore a built extension and exercise
 the pure-python paths (the CI forced-fallback lane does exactly this).
 
 All kernels are *exact*: counting is integer popcount, and the fused
 samplers replicate the NumPy reference float-for-float (same draw
-order, same IEEE operations), so switching backends never changes a
-single output bit.
+order, same IEEE operations), so the selection never changes a single
+output bit -- which is why it needs no per-call knob.
 """
 
 from __future__ import annotations
@@ -44,21 +44,6 @@ except ImportError:  # pragma: no cover - pure-python installs
 
 def available() -> bool:
     """Whether the compiled kernel extension is importable and enabled."""
-    return _lib is not None
-
-
-def forced_python() -> bool:
-    """Whether ``REPRO_FORCE_PYTHON=1`` disabled a present extension."""
-    return _FORCED_OFF
-
-
-def sampling_active() -> bool:
-    """Whether the fused sample-and-encode kernels should be used.
-
-    True exactly when the extension is importable and not forced off;
-    the sampling fast path is output-identical to the NumPy reference,
-    so (unlike counting) it needs no per-call opt-in knob.
-    """
     return _lib is not None
 
 

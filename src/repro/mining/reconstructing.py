@@ -26,22 +26,11 @@ from repro.mining.counting import ExactSupportCounter
 
 
 def mine_exact(
-    dataset: CategoricalDataset,
-    min_support: float,
-    max_length=None,
-    count_backend: str = "bitmap",
+    dataset: CategoricalDataset, min_support: float, max_length=None
 ) -> AprioriResult:
-    """Reference mining on the original (unperturbed) database.
-
-    ``count_backend`` selects the support-counting kernel
-    (``"bitmap"``, the packed AND/popcount default, or ``"loops"``);
-    results are identical either way.
-    """
+    """Reference mining on the original (unperturbed) database."""
     return apriori(
-        ExactSupportCounter(dataset, count_backend),
-        dataset.schema,
-        min_support,
-        max_length,
+        ExactSupportCounter(dataset), dataset.schema, min_support, max_length
     )
 
 
@@ -130,11 +119,6 @@ class MechanismMiner:
         """Whether the chunked/multi-worker execution path exists."""
         return self.mechanism.supports_pipeline
 
-    @property
-    def count_backend(self) -> str:
-        """The mechanism's observed-support counting backend (if any)."""
-        return getattr(self.mechanism, "count_backend", "loops")
-
     def perturb(self, dataset: CategoricalDataset, seed=None):
         """Client-side step (exposed for inspection and reuse)."""
         return self.mechanism.perturb(dataset, seed=seed)
@@ -218,12 +202,10 @@ class DetGDMiner(MechanismMiner):
 
     name = "DET-GD"
 
-    def __init__(self, schema: Schema, gamma: float, count_backend: str = "bitmap"):
+    def __init__(self, schema: Schema, gamma: float):
         from repro.mechanisms.builtin import GammaDiagonalMechanism
 
-        super().__init__(
-            GammaDiagonalMechanism(schema, gamma, count_backend=count_backend)
-        )
+        super().__init__(GammaDiagonalMechanism(schema, gamma))
 
     @property
     def gamma(self) -> float:
@@ -241,18 +223,12 @@ class RanGDMiner(MechanismMiner):
 
     name = "RAN-GD"
 
-    def __init__(
-        self,
-        schema: Schema,
-        gamma: float,
-        relative_alpha: float = 0.5,
-        count_backend: str = "bitmap",
-    ):
+    def __init__(self, schema: Schema, gamma: float, relative_alpha: float = 0.5):
         from repro.mechanisms.builtin import RandomizedGammaDiagonalMechanism
 
         super().__init__(
             RandomizedGammaDiagonalMechanism(
-                schema, gamma, relative_alpha=relative_alpha, count_backend=count_backend
+                schema, gamma, relative_alpha=relative_alpha
             )
         )
 
@@ -277,10 +253,10 @@ class MaskMiner(MechanismMiner):
 
     name = "MASK"
 
-    def __init__(self, schema: Schema, gamma: float, count_backend: str = "bitmap"):
+    def __init__(self, schema: Schema, gamma: float):
         from repro.mechanisms.builtin import MaskMechanism
 
-        super().__init__(MaskMechanism(schema, gamma, count_backend=count_backend))
+        super().__init__(MaskMechanism(schema, gamma))
 
     @property
     def gamma(self) -> float:
@@ -303,20 +279,10 @@ class CutAndPasteMiner(MechanismMiner):
 
     name = "C&P"
 
-    def __init__(
-        self,
-        schema: Schema,
-        gamma: float,
-        max_cut: int = 3,
-        count_backend: str = "loops",
-    ):
+    def __init__(self, schema: Schema, gamma: float, max_cut: int = 3):
         from repro.mechanisms.builtin import CutAndPasteMechanism
 
-        super().__init__(
-            CutAndPasteMechanism(
-                schema, gamma, max_cut=max_cut, count_backend=count_backend
-            )
-        )
+        super().__init__(CutAndPasteMechanism(schema, gamma, max_cut=max_cut))
 
     @property
     def gamma(self) -> float:
@@ -352,9 +318,7 @@ def make_miner(name: str, schema: Schema, gamma: float, **kwargs) -> MechanismMi
     display names are accepted), so every mechanism registered with
     :func:`repro.mechanisms.register` is constructible here.  Unknown
     names raise :class:`~repro.exceptions.UnknownMechanismError`
-    listing the registered mechanisms.  All built-in drivers accept
-    ``count_backend`` (``"bitmap"``/``"loops"``) for their
-    observed-support counting pass.
+    listing the registered mechanisms.
     """
     entry = mechanism_registry.get(name)
     shim = _DRIVER_SHIMS.get(entry.key)
@@ -364,4 +328,4 @@ def make_miner(name: str, schema: Schema, gamma: float, **kwargs) -> MechanismMi
     # it; factories with a **kwargs catch-all receive it.
     if mechanism_registry.factory_accepts(entry.factory, "gamma"):
         kwargs.setdefault("gamma", gamma)
-    return MechanismMiner(entry.create(schema, **kwargs))
+    return MechanismMiner(mechanism_registry.create(entry.key, schema, **kwargs))

@@ -32,17 +32,13 @@ from repro.core.gamma_diagonal import GammaDiagonalMatrix
 from repro.core.reconstruction import clip_counts, reconstruct_counts
 from repro.data.schema import Schema
 from repro.exceptions import MiningError
+from repro.mechanisms.base import MAX_JOINT_ACCUMULATION
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.counting import (
     reconstruct_gamma_diagonal_supports,
     supports_from_subset_counts,
 )
-from repro.mining.kernels import (
-    BitmapSupportCounter,
-    resolve_backend,
-    validate_backend,
-)
-from repro.mining.kernels.counting import BITMAP_BACKENDS
+from repro.mining.kernels import BitmapSupportCounter
 from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
 from repro.pipeline.executor import PerturbationPipeline
@@ -112,22 +108,12 @@ class BitmapStreamSupportEstimator:
     ``O(N * M_b / 8)`` versus the count vector's ``O(|S_U|)``; prefer
     this when the joint domain dwarfs the (packed) record stream or when
     per-level counting speed dominates.
-
-    ``count_backend`` selects the word kernels: ``"bitmap"`` (NumPy)
-    or ``"native"`` (compiled threaded AND+popcount; degrades to
-    ``"bitmap"`` when the extension is absent).  Identical estimates.
     """
 
-    def __init__(
-        self,
-        accumulator: BitmapAccumulator,
-        gamma: float,
-        count_backend: str = "bitmap",
-    ):
+    def __init__(self, accumulator: BitmapAccumulator, gamma: float):
         self.accumulator = accumulator
         self.schema = accumulator.schema
         self.gamma = float(gamma)
-        self.count_backend = resolve_backend(count_backend)
         self._counter: BitmapSupportCounter | None = None
 
     def supports(self, itemsets) -> np.ndarray:
@@ -140,9 +126,7 @@ class BitmapStreamSupportEstimator:
         # signals that the counter (and its level cache) is stale.
         bitmaps = self.accumulator.bitmaps
         if self._counter is None or self._counter.bitmaps is not bitmaps:
-            self._counter = BitmapSupportCounter(
-                bitmaps, backend=self.count_backend
-            )
+            self._counter = BitmapSupportCounter(bitmaps)
         observed = self._counter.supports(itemsets)
         return reconstruct_gamma_diagonal_supports(
             self.schema, observed, itemsets, self.gamma
@@ -189,7 +173,6 @@ def mine_stream(
     workers: int = 1,
     seed=None,
     max_length=None,
-    count_backend: str = "loops",
     dispatch: str = "pickle",
 ) -> AprioriResult:
     """Privacy-preserving mining over a chunked record stream.
@@ -198,42 +181,29 @@ def mine_stream(
     chunked executor, accumulates the perturbed stream, and mines it
     with Apriori over Eq.-28 reconstructed supports.
 
-    ``count_backend`` picks the accumulated representation: ``"loops"``
-    (default) folds joint counts -- peak memory is one chunk plus the
-    ``(|S_U|,)`` count vector, so ``source`` may be arbitrarily large
-    (e.g. :func:`repro.data.io.iter_csv_chunks` or an open ``.frd``
-    memory map); ``"bitmap"`` folds packed transaction bitmaps --
-    ``O(N * M_b / 8)`` memory, with every mining pass answered by the
-    vectorized AND/popcount kernel; ``"native"`` folds the same
-    bitmaps and counts them with the compiled threaded kernels
-    (falling back to ``"bitmap"`` when the extension is absent).  All
-    backends mine identical itemsets for the same seed.
-    ``dispatch="shm"`` switches multi-worker runs to zero-copy block
-    dispatch (see
+    The schema picks the accumulated representation, as
+    :meth:`repro.mechanisms.ColumnarMechanism.build_estimator` does.
+    While the joint domain fits
+    :data:`~repro.mechanisms.base.MAX_JOINT_ACCUMULATION`, the stream
+    folds joint counts: peak memory is one chunk plus the ``(|S_U|,)``
+    count vector, so ``source`` may be arbitrarily large (e.g.
+    :func:`repro.data.io.iter_csv_chunks` or an open ``.frd`` memory
+    map).  Wider schemas fold packed transaction bitmaps --
+    ``O(N * M_b / 8)`` memory, independent of the joint domain -- and
+    every mining pass runs on the AND/popcount kernels.  Both mine
+    identical itemsets for the same seed.  ``dispatch="shm"`` switches
+    multi-worker runs to zero-copy block dispatch (see
     :class:`~repro.pipeline.executor.PerturbationPipeline`).
     """
     if engine is None:
         engine = GammaDiagonalPerturbation(schema, gamma)
-    if validate_backend(count_backend) in BITMAP_BACKENDS:
-        bitmap_accumulator = stream_perturbed_bitmaps(
-            source,
-            engine,
-            chunk_size=chunk_size,
-            workers=workers,
-            seed=seed,
-            dispatch=dispatch,
-        )
-        estimator = BitmapStreamSupportEstimator(
-            bitmap_accumulator, gamma, count_backend=count_backend
+    options = dict(chunk_size=chunk_size, workers=workers, seed=seed, dispatch=dispatch)
+    if schema.joint_size <= MAX_JOINT_ACCUMULATION:
+        estimator = AccumulatedSupportEstimator(
+            stream_perturbed_counts(source, engine, **options), gamma
         )
     else:
-        accumulator = stream_perturbed_counts(
-            source,
-            engine,
-            chunk_size=chunk_size,
-            workers=workers,
-            seed=seed,
-            dispatch=dispatch,
+        estimator = BitmapStreamSupportEstimator(
+            stream_perturbed_bitmaps(source, engine, **options), gamma
         )
-        estimator = AccumulatedSupportEstimator(accumulator, gamma)
     return apriori(estimator, schema, min_support, max_length)

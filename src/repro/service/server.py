@@ -156,12 +156,6 @@ class ServiceConfig:
     drain_deadline:
         Seconds :meth:`ServiceServer.stop` waits for in-flight
         requests to finish before cancelling their connections.
-    count_backend:
-        Support-counting kernel for collection estimators
-        (``loops`` / ``bitmap`` / ``native``); ``native`` resolves to
-        ``bitmap`` when the compiled extension is absent, and
-        ``/v1/health`` reports both the requested and the active
-        value so operators can tell which kernels actually run.
     """
 
     schema: Schema
@@ -178,7 +172,6 @@ class ServiceConfig:
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     max_queued_rows: int = DEFAULT_MAX_QUEUED_ROWS
     drain_deadline: float = DEFAULT_DRAIN_DEADLINE
-    count_backend: str = "bitmap"
 
 
 class CollectionRuntime:
@@ -243,31 +236,14 @@ class CollectionRuntime:
         return {"start": start, "stop": stop, "perturbed": perturbed}
 
     def estimator(self) -> MarginalInversionEstimator:
-        """Support estimator over everything spooled so far.
-
-        With ``count_backend=native`` active, the marginal queries run
-        as compiled AND+popcount over packed transaction bitmaps of
-        the spool (identical counts to the dataset path).
-        """
+        """Support estimator over everything spooled so far."""
         if self.spool.n_records == 0:
             raise ServiceError(
                 f"collection {self.record.name!r} has no submissions yet",
                 code="empty_collection",
                 status=409,
             )
-        import functools
-
-        from repro.mining.kernels import TransactionBitmaps, resolve_backend
-
         dataset = self.spool.to_dataset()
-        backend = resolve_backend(self._service.config.count_backend)
-        if backend == "native":
-            bitmaps = TransactionBitmaps.from_dataset(dataset)
-            return MarginalInversionEstimator(
-                self.mechanism,
-                functools.partial(bitmaps.subset_counts, backend=backend),
-                dataset.n_records,
-            )
         return MarginalInversionEstimator(
             self.mechanism, dataset.subset_counts, dataset.n_records
         )
@@ -375,7 +351,7 @@ class PerturbationService:
         spec = MechanismSpec.from_dict(mechanism or self.config.mechanism)
         try:
             live = from_spec(spec, self.schema)
-        except (FrappError, TypeError) as error:
+        except FrappError as error:
             raise ServiceError(
                 f"cannot build mechanism {spec.name!r}: {error}",
                 code="bad_mechanism",
@@ -420,9 +396,9 @@ class PerturbationService:
     # ------------------------------------------------------------------
     def health(self) -> dict:
         """``GET /v1/health``."""
-        from repro.mining.kernels import native, resolve_backend
+        from repro.mining.kernels import native
 
-        requested = self.config.count_backend
+        info = native.status()
         return {
             "status": "ok",
             "wire_version": wire.WIRE_VERSION,
@@ -430,10 +406,10 @@ class PerturbationService:
             "tenants": len(self._tenants),
             "collections": len(self._runtimes),
             "counting": {
-                "requested_backend": requested,
-                "active_backend": resolve_backend(requested),
-                "native_available": native.available(),
-                "forced_python": native.forced_python(),
+                "active_kernel": "native" if info["available"] else "bitmap",
+                "native_available": info["available"],
+                "forced_python": info["forced_python"],
+                "abi": info["abi"],
             },
         }
 
@@ -537,7 +513,7 @@ class PerturbationService:
         )
         try:
             mechanism = from_spec(spec, self.schema)
-        except (FrappError, TypeError) as error:
+        except FrappError as error:
             raise ServiceError(
                 f"cannot build mechanism {spec.name!r}: {error}",
                 code="bad_mechanism",

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from repro.data.backing import (
     ArrayRecordBlock,
     as_record_block,
-    backend_dtype,
     column_dtypes,
     minimal_dtype,
     record_dtype,
-    validate_dataset_backend,
 )
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
@@ -55,17 +53,6 @@ class TestMinimalDtype:
         )
         assert column_dtypes(schema) == (np.dtype(np.uint8), np.dtype(np.uint16))
         assert record_dtype(schema) == np.dtype(np.uint16)
-
-    def test_backend_dtype(self, tiny_schema):
-        assert backend_dtype(tiny_schema, "compact") == np.dtype(np.uint8)
-        assert backend_dtype(tiny_schema, "int64") == np.dtype(np.int64)
-        with pytest.raises(DataError):
-            backend_dtype(tiny_schema, "float32")
-
-    def test_validate_backend(self):
-        assert validate_dataset_backend("compact") == "compact"
-        with pytest.raises(DataError):
-            validate_dataset_backend("bogus")
 
 
 class TestArrayRecordBlock:
@@ -135,7 +122,7 @@ def test_counts_identical_across_backings(case):
     """int64 vs compact backing: every count/marginal/encode agrees."""
     schema, records = case
     wide = CategoricalDataset(schema, records)
-    compact = wide.with_backend("compact")
+    compact = CategoricalDataset(schema, records.astype(record_dtype(schema)))
     assert wide == compact
     assert compact.records.dtype == record_dtype(schema)
     assert np.array_equal(wide.joint_indices(), compact.joint_indices())
@@ -159,7 +146,7 @@ def test_perturbation_identical_across_backings(case, seed):
     schema, records = case
     engine = GammaDiagonalPerturbation(schema, gamma=4.0)
     wide = CategoricalDataset(schema, records)
-    compact = wide.with_backend("compact")
+    compact = CategoricalDataset(schema, records.astype(record_dtype(schema)))
     out_wide = engine.perturb(wide, seed=seed)
     out_compact = engine.perturb(compact, seed=seed)
     assert out_wide == out_compact

@@ -231,6 +231,30 @@ class TestClaimedOrchestration:
         # initial store scan, before the claimed scheduler runs.
         assert late.stats.hits == len(grid)
 
+    def test_commit_landing_before_the_claim_is_adopted(
+        self, grid, reference, tmp_path
+    ):
+        store_root = tmp_path / "store"
+        peer = Orchestrator(store=ResultStore(store_root), fingerprint="fp")
+
+        class LateBoard(ClaimBoard):
+            def acquire(self, key):
+                # The peer commits (and releases) after this host's
+                # store check but before its claim.
+                peer.run(grid)
+                return super().acquire(key)
+
+        orch = Orchestrator(
+            store=ResultStore(store_root),
+            fingerprint="fp",
+            claims=LateBoard(tmp_path / "claims", holder="late"),
+        )
+        results = orch.run(grid)
+        assert {n: _strip_seconds(r) for n, r in results.items()} == reference
+        assert orch.stats.misses == 0
+        assert orch.stats.remote == len(grid)
+        assert not list((tmp_path / "claims").glob("*.claim"))
+
     def test_erroring_host_releases_its_claims(self, tmp_path, grid):
         from repro.exceptions import FrappError
 

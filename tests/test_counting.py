@@ -127,3 +127,81 @@ class TestCutAndPasteEstimator:
         operator = CutAndPastePerturbation(survey_schema, max_cut=3, rho=0.2)
         with pytest.raises(DataError):
             CutAndPasteSupportEstimator(survey_schema, np.zeros((5, 3)), operator)
+
+
+# ----------------------------------------------------------------------
+# every support source accepts a one-shot iterable
+# ----------------------------------------------------------------------
+
+
+def _support_sources(schema, dataset):
+    """One constructor per support source, over the same survey data."""
+    from repro.mechanisms import MechanismSpec, from_spec
+    from repro.mechanisms.base import MarginalInversionEstimator
+    from repro.mining.kernels import BitmapSupportCounter
+    from repro.pipeline import (
+        AccumulatedSupportEstimator,
+        BitmapStreamSupportEstimator,
+        PerturbationPipeline,
+    )
+
+    gamma = 19.0
+    engine = GammaDiagonalPerturbation(schema, gamma)
+    pipeline = PerturbationPipeline(engine, chunk_size=700)
+    mask = MaskPerturbation(schema, p=0.85)
+    operator = CutAndPastePerturbation(schema, max_cut=3, rho=0.2)
+
+    def marginal():
+        perturbed = engine.perturb(dataset, seed=5)
+        mechanism = from_spec(MechanismSpec("det-gd", {"gamma": gamma}), schema)
+        return MarginalInversionEstimator(
+            mechanism, perturbed.subset_counts, perturbed.n_records
+        )
+
+    return {
+        "exact": lambda: ExactSupportCounter(dataset),
+        "bitmap-counter": lambda: BitmapSupportCounter.from_dataset(dataset),
+        "gd": lambda: GammaDiagonalSupportEstimator(
+            engine.perturb(dataset, seed=5), gamma
+        ),
+        "mask": lambda: MaskSupportEstimator(
+            schema, mask.perturb(dataset, seed=6), mask
+        ),
+        "cp": lambda: CutAndPasteSupportEstimator(
+            schema, operator.perturb(dataset, seed=7), operator
+        ),
+        "marginal-inversion": marginal,
+        "accumulated": lambda: AccumulatedSupportEstimator(
+            pipeline.accumulate(dataset, seed=8), gamma
+        ),
+        "bitmap-stream": lambda: BitmapStreamSupportEstimator(
+            pipeline.accumulate_bitmaps(dataset, seed=8), gamma
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "exact",
+        "bitmap-counter",
+        "gd",
+        "mask",
+        "cp",
+        "marginal-inversion",
+        "accumulated",
+        "bitmap-stream",
+    ],
+)
+def test_generator_input_matches_list(survey_schema, survey_dataset, source):
+    """A generator of itemsets gets the same supports as the list."""
+    build = _support_sources(survey_schema, survey_dataset)[source]
+    itemsets = all_items(survey_schema) + [
+        Itemset.of((0, 0), (1, 1)),
+        Itemset.of((0, 2), (1, 0), (2, 1)),
+    ]
+    # The generator goes first, into a fresh source, so nothing computed
+    # for the list can leak into an uninitialised result.
+    from_generator = build().supports(itemset for itemset in itemsets)
+    from_list = build().supports(itemsets)
+    assert np.array_equal(from_generator, from_list)

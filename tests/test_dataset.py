@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.backing import record_dtype
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError
 
@@ -109,33 +110,20 @@ class TestConstructionCopies:
             tiny_dataset.schema, tiny_dataset.joint_indices()
         )
         assert rebuilt == tiny_dataset
-        assert rebuilt.backend == "compact"
+        assert rebuilt.records.dtype == record_dtype(tiny_dataset.schema)
 
 
 class TestBackends:
-    def test_default_construction_reports_backend(self, tiny_dataset):
-        assert tiny_dataset.backend == "int64"  # built from a python list
-
-    def test_with_backend_roundtrip(self, tiny_dataset):
-        compact = tiny_dataset.with_backend("compact")
-        assert compact == tiny_dataset
-        assert compact.backend == "compact"
-        assert compact.records.dtype == np.uint8
-        assert compact.nbytes * 8 == tiny_dataset.nbytes
-        widened = compact.with_backend("int64")
-        assert widened == tiny_dataset
-        assert widened.records.dtype == np.int64
-
-    def test_with_backend_is_idempotent(self, tiny_dataset):
-        compact = tiny_dataset.with_backend("compact")
-        assert compact.with_backend("compact") is compact
-
-    def test_unknown_backend_rejected(self, tiny_dataset):
-        with pytest.raises(DataError):
-            tiny_dataset.with_backend("zstd")
+    """Caller-supplied int64 records keep their dtype; views agree."""
 
     def test_counting_views_identical_across_backends(self, tiny_dataset):
-        compact = tiny_dataset.with_backend("compact")
+        assert tiny_dataset.records.dtype == np.int64  # built from a list
+        compact = CategoricalDataset(
+            tiny_dataset.schema,
+            tiny_dataset.records.astype(record_dtype(tiny_dataset.schema)),
+        )
+        assert compact == tiny_dataset
+        assert compact.nbytes * 8 == tiny_dataset.nbytes
         assert np.array_equal(compact.joint_counts(), tiny_dataset.joint_counts())
         assert np.array_equal(
             compact.subset_counts([1]), tiny_dataset.subset_counts([1])

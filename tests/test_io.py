@@ -90,7 +90,7 @@ class TestFrdRoundTrip:
         assert [c.shape[0] for c in chunks] == [3, 3, 2]
         rebuilt = np.concatenate(chunks, axis=0)
         assert rebuilt.tobytes() == (
-            tiny_dataset.with_backend("compact").records.tobytes()
+            tiny_dataset.records.astype(record_dtype(tiny_dataset.schema)).tobytes()
         )
 
     def test_writes_are_deterministic(self, tiny_dataset, tmp_path):

@@ -1,11 +1,11 @@
 """Equivalence suite for the bit-packed support-counting kernels.
 
-The contract under test: the ``"bitmap"`` backend is *exact* -- integer
-counts identical to the ``"loops"`` ``bincount`` path (hence
-bit-identical supports), estimator outputs equal to the loop-path
-estimators, and word-aligned chunk concatenation indistinguishable from
-one-shot packing -- across fixed cases and Hypothesis-generated
-schemas/datasets.
+The contract under test: every kernel side is *exact* -- integer
+counts identical to the per-subset ``bincount`` oracle (hence
+bit-identical supports), estimator outputs equal to the oracle-fed
+closed forms, and word-aligned chunk concatenation indistinguishable
+from one-shot packing -- across fixed cases and Hypothesis-generated
+schemas/datasets.  ``kernel_sides`` names the sides and selects them.
 """
 
 from __future__ import annotations
@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_sides import KERNELS, OracleCounter, kernel_side, oracle_supports
 
 from repro.baselines.mask import MaskPerturbation
 from repro.core.engine import GammaDiagonalPerturbation
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import DataError, MiningError
-from repro.mining.apriori import generate_candidates
+from repro.mining.apriori import apriori, generate_candidates
 from repro.mining.counting import (
     ExactSupportCounter,
     GammaDiagonalSupportEstimator,
     MaskSupportEstimator,
+    reconstruct_gamma_diagonal_supports,
 )
 from repro.mining.itemsets import Itemset, all_items
 from repro.mining.kernels import (
@@ -32,7 +34,6 @@ from repro.mining.kernels import (
     TransactionBitmaps,
     pattern_counts,
     popcount_words,
-    validate_backend,
 )
 from repro.mining.reconstructing import mine_exact
 from repro.pipeline import (
@@ -40,6 +41,7 @@ from repro.pipeline import (
     BitmapStreamSupportEstimator,
     PerturbationPipeline,
     mine_stream,
+    stream_perturbed_bitmaps,
 )
 
 # ----------------------------------------------------------------------
@@ -135,63 +137,50 @@ def test_bitmaps_reject_out_of_domain_records(survey_schema):
         TransactionBitmaps.from_records(survey_schema, [[3, 0, 0]])
 
 
-def test_validate_backend():
-    assert validate_backend("BITMAP") == "bitmap"
-    assert validate_backend("loops") == "loops"
-    assert validate_backend("Native") == "native"
-    with pytest.raises(MiningError):
-        validate_backend("simd")
-
-
 # ----------------------------------------------------------------------
-# exact counting: bitmap == loops, bit for bit
+# exact counting: every kernel == the bincount oracle, bit for bit
 # ----------------------------------------------------------------------
 
 
 def test_levelwise_supports_bit_identical(survey_dataset):
-    loops = ExactSupportCounter(survey_dataset, count_backend="loops")
-    bitmap = ExactSupportCounter(survey_dataset, count_backend="bitmap")
+    bitmap = ExactSupportCounter(survey_dataset)
     for batch in _apriori_levels(
-        survey_dataset.schema,
-        ExactSupportCounter(survey_dataset, "loops"),
-        min_support=0.01,
+        survey_dataset.schema, OracleCounter(survey_dataset), min_support=0.01
     ):
-        expected = loops.supports(batch)
+        expected = oracle_supports(survey_dataset, batch)
         got = bitmap.supports(batch)
         assert np.array_equal(expected, got)
 
 
 def test_adhoc_itemsets_without_cached_prefix(survey_dataset):
     """Arbitrary queries (no level cache warm-up) still count exactly."""
-    loops = ExactSupportCounter(survey_dataset, count_backend="loops")
     counter = BitmapSupportCounter.from_dataset(survey_dataset)
     itemsets = [
         Itemset.of((0, 2), (1, 1), (2, 0)),
         Itemset.of((2, 1)),
         Itemset.of((0, 0), (2, 1)),
     ]
-    assert np.array_equal(loops.supports(itemsets), counter.supports(itemsets))
+    assert np.array_equal(
+        oracle_supports(survey_dataset, itemsets), counter.supports(itemsets)
+    )
 
 
 def test_level_cache_is_used_and_exact(survey_dataset):
     """Level-k batches hit the cached (k-1) bitmaps and stay exact."""
     counter = BitmapSupportCounter.from_dataset(survey_dataset)
-    loops = ExactSupportCounter(survey_dataset, count_backend="loops")
     items = all_items(survey_dataset.schema)
     counter.supports(items)
     assert set(counter._cache_rows) == {itemset.items for itemset in items}
     pairs = generate_candidates(items)
     got = counter.supports(pairs)
-    assert np.array_equal(loops.supports(pairs), got)
+    assert np.array_equal(oracle_supports(survey_dataset, pairs), got)
     assert set(counter._cache_rows) == {itemset.items for itemset in pairs}
 
 
 def test_empty_dataset_rejected(tiny_schema):
     empty = CategoricalDataset(tiny_schema, np.empty((0, 2), dtype=int))
     with pytest.raises(MiningError):
-        ExactSupportCounter(empty, count_backend="bitmap").supports(
-            [Itemset.of((0, 0))]
-        )
+        ExactSupportCounter(empty).supports([Itemset.of((0, 0))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,17 +188,12 @@ def test_empty_dataset_rejected(tiny_schema):
 def test_supports_bit_identical_on_random_schemas(schema, seed, n):
     """Hypothesis: every Apriori-shaped batch counts identically."""
     dataset = _random_dataset(schema, seed, n)
-    loops = ExactSupportCounter(dataset, count_backend="loops")
-    others = [
-        ExactSupportCounter(dataset, count_backend=backend)
-        for backend in ("bitmap", "native")
-    ]
-    for batch in _apriori_levels(
-        schema, ExactSupportCounter(dataset, "loops"), min_support=0.0
-    ):
-        expected = loops.supports(batch)
-        for counter in others:
-            assert np.array_equal(expected, counter.supports(batch))
+    for batch in _apriori_levels(schema, OracleCounter(dataset), min_support=0.0):
+        expected = oracle_supports(dataset, batch)
+        for side in KERNELS:
+            with kernel_side(side):
+                got = ExactSupportCounter(dataset).supports(batch)
+            assert np.array_equal(expected, got)
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,11 +240,11 @@ def test_bitmap_accumulator_rejects_schema_mismatch(survey_dataset, tiny_schema)
 
 
 # ----------------------------------------------------------------------
-# estimators: bitmap == loops
+# estimators: every kernel == the oracle-fed closed form
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["bitmap", "native"])
+@pytest.mark.parametrize("backend", KERNELS)
 def test_gamma_diagonal_estimator_backends_agree(
     survey_schema, survey_dataset, backend
 ):
@@ -268,30 +252,35 @@ def test_gamma_diagonal_estimator_backends_agree(
     perturbed = GammaDiagonalPerturbation(survey_schema, gamma).perturb(
         survey_dataset, seed=5
     )
-    loops = GammaDiagonalSupportEstimator(perturbed, gamma, count_backend="loops")
-    kernel = GammaDiagonalSupportEstimator(perturbed, gamma, count_backend=backend)
     itemsets = all_items(survey_schema) + [
         Itemset.of((0, 0), (1, 1)),
         Itemset.of((0, 1), (1, 0), (2, 1)),
     ]
-    expected = loops.supports(itemsets)
-    got = kernel.supports(itemsets)
-    assert np.allclose(expected, got, rtol=0, atol=0)
+    expected = reconstruct_gamma_diagonal_supports(
+        survey_schema, oracle_supports(perturbed, itemsets), itemsets, gamma
+    )
+    with kernel_side(backend):
+        got = GammaDiagonalSupportEstimator(perturbed, gamma).supports(itemsets)
+    assert np.array_equal(expected, got)
 
 
 def test_mask_estimator_backends_agree(survey_schema, survey_dataset):
+    """Pattern counts on bitmaps == the per-candidate bit-matrix scan."""
     mask = MaskPerturbation(survey_schema, p=0.85)
     bits = mask.perturb(survey_dataset, seed=6)
-    loops = MaskSupportEstimator(survey_schema, bits, mask, count_backend="loops")
-    bitmap = MaskSupportEstimator(survey_schema, bits, mask, count_backend="bitmap")
     itemsets = [
         Itemset.of((0, 0)),
         Itemset.of((0, 0), (1, 1)),
         Itemset.of((0, 2), (1, 0), (2, 1)),
     ]
-    assert np.allclose(
-        loops.supports(itemsets), bitmap.supports(itemsets), rtol=0, atol=0
-    )
+    scanned = [
+        mask.estimate_itemset_support(bits, itemset.boolean_positions(survey_schema))
+        for itemset in itemsets
+    ]
+    for side in KERNELS:
+        with kernel_side(side):
+            got = MaskSupportEstimator(survey_schema, bits, mask).supports(itemsets)
+        assert np.array_equal(scanned, got)
 
 
 @settings(max_examples=20, deadline=None)
@@ -320,26 +309,25 @@ def test_mask_pattern_counts_equal_bincount(schema, seed):
 
 
 def test_mine_exact_backends_identical(survey_dataset):
-    loops = mine_exact(survey_dataset, 0.05, count_backend="loops")
-    bitmap = mine_exact(survey_dataset, 0.05, count_backend="bitmap")
-    native = mine_exact(survey_dataset, 0.05, count_backend="native")
-    assert loops.frequent() == bitmap.frequent() == native.frequent()
-    assert loops.counts_by_length() == bitmap.counts_by_length()
+    loops = apriori(OracleCounter(survey_dataset), survey_dataset.schema, 0.05)
+    for side in KERNELS:
+        with kernel_side(side):
+            mined = mine_exact(survey_dataset, 0.05)
+        assert mined.frequent() == loops.frequent()
+        assert mined.counts_by_length() == loops.counts_by_length()
 
 
 def test_mine_stream_backends_identical(survey_dataset):
+    """Joint-count accumulation == bitmap accumulation, on every kernel."""
     schema = survey_dataset.schema
-    kwargs = dict(
-        schema=schema,
-        gamma=19.0,
-        min_support=0.05,
-        chunk_size=700,
-        seed=11,
-    )
-    loops = mine_stream(survey_dataset, count_backend="loops", **kwargs)
-    bitmap = mine_stream(survey_dataset, count_backend="bitmap", **kwargs)
-    native = mine_stream(survey_dataset, count_backend="native", **kwargs)
-    assert loops.frequent() == bitmap.frequent() == native.frequent()
+    stream = dict(chunk_size=700, seed=11)
+    joint = mine_stream(survey_dataset, schema, 19.0, 0.05, **stream)
+    engine = GammaDiagonalPerturbation(schema, 19.0)
+    for side in KERNELS:
+        with kernel_side(side):
+            bitmaps = stream_perturbed_bitmaps(survey_dataset, engine, **stream)
+            mined = apriori(BitmapStreamSupportEstimator(bitmaps, 19.0), schema, 0.05)
+        assert mined.frequent() == joint.frequent()
 
 
 def test_bitmap_stream_estimator_matches_materialised_path(survey_dataset):
@@ -352,7 +340,7 @@ def test_bitmap_stream_estimator_matches_materialised_path(survey_dataset):
         pipeline.accumulate_bitmaps(survey_dataset, seed=21), gamma
     )
     direct = GammaDiagonalSupportEstimator(
-        engine.perturb(survey_dataset, seed=21), gamma, count_backend="bitmap"
+        engine.perturb(survey_dataset, seed=21), gamma
     )
     itemsets = all_items(schema) + [Itemset.of((0, 0), (2, 1))]
     assert np.array_equal(direct.supports(itemsets), streamed.supports(itemsets))
@@ -398,16 +386,25 @@ def test_bitmap_stream_estimator_rejects_empty(survey_schema):
 
 
 def test_miner_drivers_agree_across_backends(survey_dataset):
+    """make_miner's DET-GD mines the same itemsets as the oracle-fed form."""
     from repro.mining.reconstructing import make_miner
 
     schema = survey_dataset.schema
-    results = {
-        backend: make_miner("det-gd", schema, 19.0, count_backend=backend)
-        .mine(survey_dataset, 0.05, seed=33)
-        .frequent()
-        for backend in ("loops", "bitmap", "native")
-    }
-    assert results["loops"] == results["bitmap"] == results["native"]
+    perturbed = GammaDiagonalPerturbation(schema, 19.0).perturb(survey_dataset, seed=33)
+
+    class OracleEstimator:
+        def supports(self, itemsets):
+            itemsets = list(itemsets)
+            observed = oracle_supports(perturbed, itemsets)
+            return reconstruct_gamma_diagonal_supports(schema, observed, itemsets, 19.0)
+
+    expected = apriori(OracleEstimator(), schema, 0.05).frequent()
+    for side in KERNELS:
+        with kernel_side(side):
+            mined = make_miner("det-gd", schema, 19.0).mine(
+                survey_dataset, 0.05, seed=33
+            )
+        assert mined.frequent() == expected
 
 
 @settings(max_examples=4, deadline=None)
@@ -418,12 +415,12 @@ def test_miner_drivers_agree_across_backends(survey_dataset):
 )
 def test_backend_worker_dispatch_matrix_bit_identical(schema, seed, n):
     """Hypothesis: perturbed records and counts are invariant across the
-    full backend x workers x dispatch grid.
+    workers x dispatch grid, on every kernel.
 
     One reference cell (workers=1, pickle) pins the perturbed records;
     every other execution cell must reproduce them bit for bit, and on
-    each cell's output all three count backends must return identical
-    Apriori-level supports.
+    each cell's output every kernel must return the ``bincount``
+    oracle's Apriori-level supports.
     """
     dataset = _random_dataset(schema, seed, n)
     engine = GammaDiagonalPerturbation(schema, 19.0)
@@ -445,11 +442,11 @@ def test_backend_worker_dispatch_matrix_bit_identical(schema, seed, n):
                 reference_records = np.asarray(perturbed.records).copy()
             else:
                 assert np.array_equal(reference_records, perturbed.records)
-            for backend in ("loops", "bitmap", "native"):
-                supports = ExactSupportCounter(
-                    perturbed, count_backend=backend
-                ).supports(queries)
-                if reference_supports is None:
-                    reference_supports = supports
-                else:
-                    assert np.array_equal(reference_supports, supports)
+            expected = oracle_supports(perturbed, queries)
+            if reference_supports is None:
+                reference_supports = expected
+            assert np.array_equal(reference_supports, expected)
+            for side in KERNELS:
+                with kernel_side(side):
+                    supports = ExactSupportCounter(perturbed).supports(queries)
+                assert np.array_equal(expected, supports)

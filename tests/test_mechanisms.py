@@ -111,6 +111,31 @@ class TestRegistry:
         ordered = display_order(["WARNER", "C&P", "DET-GD", "unknown-thing"])
         assert ordered == ["DET-GD", "C&P", "WARNER", "unknown-thing"]
 
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            pytest.param({"gama": 19.0}, "'gama'", id="unknown-parameter"),
+            pytest.param(
+                {"gamma": 19.0, "count_backend": "native"},
+                "'count_backend'",
+                id="count-backend",
+            ),
+            pytest.param({"gamma": "x"}, "{'gamma': 'x'}", id="bad-value"),
+        ],
+    )
+    def test_bad_parameters_raise_typed_error(self, mixed_schema, params, named):
+        """Factories are only called through create(): bad params fail
+        closed with an ExperimentError naming mechanism and parameter."""
+        spec = {"name": "det-gd", "params": params}
+        for build in (
+            lambda: create("det-gd", mixed_schema, **params),
+            lambda: from_spec(spec, mixed_schema),
+        ):
+            with pytest.raises(ExperimentError) as excinfo:
+                build()
+            assert "'det-gd'" in str(excinfo.value)
+            assert named in str(excinfo.value)
+
 
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
@@ -433,7 +458,7 @@ class TestEndToEnd:
         """Non-shim mechanisms receive gamma positionally and kwargs."""
         from repro.mining.reconstructing import make_miner
 
-        with pytest.raises(TypeError):
+        with pytest.raises(ExperimentError, match="'bogus'"):
             make_miner("additive-noise", survey_schema, 2.0, scale=1.0, bogus=1)
 
     def test_pipeline_rejected_for_boolean_mechanisms(self, survey_schema, survey_dataset):
@@ -529,7 +554,7 @@ class TestRunnerConfigForwarding:
     """Regression: config knobs are forwarded only where accepted."""
 
     def test_run_mechanism_with_parameterless_registered_name(self):
-        """Mechanisms without a count_backend (warner) run by name."""
+        """Mechanisms without config knobs (warner) run by name."""
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import run_mechanism
 

@@ -5,15 +5,15 @@ Four contracts under test:
 * the compiled wrappers in :mod:`repro.mining.kernels.native` reproduce
   their NumPy references exactly (counts, realisations, RNG stream and
   state advance);
-* the counting backends agree on every edge shape -- empty datasets,
-  single records, tail-word boundaries around multiples of 64, and
-  mixed-alignment chunk concatenation;
+* every counting side (``kernel_sides``) agrees with the ``bincount``
+  oracle on every edge shape -- empty datasets, single records,
+  tail-word boundaries around multiples of 64, and mixed-alignment
+  chunk concatenation;
 * the degradation ladder behaves: the ``np.bitwise_count``-less table
-  popcount matches the builtin branch bit for bit, and
-  ``count_backend=native`` without the extension downgrades to
-  ``bitmap`` with exactly one warning;
-* the resolved backend is surfaced -- service ``/v1/health``, the
-  runtime estimator, and the ``frapp kernels`` report.
+  popcount matches the builtin branch bit for bit, and without the
+  extension the kernel layer selects the NumPy kernels silently;
+* the active kernel is surfaced -- service ``/v1/health``, the runtime
+  estimator, and the ``frapp kernels`` report.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
+from kernel_sides import KERNEL_SIDES, KERNELS, kernel_side, oracle_supports
 
 import repro.core.engine as engine_module
 from repro.core.engine import (
@@ -36,23 +37,20 @@ from repro.exceptions import MiningError
 from repro.experiments.cli import main
 from repro.mining.counting import ExactSupportCounter
 from repro.mining.itemsets import Itemset, all_items
+from repro.mechanisms.base import MarginalInversionEstimator
 from repro.mining.kernels import (
     BitmapSupportCounter,
     TransactionBitmaps,
     native,
     popcount_words,
-    resolve_backend,
 )
 from repro.mining.kernels import bitmap as bitmap_module
-from repro.mining.kernels import counting as counting_module
 from repro.mining.apriori import generate_candidates
 from repro.service import PerturbationService, ServiceConfig
 
 needs_native = pytest.mark.skipif(
     not native.available(), reason="compiled kernel extension not built"
 )
-
-BACKENDS = ("loops", "bitmap", "native")
 
 GAMMA = 19.0
 
@@ -230,12 +228,20 @@ class TestNativeWrappers:
 
 
 # ----------------------------------------------------------------------
-# edge cases, identical across all three backends
+# edge cases, identical across every counting side
 # ----------------------------------------------------------------------
 
 
+def _exact_supports(side, dataset, itemsets):
+    """Supports of ``itemsets`` counted on one counting side."""
+    if side == "loops":
+        return oracle_supports(dataset, itemsets)
+    with kernel_side(side):
+        return ExactSupportCounter(dataset).supports(itemsets)
+
+
 class TestBackendEdgeCases:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_SIDES)
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 129])
     def test_tail_word_boundaries(self, backend, n):
         """Counts at and around the 64-record word boundary stay exact."""
@@ -243,8 +249,7 @@ class TestBackendEdgeCases:
         dataset = _dataset(schema, n, seed=n)
         items = all_items(schema)
         queries = items + generate_candidates(items)
-        counter = ExactSupportCounter(dataset, count_backend=backend)
-        got = counter.supports(queries)
+        got = _exact_supports(backend, dataset, queries)
         records = np.asarray(dataset.records)
         for itemset, support in zip(queries, got):
             matches = np.ones(n, dtype=bool)
@@ -252,16 +257,14 @@ class TestBackendEdgeCases:
                 matches &= records[:, attr] == value
             assert support == matches.sum() / n
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", KERNEL_SIDES)
     def test_empty_dataset_raises(self, backend):
         schema = _schema(3, 2)
         empty = CategoricalDataset(schema, np.empty((0, 2), dtype=int))
         with pytest.raises(MiningError):
-            ExactSupportCounter(empty, count_backend=backend).supports(
-                [Itemset.of((0, 0))]
-            )
+            _exact_supports(backend, empty, [Itemset.of((0, 0))])
 
-    @pytest.mark.parametrize("backend", ["bitmap", "native"])
+    @pytest.mark.parametrize("backend", KERNELS)
     def test_empty_bitmap_counts_are_zero(self, backend):
         """Zero records means zero words -- counts must come back 0."""
         schema = _schema(3, 2)
@@ -269,30 +272,27 @@ class TestBackendEdgeCases:
             schema, np.empty((0, 2), dtype=int)
         )
         assert bitmaps.n_words == 0
-        counter = BitmapSupportCounter(bitmaps, backend=backend)
         items = all_items(schema)
         queries = items + generate_candidates(items)
-        assert np.array_equal(
-            counter.counts(queries), np.zeros(len(queries), dtype=np.int64)
-        )
-        assert bitmaps.itemset_count(items[0], backend=backend) == 0
-        assert np.array_equal(
-            bitmaps.subset_counts([0], backend=backend), np.zeros(3, np.int64)
-        )
+        with kernel_side(backend):
+            counts = BitmapSupportCounter(bitmaps).counts(queries)
+            assert bitmaps.itemset_count(items[0]) == 0
+            subset = bitmaps.subset_counts([0])
+        assert np.array_equal(counts, np.zeros(len(queries), dtype=np.int64))
+        assert np.array_equal(subset, np.zeros(3, np.int64))
 
-    @pytest.mark.parametrize("backend", ["bitmap", "native"])
+    @pytest.mark.parametrize("backend", KERNELS)
     def test_single_record_bitmaps(self, backend):
         schema = _schema(4, 3)
         bitmaps = TransactionBitmaps.from_records(schema, [[2, 1]])
-        assert bitmaps.itemset_count(Itemset.of((0, 2), (1, 1)), backend) == 1
-        assert bitmaps.itemset_count(Itemset.of((0, 2), (1, 0)), backend) == 0
         expected = np.zeros(12, dtype=np.int64)
         expected[2 * 3 + 1] = 1
-        assert np.array_equal(
-            bitmaps.subset_counts([0, 1], backend=backend), expected
-        )
+        with kernel_side(backend):
+            assert bitmaps.itemset_count(Itemset.of((0, 2), (1, 1))) == 1
+            assert bitmaps.itemset_count(Itemset.of((0, 2), (1, 0))) == 0
+            assert np.array_equal(bitmaps.subset_counts([0, 1]), expected)
 
-    @pytest.mark.parametrize("backend", ["bitmap", "native"])
+    @pytest.mark.parametrize("backend", KERNELS)
     def test_mixed_alignment_concatenate(self, backend):
         """Chunks with ragged tails merge without perturbing any count."""
         schema = _schema(3, 2, 3)
@@ -311,15 +311,20 @@ class TestBackendEdgeCases:
         assert merged.n_records == one_shot.n_records
         items = all_items(schema)
         queries = items + generate_candidates(items)
-        assert np.array_equal(
-            BitmapSupportCounter(merged, backend=backend).counts(queries),
-            BitmapSupportCounter(one_shot, backend=backend).counts(queries),
-        )
-        for positions in ([0], [1, 2], [0, 1, 2]):
+        with kernel_side(backend):
             assert np.array_equal(
-                merged.subset_counts(positions, backend=backend),
-                one_shot.subset_counts(positions, backend=backend),
+                BitmapSupportCounter(merged).counts(queries),
+                BitmapSupportCounter(one_shot).counts(queries),
             )
+            for positions in ([0], [1, 2], [0, 1, 2]):
+                assert np.array_equal(
+                    merged.subset_counts(positions),
+                    one_shot.subset_counts(positions),
+                )
+                assert np.array_equal(
+                    merged.subset_counts(positions),
+                    dataset.subset_counts(positions),
+                )
 
 
 # ----------------------------------------------------------------------
@@ -375,21 +380,20 @@ class TestPopcountTableFallback:
             self._compare(words, axis)
 
 
-def test_native_fallback_warns_once(monkeypatch):
-    """Missing extension: one RuntimeWarning, then silent downgrades."""
+def test_missing_extension_selects_numpy_silently(monkeypatch):
+    """Without the extension every kernel runs on NumPy, without a word."""
     monkeypatch.setattr(native, "_lib", None)
-    monkeypatch.setattr(counting_module, "_fallback_warned", False)
     assert not native.available()
-    with pytest.warns(RuntimeWarning, match="falling back to 'bitmap'"):
-        assert resolve_backend("native") == "bitmap"
+    schema = _schema(3, 2, 4)
+    dataset = _dataset(schema, 200, seed=3)
+    items = all_items(schema)
+    queries = items + generate_candidates(items)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_backend("native") == "bitmap"
-    # The other backends never warn, available extension or not.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_backend("bitmap") == "bitmap"
-        assert resolve_backend("loops") == "loops"
+        got = ExactSupportCounter(dataset).supports(queries)
+        subset = TransactionBitmaps.from_dataset(dataset).subset_counts([0, 2])
+    assert np.array_equal(got, oracle_supports(dataset, queries))
+    assert np.array_equal(subset, dataset.subset_counts([0, 2]))
 
 
 # ----------------------------------------------------------------------
@@ -450,61 +454,71 @@ class TestEngineBitIdentity:
 
 
 class TestBackendSurfacing:
-    def _service(self, tmp_path, backend):
+    def _service(self, tmp_path, name):
         schema = census_schema()
         return PerturbationService(
             ServiceConfig(
                 schema=schema,
-                data_dir=str(tmp_path / backend),
+                data_dir=str(tmp_path / name),
                 rho1=0.1,
                 rho2=rho2_from_gamma(0.1, GAMMA),
                 mechanism={"name": "det-gd", "params": {"gamma": GAMMA}},
                 seed=1234,
-                count_backend=backend,
             )
         )
 
-    @pytest.mark.parametrize("backend", ["bitmap", "native"])
+    @pytest.mark.parametrize("backend", KERNELS)
     def test_health_reports_counting_backend(self, tmp_path, backend):
-        service = self._service(tmp_path, backend)
-        try:
-            counting = service.health()["counting"]
-        finally:
-            service.close()
-        assert counting["requested_backend"] == backend
-        assert counting["active_backend"] == resolve_backend(backend)
-        assert counting["native_available"] == native.available()
-        assert counting["forced_python"] == native.forced_python()
+        with kernel_side(backend):
+            service = self._service(tmp_path, backend)
+            try:
+                counting = service.health()["counting"]
+            finally:
+                service.close()
+            info = native.status()
+            assert counting == {
+                "active_kernel": "native" if info["available"] else "bitmap",
+                "native_available": info["available"],
+                "forced_python": info["forced_python"],
+                "abi": info["abi"],
+            }
 
     def test_estimators_identical_across_backends(self, tmp_path):
+        """The service estimator == bitmap-counted inversion, per kernel."""
         data = generate_census(300, seed=7)
         itemsets = [
             Itemset.of((0, 1)),
             Itemset.of((0, 0), (1, 1)),
             Itemset.of((2, 1), (3, 0)),
         ]
-        supports = {}
-        for backend in ("bitmap", "native"):
-            service = self._service(tmp_path, backend)
-            try:
-                runtime = service._runtime("acme", "default")
-                runtime.spool.append(
-                    runtime.stream.perturb_batch(data.records)
-                )
-                supports[backend] = runtime.estimator().supports(itemsets)
-            finally:
-                service.close()
-        assert np.array_equal(supports["bitmap"], supports["native"])
+        service = self._service(tmp_path, "spool")
+        try:
+            runtime = service._runtime("acme", "default")
+            runtime.spool.append(runtime.stream.perturb_batch(data.records))
+            served = runtime.estimator().supports(itemsets)
+            spooled = runtime.spool.to_dataset()
+            mechanism = runtime.mechanism
+        finally:
+            service.close()
+        bitmaps = TransactionBitmaps.from_dataset(spooled)
+        for side in KERNELS:
+            with kernel_side(side):
+                counted = MarginalInversionEstimator(
+                    mechanism, bitmaps.subset_counts, spooled.n_records
+                ).supports(itemsets)
+            assert np.array_equal(served, counted)
 
     def test_cli_kernels_report(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        assert "requested count-backend : bitmap" in out
-        assert "cross-backend probe     : ok (identical counts)" in out
-        assert main(["kernels", "--count-backend", "native"]) == 0
+        active = "native" if native.available() else "bitmap"
+        assert f"active counting kernel  : {active}" in out
+        assert "bincount-oracle probe   : ok (identical counts)" in out
+        with kernel_side("bitmap"):
+            assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        assert "requested count-backend : native" in out
-        assert f"active count-backend    : {resolve_backend('native')}" in out
+        assert "active counting kernel  : bitmap" in out
+        assert "bincount-oracle probe   : ok (identical counts)" in out
 
     def test_cli_kernels_rejects_operands(self):
         with pytest.raises(SystemExit):

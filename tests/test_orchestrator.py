@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from kernel_sides import KERNELS, kernel_side
 
 from repro.data.census import generate_census
 from repro.exceptions import ExperimentError
@@ -106,59 +107,52 @@ class TestCellKeys:
 
     def test_env_is_not_keyed(self):
         orch = Orchestrator(store=None, fingerprint="fp")
-        bitmap = exact_cell(SPEC, 0.02, env={"count_backend": "bitmap"})
-        loops = exact_cell(SPEC, 0.02, env={"count_backend": "loops"})
-        assert orch.key_for(bitmap) == orch.key_for(loops)
+        closed = exact_cell(SPEC, 0.02, env={"solver": "closed"})
+        raced = exact_cell(SPEC, 0.02, env={"solver": "portfolio"})
+        assert orch.key_for(closed) == orch.key_for(raced)
 
-    def test_backend_and_dispatch_are_result_invariant_env(self):
-        """Cache-key sensitivity to ``backend``/``dispatch``: none.
+    def test_dispatch_and_solver_are_result_invariant_env(self):
+        """Cache-key sensitivity to ``dispatch``/``solver``: none.
 
-        The storage backend and the dispatch mode are bit-identity
-        transports (pinned by the pipeline/backing test suites), so
-        flipping them must *reuse* cached results, not fragment the
-        cache -- they ride in ``env`` and stay out of the key.
+        The dispatch mode and the solver are bit-identity choices
+        (pinned by the pipeline/solver test suites), so flipping them
+        must *reuse* cached results, not fragment the cache -- they
+        ride in ``env`` and stay out of the key.
         """
         orch = Orchestrator(store=None, fingerprint="fp")
         exact = exact_cell(SPEC, 0.02)
-        compact = mechanism_cell(
+        pickled = mechanism_cell(
             SPEC,
             "DET-GD",
-            ExperimentConfig(seed=3, backend="compact", dispatch="pickle"),
+            ExperimentConfig(seed=3, dispatch="pickle", solver="closed"),
             int_seed(1),
             exact,
         )
-        int64 = mechanism_cell(
+        shared = mechanism_cell(
             SPEC,
             "DET-GD",
-            ExperimentConfig(seed=3, backend="int64", dispatch="shm"),
+            ExperimentConfig(seed=3, dispatch="shm", solver="portfolio"),
             int_seed(1),
             exact,
         )
-        assert orch.key_for(compact) == orch.key_for(int64)
+        assert orch.key_for(pickled) == orch.key_for(shared)
         # ...but the knobs do reach the execution environment.
-        assert compact.env["backend"] == "compact"
-        assert int64.env["backend"] == "int64"
-        assert int64.env["dispatch"] == "shm"
+        assert pickled.env["dispatch"] == "pickle"
+        assert shared.env["dispatch"] == "shm"
+        assert shared.env["solver"] == "portfolio"
 
     def test_mechanism_results_identical_across_backends(self, tmp_path):
-        """The invariance the env placement relies on, end to end."""
-        exact = exact_cell(SPEC, 0.02, env={"backend": "compact"})
+        """A cell computes the same numbers on every counting kernel."""
+        exact = exact_cell(SPEC, 0.02)
         cell = mechanism_cell(
             SPEC, "DET-GD", ExperimentConfig(seed=3), int_seed(1), exact
         )
         by_backend = {}
-        for backend in ("compact", "int64"):
-            env = dict(cell.env, backend=backend)
-            run = Cell(
-                name=cell.name,
-                func=cell.func,
-                params=cell.params,
-                deps=cell.deps,
-                env=env,
-            )
-            results = Orchestrator(store=None).run([exact, run])
-            by_backend[backend] = results[cell.name]
-        _series_equal(by_backend["compact"]["rho"], by_backend["int64"]["rho"])
+        for side in KERNELS:
+            with kernel_side(side):
+                results = Orchestrator(store=None).run([exact, cell])
+            by_backend[side] = results[cell.name]
+        _series_equal(by_backend["bitmap"]["rho"], by_backend["native"]["rho"])
 
     def test_irrelevant_knobs_do_not_fragment_keys(self):
         orch = Orchestrator(store=None, fingerprint="fp")

@@ -362,8 +362,6 @@ class TestMinerIntegration:
         with pytest.raises(ExperimentError):
             ExperimentConfig(chunk_size=0)
         with pytest.raises(ExperimentError):
-            ExperimentConfig(backend="parquet")
-        with pytest.raises(ExperimentError):
             ExperimentConfig(dispatch="carrier-pigeon")
 
 

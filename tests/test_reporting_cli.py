@@ -334,36 +334,30 @@ class TestUnifiedKnobs:
             "if the change is intentional"
         )
 
-    @pytest.mark.parametrize(
-        ("alias", "value", "dest", "expected"),
-        [
-            ("--num-workers", "3", "workers", 3),
-            ("--chunksize", "128", "chunk_size", 128),
-            ("--counting-backend", "loops", "count_backend", "loops"),
-            ("--dispatch-mode", "shm", "dispatch", "shm"),
-            ("--n-jobs", "2", "jobs", 2),
-        ],
+    #: Spellings the execution group no longer takes: the five old
+    #: aliases and the two removed knobs.
+    REMOVED_SPELLINGS = (
+        ("--num-workers", "3"),
+        ("--chunksize", "128"),
+        ("--counting-backend", "loops"),
+        ("--dispatch-mode", "shm"),
+        ("--n-jobs", "2"),
+        ("--count-backend", "native"),
+        ("--backend", "int64"),
     )
-    def test_deprecated_aliases_warn_and_forward(
-        self, alias, value, dest, expected
-    ):
-        # FutureWarning, not DeprecationWarning: the latter is ignored
-        # by default, and these warnings target shell users.
-        with pytest.warns(FutureWarning, match="deprecated"):
-            args = build_parser().parse_args(["table1", alias, value])
-        assert getattr(args, dest) == expected
+
+    @pytest.mark.parametrize(("spelling", "value"), REMOVED_SPELLINGS)
+    def test_removed_spelling_exits(self, spelling, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["table1", spelling, value])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_aliases_hidden_from_help(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         text = build_parser().format_help()
-        for alias in (
-            "--num-workers",
-            "--chunksize",
-            "--counting-backend",
-            "--dispatch-mode",
-            "--n-jobs",
-        ):
-            assert alias not in text
+        for spelling, _ in self.REMOVED_SPELLINGS:
+            assert spelling not in text
 
     def test_canonical_spellings_still_parse(self):
         args = build_parser().parse_args(

@@ -635,6 +635,48 @@ class TestLedgerJournal:
 # ----------------------------------------------------------------------
 
 
+#: Mechanism parameters every entry point must refuse with a typed error:
+#: an unknown name, the removed counting knob, and a value the factory
+#: cannot take.
+BAD_MECHANISM_PARAMS = [
+    pytest.param({"gama": GAMMA}, id="unknown-parameter"),
+    pytest.param({"gamma": GAMMA, "count_backend": "native"}, id="count-backend"),
+    pytest.param({"gamma": "x"}, id="bad-value"),
+]
+
+
+class TestBadMechanismSpecs:
+    @pytest.mark.parametrize("params", BAD_MECHANISM_PARAMS)
+    def test_dispatcher_answers_400_bad_mechanism(self, schema, data, tmp_path, params):
+        """Perturb and collection open fail closed and charge nothing."""
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        mechanism = {"name": "det-gd", "params": params}
+        requests = {
+            "/v1/perturb": {
+                "records": wire.encode_records(data.records[:3]),
+                "mechanism": mechanism,
+            },
+            "/v1/collections": {
+                "tenant": "acme",
+                "collection": "typo",
+                "mechanism": mechanism,
+            },
+        }
+        try:
+            for path, body in requests.items():
+                status, reply = asyncio.run(
+                    server._dispatch("POST", path, json.dumps(body).encode())
+                )
+                assert status == 400, (path, reply)
+                assert reply["error"]["code"] == "bad_mechanism"
+                assert "det-gd" in reply["error"]["message"]
+            ledger = service.ledger_summary("acme")["ledger"]
+            assert ledger["collections"] == {}
+        finally:
+            service.close()
+
+
 class TestServiceEndToEnd:
     def test_submissions_bit_identical_to_offline(self, schema, data, tmp_path):
         config = make_config(schema, tmp_path)
