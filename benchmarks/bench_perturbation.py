@@ -1,11 +1,9 @@
 """Ablation: perturbation-sampler throughput (DESIGN.md, Section 5).
 
-Compares the three gamma-diagonal samplers on the same records:
+Compares the two gamma-diagonal samplers on the same records:
 
 * ``vectorized`` -- the O(1)-per-record joint-index sampler (what
   experiments use);
-* ``sequential`` -- the paper's Section-5 column-by-column algorithm,
-  cost proportional to ``sum_j |S^j_U|``;
 * ``dense``  -- the naive matrix sampler the paper opens Section 5
   with, cost proportional to ``|S_U|`` (only feasible on small scales).
 
@@ -30,7 +28,7 @@ from repro.experiments.config import dataset_scale
 N_RECORDS = max(1_000, int(5_000 * dataset_scale()))
 GAMMA = 19.0
 
-#: Per-record-cost samplers (sequential, dense) run on a subsample.
+#: The per-record-cost dense sampler runs on a subsample.
 N_SLOW_RECORDS = min(500, N_RECORDS)
 
 
@@ -40,16 +38,9 @@ def records():
 
 
 def test_perturb_vectorized(benchmark, records):
-    engine = GammaDiagonalPerturbation(records.schema, GAMMA, method="vectorized")
+    engine = GammaDiagonalPerturbation(records.schema, GAMMA)
     result = benchmark(engine.perturb, records, 0)
     assert result.n_records == N_RECORDS
-
-
-def test_perturb_sequential_paper_algorithm(benchmark, records):
-    engine = GammaDiagonalPerturbation(records.schema, GAMMA, method="sequential")
-    small = records.sample(N_SLOW_RECORDS, np.random.default_rng(0))
-    result = benchmark.pedantic(engine.perturb, args=(small, 0), rounds=3, iterations=1)
-    assert result.n_records == N_SLOW_RECORDS
 
 
 def test_perturb_dense_naive(benchmark, records):

@@ -52,7 +52,7 @@ from repro.data import (
     open_frd,
     save_frd,
 )
-from repro.exceptions import FrappError
+from repro.exceptions import FrappError, SolverError
 from repro.metrics import evaluate_mining
 from repro.service.client import RetryPolicy
 from repro.pipeline import (
@@ -66,12 +66,6 @@ from repro.pipeline import (
     stream_perturbed_bitmaps,
     stream_perturbed_counts,
 )
-from repro.solvers import (
-    PortfolioStats,
-    SolverDivergedError,
-    SolverError,
-    SolverPortfolio,
-)
 from repro.store import ClaimBoard, ResultStore, cache_key, code_fingerprint
 from repro.mechanisms import (
     CompositeMechanism,
@@ -84,12 +78,8 @@ from repro.mechanisms import register as register_mechanism
 from repro.mining import (
     AprioriResult,
     BitmapSupportCounter,
-    CutAndPasteMiner,
-    DetGDMiner,
     Itemset,
-    MaskMiner,
     NaiveBayesClassifier,
-    RanGDMiner,
     TransactionBitmaps,
     apriori,
     association_rules,
@@ -112,35 +102,28 @@ __all__ = [
     "CategoricalDataset",
     "ClaimBoard",
     "CompositeMechanism",
-    "CutAndPasteMiner",
     "CutAndPastePerturbation",
-    "DetGDMiner",
     "FrappError",
     "FrdDataset",
     "GammaDiagonalMatrix",
     "GammaDiagonalPerturbation",
     "Itemset",
     "JointCountAccumulator",
-    "MaskMiner",
     "MaskPerturbation",
     "Mechanism",
     "MechanismSpec",
     "NaiveBayesClassifier",
     "PerturbationPipeline",
-    "PortfolioStats",
     "PrivacyAccountant",
     "PrivacyRequirement",
     "PrivacyStatement",
-    "RanGDMiner",
     "RandomizedGammaDiagonal",
     "RandomizedGammaDiagonalPerturbation",
     "ResultStore",
     "RetryPolicy",
     "Schema",
     "Session",
-    "SolverDivergedError",
     "SolverError",
-    "SolverPortfolio",
     "TransactionBitmaps",
     "WarnerRandomizedResponse",
     "__version__",

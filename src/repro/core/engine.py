@@ -2,18 +2,13 @@
 
 Three engines are provided:
 
-* :class:`GammaDiagonalPerturbation` -- the paper's DET-GD mechanism,
-  with two interchangeable samplers:
-
-  - ``"vectorized"`` (default): sample *keep the record with
-    probability gamma*x, otherwise a uniformly random other record*
-    -- exactly the gamma-diagonal transition, O(1) joint-index work
-    per record and fully numpy-vectorised.  Experiments use this.
-  - ``"sequential"``: the paper's Section-5 dependent column-by-column
-    algorithm (Eq. 26), with per-record cost proportional to
-    ``sum_j |S^j_U|`` instead of ``prod_j |S^j_U|``.  Kept as the
-    faithful reference implementation; tests verify both samplers
-    realise the same transition matrix.
+* :class:`GammaDiagonalPerturbation` -- the paper's DET-GD mechanism:
+  keep the record with probability ``gamma*x``, otherwise draw a
+  uniformly random other record -- exactly the gamma-diagonal
+  transition, O(1) joint-index work per record and fully
+  numpy-vectorised.  The paper's Section-5 column-by-column algorithm
+  (Eq. 26) realises the same transition matrix; the tests keep it as
+  an equivalence oracle.
 
 * :class:`RandomizedGammaDiagonalPerturbation` -- RAN-GD (Section 4):
   each client first draws ``r ~ U[-alpha, alpha]`` and then samples
@@ -37,8 +32,7 @@ Every engine exposes three layers:
 
 All samplers consume randomness as a *fixed-width block of uniforms
 per record, in record order* (two uniforms per record for DET-GD,
-three for RAN-GD, one for the dense sampler; the ``"sequential"``
-method is record-sequential by construction).  This is the invariant
+three for RAN-GD, one for the dense sampler).  This is the invariant
 the streaming pipeline (:mod:`repro.pipeline`) relies on: threading a
 single generator through consecutive chunks consumes the stream exactly
 like the one-shot call, so chunked output is bit-identical to
@@ -56,8 +50,6 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MatrixError
 from repro.stats.rng import as_generator
-
-_METHODS = ("vectorized", "sequential")
 
 # Resolved lazily: repro.mining imports repro.mechanisms (which imports
 # this module) at package init, so a top-level import of the kernel
@@ -144,16 +136,11 @@ class GammaDiagonalPerturbation:
         Schema of the records to perturb; fixes ``n = |S_U|``.
     gamma:
         Amplification bound (> 1).
-    method:
-        ``"vectorized"`` or ``"sequential"`` (see module docstring).
     """
 
-    def __init__(self, schema: Schema, gamma: float, method: str = "vectorized"):
-        if method not in _METHODS:
-            raise MatrixError(f"method must be one of {_METHODS}, got {method!r}")
+    def __init__(self, schema: Schema, gamma: float):
         self.schema = schema
         self.matrix = GammaDiagonalMatrix(n=schema.joint_size, gamma=gamma)
-        self.method = method
 
     @property
     def gamma(self) -> float:
@@ -171,48 +158,41 @@ class GammaDiagonalPerturbation:
             self.schema, self.perturb_chunk(dataset.records, rng)
         )
 
-    #: Uniforms consumed per record by the vectorized sampler (keep
-    #: decision + replacement shift) -- the fixed-width invariant the
-    #: pipeline and composite mechanisms rely on.
+    #: Uniforms consumed per record (keep decision + replacement
+    #: shift) -- the fixed-width invariant the pipeline and composite
+    #: mechanisms rely on.
     uniform_width = 2
 
     def perturb_chunk(self, records: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Perturb a raw ``(m, M)`` record array, advancing ``rng``."""
-        if self.method == "vectorized":
-            sampler = _native_sampler(self.schema.joint_size)
-            if sampler is not None and records.shape[0]:
-                # Fully fused: uniforms are drawn from ``rng``'s bit
-                # generator inside the kernel (the identical stream of
-                # ``rng.random((m, 2))``) and perturbed cells land in
-                # the compact output dtype directly.
-                return sampler.draw_realise(
-                    rng,
-                    self.schema.encode(records),
-                    self.matrix.diagonal,
-                    self.schema.joint_size,
-                    width=2,
-                    keep_col=0,
-                    shift_col=1,
-                    cards=self.schema.cardinalities,
-                    out_dtype=records.dtype,
-                )
-            diag = np.full(records.shape[0], self.matrix.diagonal)
-            return _diagonal_or_other(self.schema, records, diag, rng)
-        return self._perturb_sequential(records, rng)
+        sampler = _native_sampler(self.schema.joint_size)
+        if sampler is not None and records.shape[0]:
+            # Fully fused: uniforms are drawn from ``rng``'s bit
+            # generator inside the kernel (the identical stream of
+            # ``rng.random((m, 2))``) and perturbed cells land in the
+            # compact output dtype directly.
+            return sampler.draw_realise(
+                rng,
+                self.schema.encode(records),
+                self.matrix.diagonal,
+                self.schema.joint_size,
+                width=2,
+                keep_col=0,
+                shift_col=1,
+                cards=self.schema.cardinalities,
+                out_dtype=records.dtype,
+            )
+        diag = np.full(records.shape[0], self.matrix.diagonal)
+        return _diagonal_or_other(self.schema, records, diag, rng)
 
     def perturb_from_uniforms(self, records: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Perturb records from a pre-drawn ``(m, 2)`` uniform block.
 
-        The deterministic core of the vectorized sampler: feeding the
-        block ``rng.random((m, 2))`` reproduces :meth:`perturb_chunk`
+        The deterministic core of the sampler: feeding the block
+        ``rng.random((m, 2))`` reproduces :meth:`perturb_chunk`
         exactly.  Composite mechanisms use this to slice one shared
-        uniform block across per-attribute parts.  The ``"sequential"``
-        method has no fixed-width form and raises.
+        uniform block across per-attribute parts.
         """
-        if self.method != "vectorized":
-            raise MatrixError(
-                "perturb_from_uniforms requires the vectorized sampler"
-            )
         if records.shape[0] == 0:
             return records.copy()
         joint = self.schema.encode(records)
@@ -239,12 +219,9 @@ class GammaDiagonalPerturbation:
         """Perturb raw joint indices, advancing ``rng``.
 
         The streaming pipeline's fast path: no decode/encode round trip.
-        Draw-stream-compatible with :meth:`perturb_chunk` for the
-        vectorized method (two uniforms per record).
+        Draw-stream-compatible with :meth:`perturb_chunk` (two uniforms
+        per record).
         """
-        if self.method != "vectorized":
-            records = self.schema.decode(joint)
-            return self.schema.encode(self._perturb_sequential(records, rng))
         sampler = _native_sampler(self.schema.joint_size)
         if sampler is not None and joint.shape[0]:
             return sampler.draw_realise(
@@ -260,47 +237,6 @@ class GammaDiagonalPerturbation:
         return _realise_diagonal_or_other(
             joint, self.matrix.diagonal, self.schema.joint_size, draws
         )
-
-    # ------------------------------------------------------------------
-    # Section-5 reference sampler
-    # ------------------------------------------------------------------
-    def _perturb_sequential(self, records: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """The paper's dependent column-by-column algorithm (Eq. 26).
-
-        Column ``j`` is perturbed using the original record *and* the
-        perturbed values of columns ``< j``: while every previous column
-        matched its original, keep column ``j`` with probability
-        ``(gamma + n/n_j - 1) x / prod_k p_k``; after the first
-        mismatch, the conditional distribution collapses to uniform over
-        ``S^j_U``.  Randomness is consumed record by record, so the
-        sampler is chunk-splittable as-is.
-        """
-        gamma, x = self.matrix.gamma, self.matrix.x
-        n = self.schema.joint_size
-        cards = self.schema.cardinalities
-        prefix = self.schema.prefix_products()
-        out = np.empty_like(records)
-        for i, record in enumerate(records):
-            matched = True
-            prod = 1.0
-            for j, card in enumerate(cards):
-                ratio = n / prefix[j]
-                if matched:
-                    p_keep = (gamma + ratio - 1.0) * x / prod
-                    if rng.random() < p_keep:
-                        out[i, j] = record[j]
-                        prod *= p_keep
-                        continue
-                    # Uniform over the other card-1 values; the realised
-                    # probability is ratio*x/prod, so prod becomes ratio*x.
-                    # int() guards the sum against narrow-dtype wraparound.
-                    shift = rng.integers(1, card)
-                    out[i, j] = (int(record[j]) + shift) % card
-                    prod = ratio * x
-                    matched = False
-                else:
-                    out[i, j] = rng.integers(0, card)
-        return out
 
 
 class RandomizedGammaDiagonalPerturbation:

@@ -1,13 +1,19 @@
 """Distribution reconstruction (paper Section 2.2).
 
 The miner observes the perturbed counts ``Y`` and estimates the
-original counts ``X`` by solving ``Y = A X̂`` (Eq. 7/8).  Three solvers
+original counts ``X`` by solving ``Y = A X̂`` (Eq. 7/8).  Four methods
 are provided:
 
 * ``"solve"`` -- exact inverse (Eq. 8).  For gamma-diagonal and
   marginal matrices this runs in O(n) through their closed forms.
 * ``"lstsq"`` -- least-squares solution; identical to ``"solve"`` for
   invertible ``A`` but defined for rank-deficient systems too.
+* ``"portfolio"`` -- ``"solve"``, then ``"lstsq"``: the first answer
+  whose relative residual ``||A X̂ - Y|| / ||Y||`` is at most 1e-6.
+  Bit-identical to ``"solve"`` wherever the closed form answers, which
+  on FRAPP's gamma-diagonal matrices is always (Eq. 17/18 make them
+  as well-conditioned as the privacy bound allows); least squares
+  rescues singular systems.
 * ``"em"`` -- the iterative Bayesian (EM) estimator of Agrawal &
   Aggarwal (PODS 2001), included as a reconstruction ablation: it
   enforces non-negativity by construction, at the cost of iteration.
@@ -21,10 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ReconstructionError, SolverDivergedError
-from repro.stats.linalg import UniformOffDiagonalMatrix
+from repro.exceptions import FrappError, ReconstructionError, SolverError
+from repro.stats.linalg import UniformOffDiagonalMatrix, residual_norm
 
 _METHODS = ("solve", "lstsq", "em", "portfolio")
+
+#: Largest relative residual ``||A x - y|| / ||y||`` the ``"portfolio"``
+#: method accepts.
+_RESIDUAL_RTOL = 1e-6
 
 
 def _as_dense(matrix) -> np.ndarray:
@@ -48,13 +58,19 @@ def reconstruct_counts(matrix, observed, method: str = "solve") -> np.ndarray:
         The perturbed count (or fractional-distribution) vector ``Y``.
     method:
         One of ``"solve"``, ``"lstsq"``, ``"em"``, ``"portfolio"``
-        (the latter races/chains all three under a residual check; see
-        :mod:`repro.solvers`).
+        (see the module docstring).
 
     Returns
     -------
     numpy.ndarray
         ``X̂`` as floats; may contain negatives for the linear methods.
+
+    Raises
+    ------
+    SolverError
+        With ``"portfolio"``, when neither the closed form nor least
+        squares meets the residual bound; the message gives each
+        method's reason.
     """
     if method not in _METHODS:
         raise ReconstructionError(f"method must be one of {_METHODS}, got {method!r}")
@@ -77,16 +93,20 @@ def reconstruct_counts(matrix, observed, method: str = "solve") -> np.ndarray:
         return solution
 
     if method == "portfolio":
-        from repro.solvers import SolverPortfolio
-
-        return SolverPortfolio().solve(matrix, observed)
+        reasons = []
+        for lane in ("solve", "lstsq"):
+            try:
+                estimate = reconstruct_counts(matrix, observed, method=lane)
+            except (FrappError, np.linalg.LinAlgError) as error:
+                reasons.append(f"{lane}: {type(error).__name__}: {error}")
+                continue
+            residual = residual_norm(matrix, estimate, observed)
+            if residual <= _RESIDUAL_RTOL:
+                return estimate
+            reasons.append(f"{lane}: residual {residual:.3e} > {_RESIDUAL_RTOL:.0e}")
+        raise SolverError("no method met the residual bound: " + "; ".join(reasons))
 
     return em_reconstruct(_as_dense(matrix), observed)
-
-
-#: Iterations the EM residual may fail to improve (by over 1%) before
-#: a ``target_residual``-bearing run is declared diverged.
-EM_STALL_PATIENCE = 25
 
 
 def em_reconstruct(
@@ -94,8 +114,6 @@ def em_reconstruct(
     observed: np.ndarray,
     n_iterations: int = 500,
     tol: float = 1e-10,
-    target_residual: float | None = None,
-    stall_patience: int = EM_STALL_PATIENCE,
 ) -> np.ndarray:
     """Iterative Bayesian reconstruction (EM fixed point).
 
@@ -105,21 +123,9 @@ def em_reconstruct(
         ``p_u <- p_u * sum_v A[v,u] * y_v / (A p)_v``
 
     starting from uniform.  Always returns a non-negative vector with
-    the same total mass as ``observed``.
-
-    ``target_residual`` switches the run into *solver-lane* mode (used
-    by the portfolio, :mod:`repro.solvers`): iteration stops as soon as
-    the relative residual ``||A p - y|| / ||y||`` reaches the target,
-    and instead of silently looping to ``n_iterations`` the run raises
-    :class:`~repro.exceptions.SolverDivergedError` once the residual
-    has stopped decreasing -- no >1% improvement over the best for
-    ``stall_patience`` consecutive iterations, or the iteration cap is
-    hit -- while still above the target.  The error carries the best
-    (non-negative, mass-preserving) estimate reached, so callers can
-    still use it as a degraded fallback.  Without a target the
-    behaviour is the historical ablation contract: EM converging to a
-    constrained optimum with nonzero residual (the best any
-    non-negative estimate can do) is success, not divergence.
+    the same total mass as ``observed``.  Converging to a constrained
+    optimum with nonzero residual (the best any non-negative estimate
+    can do on inconsistent observations) is success, not failure.
     """
     dense = np.asarray(dense, dtype=float)
     observed = np.asarray(observed, dtype=float)
@@ -127,44 +133,14 @@ def em_reconstruct(
         raise ReconstructionError(f"EM needs a square dense matrix, got {dense.shape}")
     if np.any(observed < 0):
         raise ReconstructionError("EM reconstruction needs non-negative observations")
-    if stall_patience < 1:
-        raise ReconstructionError(
-            f"stall_patience must be >= 1, got {stall_patience}"
-        )
     total = observed.sum()
     if total == 0:
         return np.zeros_like(observed)
 
     y = observed / total
-    y_norm = float(np.linalg.norm(y))
     p = np.full(dense.shape[1], 1.0 / dense.shape[1])
-    best_residual = float("inf")
-    best_p = p
-    stalled_for = 0
-    iterations = 0
-    for iterations in range(1, n_iterations + 1):
+    for _ in range(n_iterations):
         mixture = dense @ p
-        if target_residual is not None:
-            residual = float(np.linalg.norm(mixture - y))
-            if y_norm > 0.0:
-                residual /= y_norm
-            if residual < best_residual * (1.0 - 0.01):
-                best_residual, best_p, stalled_for = residual, p, 0
-            else:
-                best_residual = min(best_residual, residual)
-                if residual <= best_residual:
-                    best_p = p
-                stalled_for += 1
-            if best_residual <= target_residual:
-                return best_p * total
-            if stalled_for >= stall_patience:
-                raise SolverDivergedError(
-                    f"EM residual stalled at {best_residual:.3e} (target "
-                    f"{target_residual:.3e}) after {iterations} iteration(s)",
-                    estimate=best_p * total,
-                    residual=best_residual,
-                    iterations=iterations,
-                )
         # Guard cells the current estimate gives zero mass.
         ratio = np.divide(y, mixture, out=np.zeros_like(y), where=mixture > 0)
         updated = p * (dense.T @ ratio)
@@ -176,17 +152,6 @@ def em_reconstruct(
             p = updated
             break
         p = updated
-    if target_residual is not None:
-        # Converged (or capped) without reaching the target: the lane
-        # failed -- report it instead of returning a silently-off
-        # estimate.
-        raise SolverDivergedError(
-            f"EM finished at residual {best_residual:.3e} without reaching "
-            f"target {target_residual:.3e} ({iterations} iteration(s))",
-            estimate=best_p * total,
-            residual=best_residual,
-            iterations=iterations,
-        )
     return p * total
 
 

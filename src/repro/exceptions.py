@@ -40,34 +40,9 @@ class ReconstructionError(FrappError):
 class SolverError(ReconstructionError):
     """A reconstruction solver failed to produce an acceptable estimate.
 
-    Raised by the solver portfolio (:mod:`repro.solvers`) when a solver
-    errors out or when no portfolio member passes the residual check.
+    Raised by ``reconstruct_counts(method="portfolio")`` when neither
+    the closed form nor least squares meets the residual bound.
     """
-
-
-class SolverDivergedError(SolverError):
-    """An iterative solver's residual stopped decreasing above target.
-
-    Raised by :func:`repro.core.reconstruction.em_reconstruct` (when
-    given a ``target_residual``) instead of silently looping to the
-    iteration cap, so the portfolio can cancel the EM lane early.
-
-    Attributes
-    ----------
-    estimate:
-        Best estimate reached before the stall (non-negative,
-        mass-preserving) -- usable as a degraded fallback.
-    residual:
-        The relative residual of that estimate.
-    iterations:
-        Iterations performed before the stall was declared.
-    """
-
-    def __init__(self, message, *, estimate=None, residual=None, iterations=0):
-        super().__init__(message)
-        self.estimate = estimate
-        self.residual = residual
-        self.iterations = int(iterations)
 
 
 class MiningError(FrappError):

@@ -18,7 +18,7 @@ and runs the always-on perturbation service:
    $ frapp kernels               # active counting kernel / native-kernel report
 
 Execution knobs (``--workers``, ``--chunk-size``, ``--dispatch``,
-``--solver``, ``--jobs``, ``--claim-dir``, ``--lease``) are shared
+``--jobs``, ``--claim-dir``, ``--lease``) are shared
 across all subcommands via :mod:`repro.experiments.options`.
 
 Experiment results are memoised in a content-addressed store (default
@@ -63,7 +63,6 @@ from repro.experiments.tables import (
     table3,
     table3_cells,
 )
-from repro.solvers import GLOBAL_STATS
 from repro.store import ClaimBoard, ResultStore, code_fingerprint, default_store_root
 
 _EXPERIMENTS = (
@@ -99,7 +98,6 @@ def _config_from_args(args) -> ExperimentConfig:
         workers=args.workers,
         chunk_size=args.chunk_size,
         dispatch=args.dispatch,
-        solver=args.solver,
     )
 
 
@@ -665,11 +663,6 @@ def main(argv=None) -> int:
     if stats.hits or stats.misses:
         where = "disabled" if orchestrator.store is None else orchestrator.store.root
         print(f"frapp: {stats.summary()} [store: {where}]", file=sys.stderr)
-    # Inline-computed cells (jobs=1) feed the process-global portfolio
-    # counters; like the cache accounting this goes to stderr so stdout
-    # stays byte-comparable across solver modes.
-    if GLOBAL_STATS.cells:
-        print(f"frapp: {GLOBAL_STATS.summary()}", file=sys.stderr)
     return 0
 
 

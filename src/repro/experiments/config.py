@@ -14,7 +14,6 @@ from repro.core.privacy import gamma_from_rho
 from repro.exceptions import ExperimentError
 from repro.mechanisms.registry import paper_mechanisms
 from repro.pipeline.executor import DISPATCH_MODES
-from repro.solvers import SOLVER_MODES
 
 #: The paper's privacy requirement and its implied amplification bound.
 PAPER_RHO1 = 0.05
@@ -81,14 +80,6 @@ class ExperimentConfig:
     #: memmap spans).  Bit-identical outputs; see
     #: :mod:`repro.pipeline.executor`.
     dispatch: str = "pickle"
-    #: Reconstruction solver for marginal-inversion estimators:
-    #: ``"closed"`` (direct closed-form solve, the default) or
-    #: ``"portfolio"`` (race closed/lstsq/EM lanes under a residual
-    #: check; see :mod:`repro.solvers`).  Result-invariant: the
-    #: portfolio accepts the closed lane's bit-identical estimate
-    #: whenever it passes -- every cell of the paper grid -- so the
-    #: knob lives in cell ``env``, not in cache keys.
-    solver: str = "closed"
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -115,10 +106,6 @@ class ExperimentConfig:
         if self.dispatch not in DISPATCH_MODES:
             raise ExperimentError(
                 f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}"
-            )
-        if self.solver not in SOLVER_MODES:
-            raise ExperimentError(
-                f"solver must be one of {SOLVER_MODES}, got {self.solver!r}"
             )
 
     def records_for(self, dataset_default: int) -> int:

@@ -1,7 +1,7 @@
 """Shared execution-knob options for every ``frapp`` invocation.
 
 The execution knobs -- ``--workers``, ``--chunk-size``, ``--dispatch``,
-``--solver``, ``--jobs``, ``--claim-dir`` and ``--lease`` -- live in
+``--jobs``, ``--claim-dir`` and ``--lease`` -- live in
 one parent parser (:func:`execution_options`) so every subcommand
 (experiments, ``serve``, future tools) spells them identically and
 help text cannot drift.  None of them changes a result.  The counting
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 
 from repro.pipeline.executor import DISPATCH_MODES
-from repro.solvers import SOLVER_MODES
 from repro.store.claims import DEFAULT_CLAIM_LEASE
 
 
@@ -46,14 +45,6 @@ def execution_options() -> argparse.ArgumentParser:
         help="multi-worker chunk transport: per-chunk pickling (default) or "
         "zero-copy shared-memory spans (identical results; needs --workers > 1 "
         "to matter)",
-    )
-    group.add_argument(
-        "--solver",
-        choices=list(SOLVER_MODES),
-        default="closed",
-        help="reconstruction solver: direct closed-form solve (default) or "
-        "a raced closed/lstsq/EM portfolio under a residual check "
-        "(identical results on the paper grid)",
     )
     group.add_argument(
         "--jobs",

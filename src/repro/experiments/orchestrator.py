@@ -24,9 +24,8 @@ Cache keys
 A cell's key hashes ``{"func", "params"}`` together with the
 :func:`~repro.store.code_fingerprint` of the library source.  Knobs
 that cannot change the numbers (worker counts, the chunk ``dispatch``
-mode, the reconstruction ``solver``) live in
-:attr:`Cell.env` and stay *out* of the key; knobs that can (the
-spawn-seeded chunk layout of a multi-worker perturbation) are
+mode) live in :attr:`Cell.env` and stay *out* of the key; knobs that
+can (the spawn-seeded chunk layout of a multi-worker perturbation) are
 normalised into ``params``.
 
 Examples
@@ -167,8 +166,8 @@ class Cell:
     deps:
         Names of cells whose decoded results this cell consumes.
     env:
-        Result-invariant execution knobs (worker counts, dispatch,
-        solver); excluded from the cache key by construction.
+        Result-invariant execution knobs (worker counts, dispatch);
+        excluded from the cache key by construction.
     """
 
     name: str
@@ -281,7 +280,6 @@ def _compute_mechanism(params, deps, env):
         workers=env.get("workers", 1),
         chunk_size=env.get("chunk_size"),
         dispatch=env.get("dispatch", "pickle"),
-        solver=env.get("solver", "closed"),
     )
     run = run_mechanism(
         dataset,
@@ -405,16 +403,14 @@ def config_env(config: ExperimentConfig) -> dict:
     """The result-invariant execution knobs of a config, as cell env.
 
     Everything here is guaranteed (and tested) not to move any cell's
-    numbers: the worker layout, the chunk-dispatch mode and the
-    reconstruction solver mode all produce bit-identical results.
-    Keeping them out of the cache key means a warm cache survives
-    switching any of them.
+    numbers: the worker layout and the chunk-dispatch mode both
+    produce bit-identical results.  Keeping them out of the cache key
+    means a warm cache survives switching any of them.
     """
     return {
         "workers": config.workers,
         "chunk_size": config.chunk_size,
         "dispatch": config.dispatch,
-        "solver": config.solver,
     }
 
 

@@ -161,12 +161,11 @@ def render_privacy_table(statements, requirement=None) -> str:
 
 
 def render_solver_table(stats) -> str:
-    """Render a :class:`~repro.solvers.PortfolioStats` as a lane table.
+    """Render per-lane solver tallies as a table.
 
-    One row per solver lane that did anything, in priority order, with
-    the win / residual-rejection / error tallies and a header line
-    carrying the cell and cancellation totals.  Lanes that never ran
-    (e.g. ``em`` on a grid the closed form always wins) are omitted.
+    ``stats`` carries ``cells``, ``raced`` and ``cancelled`` totals and
+    an ``as_rows()`` method yielding ``(lane, wins, rejected, errors)``
+    rows; one row per lane, in the order ``as_rows`` gives.
     """
     lines = [
         f"solver portfolio: {stats.cells} cell(s), {stats.raced} raced, "

@@ -101,10 +101,6 @@ def run_mechanism(
             "chunk_size": config.chunk_size,
             "dispatch": config.dispatch,
         }
-    if config.solver != "closed":
-        from repro.solvers import portfolio_for
-
-        pipeline_kwargs["solver"] = portfolio_for(config.solver)
     start = time.perf_counter()
     if config.protocol == "per-level":
         result = miner.mine_per_level(

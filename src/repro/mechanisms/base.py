@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.reconstruction import reconstruct_counts
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, ExperimentError
@@ -226,7 +227,6 @@ class Mechanism(abc.ABC):
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ):
         """Perturb ``dataset`` and wrap it in this mechanism's estimator.
 
@@ -236,13 +236,6 @@ class Mechanism(abc.ABC):
         ``chunk_size`` / ``dispatch`` through
         :class:`repro.pipeline.PerturbationPipeline`; others raise
         :class:`~repro.exceptions.ExperimentError` for them.
-        ``solver`` is an optional
-        :class:`~repro.solvers.SolverPortfolio` for estimators that
-        solve per-cell linear systems (the marginal-inversion path);
-        mechanisms whose estimators have closed forms with no system to
-        race (Eq.-28 gamma-diagonal, MASK tensor powers, C&P partial
-        supports) accept and ignore it -- the portfolio's ``closed``
-        lane would reproduce their answer bit-for-bit anyway.
         """
 
     # ------------------------------------------------------------------
@@ -375,7 +368,6 @@ class ColumnarMechanism(Mechanism):
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ):
         """Generic estimator: invert the induced marginal per itemset.
 
@@ -394,7 +386,7 @@ class ColumnarMechanism(Mechanism):
         if workers == 1 and chunk_size is None:
             perturbed = self.perturb(dataset, seed=seed)
             return MarginalInversionEstimator(
-                self, perturbed.subset_counts, perturbed.n_records, solver=solver
+                self, perturbed.subset_counts, perturbed.n_records
             )
         from repro.pipeline import DEFAULT_CHUNK_SIZE, PerturbationPipeline
 
@@ -407,14 +399,11 @@ class ColumnarMechanism(Mechanism):
         if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
             accumulator = pipeline.accumulate_bitmaps(dataset, seed=seed)
             return MarginalInversionEstimator(
-                self,
-                accumulator.bitmaps.subset_counts,
-                accumulator.n_records,
-                solver=solver,
+                self, accumulator.bitmaps.subset_counts, accumulator.n_records
             )
         accumulator = pipeline.accumulate(dataset, seed=seed)
         return MarginalInversionEstimator(
-            self, accumulator.subset_counts, accumulator.n_records, solver=solver
+            self, accumulator.subset_counts, accumulator.n_records
         )
 
 
@@ -430,7 +419,8 @@ class MarginalInversionEstimator:
     inverse); for composites the operator is the Kronecker product of
     the parts' marginals, solved factor by factor -- the sub-domain is
     never densified, so 50-attribute schemas estimate in memory linear
-    in the number of parts.
+    in the number of parts.  Every per-subset system is solved by
+    :func:`~repro.core.reconstruction.reconstruct_counts`.
 
     Parameters
     ----------
@@ -442,27 +432,13 @@ class MarginalInversionEstimator:
         :class:`repro.pipeline.JointCountAccumulator`'s.
     n_records:
         Total perturbed record count.
-    solver:
-        Optional :class:`~repro.solvers.SolverPortfolio` solving the
-        per-subset systems.  ``None`` (default) is the direct closed
-        solve; a portfolio returns bit-identical estimates whenever its
-        ``closed`` lane passes the residual check (always, on the paper
-        grid) and rescues singular/ill-conditioned marginals through
-        its lstsq/EM lanes.
     """
 
-    def __init__(
-        self,
-        mechanism: ColumnarMechanism,
-        subset_counts,
-        n_records: int,
-        solver=None,
-    ):
+    def __init__(self, mechanism: ColumnarMechanism, subset_counts, n_records: int):
         self.mechanism = mechanism
         self.schema = mechanism.schema
         self._subset_counts = subset_counts
         self.n_records = int(n_records)
-        self.solver = solver
         self._solved: dict[tuple[int, ...], np.ndarray] = {}
 
     def supports(self, itemsets) -> np.ndarray:
@@ -478,14 +454,10 @@ class MarginalInversionEstimator:
             attrs = itemset.attributes
             solved = self._solved.get(attrs)
             if solved is None:
-                observed = np.asarray(self._subset_counts(attrs), dtype=float)
-                matrix = self.mechanism.marginal_operator(attrs)
-                if self.solver is not None:
-                    solved = self.solver.solve(matrix, observed)
-                elif isinstance(matrix, np.ndarray):
-                    solved = np.linalg.solve(matrix, observed)
-                else:
-                    solved = matrix.solve(observed)
+                solved = reconstruct_counts(
+                    self.mechanism.marginal_operator(attrs),
+                    self._subset_counts(attrs),
+                )
                 self._solved[attrs] = solved
             dims = [cards[a] for a in attrs]
             cell = int(np.ravel_multi_index(itemset.values, dims=dims))

@@ -52,19 +52,16 @@ class GammaDiagonalMechanism(ColumnarMechanism):
     """DET-GD as a registered mechanism (paper Section 3).
 
     Wraps :class:`~repro.core.engine.GammaDiagonalPerturbation` and the
-    Eq.-28 estimator; sampling, streaming and estimation are the exact
-    code paths the ``DetGDMiner`` driver used, so results are
-    bit-identical to the pre-registry line-up.
+    Eq.-28 estimator.
     """
 
     key = "det-gd"
     display = "DET-GD"
 
-    def __init__(self, schema: Schema, gamma: float, method: str = "vectorized"):
+    def __init__(self, schema: Schema, gamma: float):
         self.schema = schema
         self.gamma = float(gamma)
-        self.method = method
-        self.engine = GammaDiagonalPerturbation(schema, gamma, method=method)
+        self.engine = GammaDiagonalPerturbation(schema, gamma)
 
     @property
     def uniform_width(self) -> int:
@@ -72,11 +69,8 @@ class GammaDiagonalMechanism(ColumnarMechanism):
         return self.engine.uniform_width
 
     def spec(self) -> MechanismSpec:
-        """``det-gd(gamma=...)`` (+ sampler method when non-default)."""
-        params = {"gamma": self.gamma}
-        if self.method != "vectorized":
-            params["method"] = self.method
-        return MechanismSpec(self.key, params)
+        """``det-gd(gamma=...)``."""
+        return MechanismSpec(self.key, {"gamma": self.gamma})
 
     def amplification(self) -> float:
         """Exactly ``gamma``: the Eq.-2 constraint is tight."""
@@ -131,7 +125,6 @@ class GammaDiagonalMechanism(ColumnarMechanism):
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ):
         """Perturb and wrap in the Eq.-28 support estimator.
 
@@ -192,7 +185,6 @@ class RandomizedGammaDiagonalMechanism(GammaDiagonalMechanism):
             relative_alpha = 0.5
         self.schema = schema
         self.gamma = float(gamma)
-        self.method = "vectorized"
         self._by_alpha = alpha is not None
         # Keep the constructor's own parameterisation for spec() --
         # recomputing relative_alpha from the realised alpha would
@@ -306,7 +298,6 @@ class MaskMechanism(Mechanism):
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ):
         """Perturb and wrap in the tensor-power estimator."""
         from repro.mining.counting import MaskSupportEstimator
@@ -353,7 +344,6 @@ class CutAndPasteMechanism(Mechanism):
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ):
         """Perturb and wrap in the partial-support estimator."""
         from repro.mining.counting import CutAndPasteSupportEstimator

@@ -6,8 +6,9 @@
   support sources;
 * :mod:`repro.mining.kernels` -- the bit-packed vectorized
   support-counting kernels they count with;
-* :mod:`repro.mining.reconstructing` -- one driver per mechanism
-  (DET-GD / RAN-GD / MASK / C&P), as evaluated in paper Section 7;
+* :mod:`repro.mining.reconstructing` -- the driver that perturbs and
+  mines with any registered mechanism (DET-GD / RAN-GD / MASK / C&P
+  as evaluated in paper Section 7, and the rest);
 * :mod:`repro.mining.rules` -- association-rule post-processing.
 """
 
@@ -23,10 +24,6 @@ from repro.mining.fpgrowth import fpgrowth
 from repro.mining.itemsets import Itemset, all_items
 from repro.mining.kernels import BitmapSupportCounter, TransactionBitmaps
 from repro.mining.reconstructing import (
-    CutAndPasteMiner,
-    DetGDMiner,
-    MaskMiner,
-    RanGDMiner,
     make_miner,
     mine_exact,
     mine_per_level,
@@ -37,16 +34,12 @@ __all__ = [
     "AprioriResult",
     "AssociationRule",
     "BitmapSupportCounter",
-    "CutAndPasteMiner",
     "CutAndPasteSupportEstimator",
-    "DetGDMiner",
     "ExactSupportCounter",
     "GammaDiagonalSupportEstimator",
     "Itemset",
-    "MaskMiner",
     "MaskSupportEstimator",
     "NaiveBayesClassifier",
-    "RanGDMiner",
     "TransactionBitmaps",
     "all_items",
     "apriori",

@@ -4,15 +4,12 @@ One generic driver, :class:`MechanismMiner`, runs the full client/miner
 pipeline of *any* registered :class:`~repro.mechanisms.Mechanism`:
 perturb the dataset client-side, then mine the perturbed database with
 Apriori using the mechanism's support-reconstruction estimator.  The
-paper's four drivers survive as thin constructor shims
-(:class:`DetGDMiner`, :class:`RanGDMiner`, :class:`MaskMiner`,
-:class:`CutAndPasteMiner`) -- all mining logic lives once, in the
-generic driver, and the factory :func:`make_miner` resolves names
-through the mechanism registry (:mod:`repro.mechanisms.registry`).
+factory :func:`make_miner` resolves names -- the paper's DET-GD,
+RAN-GD, MASK and C&P among them -- through the mechanism registry
+(:mod:`repro.mechanisms.registry`).
 
-All drivers share the interface ``mine(dataset, min_support, seed)``
-returning an :class:`~repro.mining.apriori.AprioriResult` over
-*estimated* supports.
+``mine(dataset, min_support, seed)`` returns an
+:class:`~repro.mining.apriori.AprioriResult` over *estimated* supports.
 """
 
 from __future__ import annotations
@@ -130,7 +127,6 @@ class MechanismMiner:
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ):
         """Perturb and wrap in the mechanism's support estimator.
 
@@ -139,9 +135,6 @@ class MechanismMiner:
         set; the direct path requires a materialised dataset.
         ``dispatch="shm"`` routes multi-worker runs through zero-copy
         shared-memory block dispatch (bit-identical outputs).
-        ``solver`` is an optional :class:`~repro.solvers.SolverPortfolio`
-        for the marginal-inversion estimators (result-invariant; see
-        :mod:`repro.solvers`).
         """
         return self.mechanism.build_estimator(
             dataset,
@@ -149,7 +142,6 @@ class MechanismMiner:
             workers=workers,
             chunk_size=chunk_size,
             dispatch=dispatch,
-            solver=solver,
         )
 
     def mine(
@@ -161,7 +153,6 @@ class MechanismMiner:
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ) -> AprioriResult:
         """Perturb, then Apriori-mine over reconstructed supports."""
         estimator = self.build_estimator(
@@ -170,7 +161,6 @@ class MechanismMiner:
             workers=workers,
             chunk_size=chunk_size,
             dispatch=dispatch,
-            solver=solver,
         )
         return apriori(estimator, self.schema, min_support, max_length)
 
@@ -183,7 +173,6 @@ class MechanismMiner:
         workers: int = 1,
         chunk_size=None,
         dispatch: str = "pickle",
-        solver=None,
     ) -> AprioriResult:
         """Per-level evaluation protocol (see :func:`mine_per_level`)."""
         estimator = self.build_estimator(
@@ -192,122 +181,8 @@ class MechanismMiner:
             workers=workers,
             chunk_size=chunk_size,
             dispatch=dispatch,
-            solver=solver,
         )
         return mine_per_level(estimator, self.schema, min_support, true_result)
-
-
-class DetGDMiner(MechanismMiner):
-    """DET-GD pipeline: gamma-diagonal perturbation + Eq.-28 estimates."""
-
-    name = "DET-GD"
-
-    def __init__(self, schema: Schema, gamma: float):
-        from repro.mechanisms.builtin import GammaDiagonalMechanism
-
-        super().__init__(GammaDiagonalMechanism(schema, gamma))
-
-    @property
-    def gamma(self) -> float:
-        """The amplification bound of the underlying matrix."""
-        return self.mechanism.gamma
-
-    @property
-    def perturbation(self):
-        """The wrapped perturbation engine (back-compat accessor)."""
-        return self.mechanism.engine
-
-
-class RanGDMiner(MechanismMiner):
-    """RAN-GD pipeline: randomized matrices, reconstruction via ``E[Ã]``."""
-
-    name = "RAN-GD"
-
-    def __init__(self, schema: Schema, gamma: float, relative_alpha: float = 0.5):
-        from repro.mechanisms.builtin import RandomizedGammaDiagonalMechanism
-
-        super().__init__(
-            RandomizedGammaDiagonalMechanism(
-                schema, gamma, relative_alpha=relative_alpha
-            )
-        )
-
-    @property
-    def gamma(self) -> float:
-        """The amplification bound of the expected matrix."""
-        return self.mechanism.gamma
-
-    @property
-    def alpha(self) -> float:
-        """The randomization half-width of the RAN-GD family."""
-        return self.mechanism.alpha
-
-    @property
-    def perturbation(self):
-        """The wrapped perturbation engine (back-compat accessor)."""
-        return self.mechanism.engine
-
-
-class MaskMiner(MechanismMiner):
-    """MASK pipeline: booleanize, flip, tensor-power reconstruction."""
-
-    name = "MASK"
-
-    def __init__(self, schema: Schema, gamma: float):
-        from repro.mechanisms.builtin import MaskMechanism
-
-        super().__init__(MaskMechanism(schema, gamma))
-
-    @property
-    def gamma(self) -> float:
-        """The configured amplification bound."""
-        return self.mechanism.gamma
-
-    @property
-    def p(self) -> float:
-        """The privacy-tight bit-retention probability."""
-        return self.mechanism.p
-
-    @property
-    def operator(self):
-        """The wrapped MASK operator (back-compat accessor)."""
-        return self.mechanism.operator
-
-
-class CutAndPasteMiner(MechanismMiner):
-    """C&P pipeline: cut-and-paste operator, partial-support systems."""
-
-    name = "C&P"
-
-    def __init__(self, schema: Schema, gamma: float, max_cut: int = 3):
-        from repro.mechanisms.builtin import CutAndPasteMechanism
-
-        super().__init__(CutAndPasteMechanism(schema, gamma, max_cut=max_cut))
-
-    @property
-    def gamma(self) -> float:
-        """The configured amplification bound."""
-        return self.mechanism.gamma
-
-    @property
-    def rho(self) -> float:
-        """The privacy-constrained paste probability."""
-        return self.mechanism.rho
-
-    @property
-    def operator(self):
-        """The wrapped C&P operator (back-compat accessor)."""
-        return self.mechanism.operator
-
-
-#: Back-compat driver shims by registry key (spec-built mechanisms and
-#: any other registered name get the generic driver directly).
-_DRIVER_SHIMS = {
-    "det-gd": DetGDMiner,
-    "ran-gd": RanGDMiner,
-    "mask": MaskMiner,
-    "c&p": CutAndPasteMiner,
-}
 
 
 def make_miner(name: str, schema: Schema, gamma: float, **kwargs) -> MechanismMiner:
@@ -321,9 +196,6 @@ def make_miner(name: str, schema: Schema, gamma: float, **kwargs) -> MechanismMi
     listing the registered mechanisms.
     """
     entry = mechanism_registry.get(name)
-    shim = _DRIVER_SHIMS.get(entry.key)
-    if shim is not None:
-        return shim(schema, gamma, **kwargs)
     # Mechanisms not parameterised by gamma (e.g. additive noise) skip
     # it; factories with a **kwargs catch-all receive it.
     if mechanism_registry.factory_accepts(entry.factory, "gamma"):

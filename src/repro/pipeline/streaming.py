@@ -10,7 +10,7 @@ the existing solvers, so the full perturb -> reconstruct -> mine loop
 runs over datasets larger than memory:
 
 * :func:`reconstruct_stream` -- accumulated ``Y`` through the
-  closed-form / least-squares / EM solvers of
+  closed-form / least-squares / fallback / EM methods of
   :mod:`repro.core.reconstruction`;
 * :class:`AccumulatedSupportEstimator` -- an Apriori ``SupportSource``
   answering Eq.-28 subset queries from the accumulated vector alone
@@ -55,11 +55,13 @@ def reconstruct_stream(
     Feeds the accumulator's ``Y`` into
     :func:`repro.core.reconstruction.reconstruct_counts` with the
     gamma-diagonal matrix's O(n) closed form (``method="solve"``), the
-    least-squares solver, or the EM estimator.  With ``clip`` the
-    standard clip-to-zero postprocessing is applied.
+    least-squares solver, the closed-form-then-least-squares fallback
+    (``"portfolio"``, which densifies only if least squares is
+    reached), or the EM estimator.  With ``clip`` the standard
+    clip-to-zero postprocessing is applied.
     """
     matrix = GammaDiagonalMatrix(n=accumulator.schema.joint_size, gamma=gamma)
-    target = matrix if method == "solve" else matrix.to_dense()
+    target = matrix if method in ("solve", "portfolio") else matrix.to_dense()
     estimates = reconstruct_counts(target, accumulator.counts, method=method)
     return clip_counts(estimates) if clip else estimates
 

@@ -359,6 +359,7 @@ class PerturbationService:
         statement = PrivacyAccountant(rho1=ledger.budget.rho1).statement(live)
         if seed is None:
             seed = derive_collection_seed(self.config.seed, tenant, collection)
+        cumulative = ledger.cumulative
         record = ledger.charge(collection, statement, int(seed))
         try:
             runtime = CollectionRuntime(self, ledger, record)
@@ -366,6 +367,7 @@ class PerturbationService:
             # Roll the charge back: a collection that never came up
             # must not consume budget.
             del ledger.collections[collection]
+            ledger.cumulative = cumulative
             raise
         if journal is not None:
             key, digest = journal
@@ -475,9 +477,7 @@ class PerturbationService:
         """``POST /v1/collections``."""
         tenant = wire.tenant_name(body)
         collection = wire.collection_name(body)
-        seed = body.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ServiceError("field 'seed' must be an integer")
+        seed = wire.seed(body)
         key = wire.idempotency_key(body)
         journal = None
         if key is not None:
@@ -518,9 +518,7 @@ class PerturbationService:
                 f"cannot build mechanism {spec.name!r}: {error}",
                 code="bad_mechanism",
             ) from None
-        seed = body.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise ServiceError("field 'seed' must be an integer")
+        seed = wire.seed(body)
         key = wire.idempotency_key(body)
         digest = None
         if key is not None:
@@ -644,13 +642,19 @@ class PerturbationService:
         tenant = wire.tenant_name(body)
         collection = wire.collection_name(body)
         min_support = body.get("min_support", 0.02)
-        if not isinstance(min_support, (int, float)) or not 0 < min_support <= 1:
+        if (
+            isinstance(min_support, bool)
+            or not isinstance(min_support, (int, float))
+            or not 0 < min_support <= 1
+        ):
             raise ServiceError(
                 f"field 'min_support' must lie in (0, 1], got {min_support!r}"
             )
         max_length = body.get("max_length")
         if max_length is not None and (
-            not isinstance(max_length, int) or max_length < 1
+            isinstance(max_length, bool)
+            or not isinstance(max_length, int)
+            or max_length < 1
         ):
             raise ServiceError("field 'max_length' must be a positive integer")
         runtime = self._runtime(tenant, collection)

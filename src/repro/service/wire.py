@@ -123,6 +123,24 @@ def idempotency_key(body: dict) -> str | None:
     return key
 
 
+def seed(body: dict) -> int | None:
+    """Validated optional ``seed`` field: a non-negative integer.
+
+    JSON ``true``/``false`` are not integers here, and negative seeds
+    are refused before any state changes (NumPy would reject them
+    only later, mid-request).  ``None`` when the request carries no
+    seed.
+    """
+    value = body.get("seed")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ServiceError(
+            f"field 'seed' must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 def payload_digest(payload) -> str:
     """Stable digest of a JSON-able request payload.
 

@@ -77,11 +77,11 @@ def condition_number(matrix: np.ndarray) -> float:
 def residual_norm(matrix, estimate, observed) -> float:
     """Relative residual ``||A @ x - y|| / ||y||`` of a candidate solve.
 
-    The acceptance metric of the solver portfolio
-    (:mod:`repro.solvers`): it works for dense arrays and for any
-    implicit operator exposing ``matvec`` (the ``a*I + b*J`` family
-    here, :class:`~repro.stats.kronecker.KroneckerOperator`), so a
-    residual check never needs to densify the system it validates.
+    The acceptance metric of ``reconstruct_counts(method="portfolio")``
+    (:mod:`repro.core.reconstruction`): it works for dense arrays and
+    for any implicit operator exposing ``matvec`` (the ``a*I + b*J``
+    family here, :class:`~repro.stats.kronecker.KroneckerOperator`), so
+    a residual check never needs to densify the system it validates.
     For ``y = 0`` the plain (absolute) residual norm is returned.
     """
     estimate = np.asarray(estimate, dtype=float)

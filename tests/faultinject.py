@@ -11,10 +11,6 @@ process into a barrier and do something unkind to it there:
   :func:`sigkill`.  The victim dies frozen at an exact interior point
   of a write sequence (mid-spool-append, mid-store-commit, mid-cell),
   with no sleeps and no races.
-* **delayed solver** -- :func:`solver_delay_env` builds the
-  ``$REPRO_SOLVER_DELAY`` spec that stalls chosen portfolio lanes, so
-  tests can force any lane to finish last and prove the accepted
-  estimate does not depend on timing.
 * **poisoned claim** -- :func:`poison_claim` plants a torn/garbage
   claim file on a :class:`~repro.store.ClaimBoard` directory, the
   state a host crash-looping mid-acquire leaves behind.
@@ -48,7 +44,7 @@ def fault_env(root, extra: dict | None = None) -> dict:
 
     Returns a *copy* of this process's environment plus
     ``$REPRO_FAULTPOINTS`` -- hand it to ``subprocess.Popen(env=...)``.
-    ``extra`` entries (e.g. :func:`solver_delay_env`) are merged in.
+    ``extra`` entries are merged in.
     """
     env = dict(os.environ)
     env[FAULTPOINTS_ENV] = str(root)
@@ -136,16 +132,3 @@ def poison_claim(claim_root, key: str, payload: bytes = b'{"key": "torn') -> Pat
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(payload)
     return path
-
-
-def solver_delay_env(**delays: float) -> dict:
-    """``$REPRO_SOLVER_DELAY`` spec stalling the given portfolio lanes.
-
-    ``solver_delay_env(closed=0.2)`` makes the closed lane finish last
-    in every race; merge into :func:`fault_env`'s ``extra`` or set
-    directly via ``monkeypatch.setenv``.
-    """
-    from repro.solvers import DELAY_ENV
-
-    spec = ",".join(f"{lane}={seconds:g}" for lane, seconds in sorted(delays.items()))
-    return {DELAY_ENV: spec}

@@ -286,41 +286,3 @@ class TestClaimedOrchestration:
         stats.record_remote()
         assert "1 adopted from peer(s)" in stats.summary()
         assert stats.hits == 3
-
-
-class TestSolverEnvThreading:
-    def test_solver_mode_is_env_not_key(self, tmp_path):
-        # Result-invariant knob: portfolio and closed runs share cache
-        # entries (same keys), so a warm cache survives switching.
-        spec = DatasetSpec.from_name("CENSUS", n_records=1200)
-        closed = comparison_cells(spec, ExperimentConfig(min_support=0.05))[1]
-        portfolio = comparison_cells(
-            spec, ExperimentConfig(min_support=0.05, solver="portfolio")
-        )[1]
-        orch = Orchestrator(store=ResultStore(tmp_path / "s"), fingerprint="fp")
-        assert [orch.key_for(c) for c in closed] == [
-            orch.key_for(c) for c in portfolio
-        ]
-        assert all(c.env["solver"] == "portfolio" for c in portfolio)
-
-    def test_config_rejects_unknown_solver(self):
-        with pytest.raises(ExperimentError):
-            ExperimentConfig(solver="newton")
-
-    def test_mechanism_cells_solver_invariant(self, tmp_path):
-        spec = DatasetSpec.from_name("CENSUS", n_records=1200)
-        base = ExperimentConfig(min_support=0.05, mechanisms=("det-gd",))
-        results = {}
-        for solver in ("closed", "portfolio"):
-            config = ExperimentConfig(
-                min_support=0.05, mechanisms=("det-gd",), solver=solver
-            )
-            orch = Orchestrator(
-                store=ResultStore(tmp_path / solver), fingerprint="fp"
-            )
-            _, cells = comparison_cells(spec, config)
-            results[solver] = {
-                n: _strip_seconds(r) for n, r in orch.run(cells).items()
-            }
-        assert results["closed"] == results["portfolio"]
-        del base  # silence linters: base documents the shared parameters

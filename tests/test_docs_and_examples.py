@@ -121,6 +121,6 @@ class TestRepoDocuments:
         import repro
 
         text = (REPO / "README.md").read_text()
-        for symbol in ("PrivacyRequirement", "DetGDMiner", "design_mechanism"):
+        for symbol in ("PrivacyRequirement", "make_miner", "design_mechanism"):
             assert symbol in text
             assert hasattr(repro, symbol)

@@ -1,5 +1,7 @@
 """Tests for repro.core.engine (perturbation samplers)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from repro.core.engine import (
     MatrixPerturbation,
     RandomizedGammaDiagonalPerturbation,
 )
+from repro.core.gamma_diagonal import GammaDiagonalMatrix
 from repro.data.dataset import CategoricalDataset
-from repro.exceptions import DataError, MatrixError
+from repro.exceptions import DataError, ExperimentError, MatrixError
+from repro.mechanisms import registry
+from sequential_sampler import perturb_sequential
 
 
 def empirical_transition(schema, perturb, original_value, n_trials, seed):
@@ -40,8 +45,10 @@ class TestGammaDiagonalVectorized:
             engine.perturb(survey_dataset, seed=0)
 
     def test_invalid_method_rejected(self, tiny_schema):
-        with pytest.raises(MatrixError):
-            GammaDiagonalPerturbation(tiny_schema, gamma=19.0, method="magic")
+        # One sampler, no choice: a det-gd spec naming a sampler method
+        # is an unknown parameter.
+        with pytest.raises(ExperimentError, match="method"):
+            registry.create("det-gd", tiny_schema, gamma=19.0, method="sequential")
 
     def test_empirical_matches_matrix(self, tiny_schema):
         """Empirical transition frequencies match the gamma-diagonal
@@ -75,31 +82,41 @@ class TestSequentialSampler:
     """The paper's Section-5 algorithm must realise the same matrix."""
 
     def test_empirical_matches_matrix(self, tiny_schema):
-        engine = GammaDiagonalPerturbation(tiny_schema, gamma=5.0, method="sequential")
+        matrix = GammaDiagonalMatrix(n=tiny_schema.joint_size, gamma=5.0)
         n_trials = 120_000
         freq = empirical_transition(
-            tiny_schema, engine.perturb, original_value=2, n_trials=n_trials, seed=4
+            tiny_schema,
+            functools.partial(perturb_sequential, 5.0),
+            original_value=2,
+            n_trials=n_trials,
+            seed=4,
         )
-        expected = np.full(tiny_schema.joint_size, engine.matrix.x)
-        expected[2] = engine.matrix.diagonal
+        expected = np.full(tiny_schema.joint_size, matrix.x)
+        expected[2] = matrix.diagonal
         assert np.allclose(freq, expected, atol=5.0 / np.sqrt(n_trials))
 
     def test_agrees_with_vectorized_distribution(self, survey_schema):
         """Both samplers realise the same transition distribution."""
         n_trials = 60_000
         gamma = 3.0
-        seq = GammaDiagonalPerturbation(survey_schema, gamma, method="sequential")
-        vec = GammaDiagonalPerturbation(survey_schema, gamma, method="vectorized")
-        f_seq = empirical_transition(survey_schema, seq.perturb, 7, n_trials, seed=5)
+        seq = functools.partial(perturb_sequential, gamma)
+        vec = GammaDiagonalPerturbation(survey_schema, gamma)
+        f_seq = empirical_transition(survey_schema, seq, 7, n_trials, seed=5)
         f_vec = empirical_transition(survey_schema, vec.perturb, 7, n_trials, seed=6)
         assert np.allclose(f_seq, f_vec, atol=6.0 / np.sqrt(n_trials))
 
     def test_three_attribute_diagonal_mass(self, survey_schema):
         """P(unchanged) must be exactly gamma*x for the full record."""
-        engine = GammaDiagonalPerturbation(survey_schema, gamma=8.0, method="sequential")
+        matrix = GammaDiagonalMatrix(n=survey_schema.joint_size, gamma=8.0)
         n_trials = 50_000
-        freq = empirical_transition(survey_schema, engine.perturb, 0, n_trials, seed=7)
-        assert freq[0] == pytest.approx(engine.matrix.diagonal, abs=0.006)
+        freq = empirical_transition(
+            survey_schema,
+            functools.partial(perturb_sequential, 8.0),
+            0,
+            n_trials,
+            seed=7,
+        )
+        assert freq[0] == pytest.approx(matrix.diagonal, abs=0.006)
 
 
 class TestRandomizedPerturbation:
@@ -161,8 +178,6 @@ class TestMatrixPerturbation:
         specialised engines -- three independent implementations of the
         same distribution."""
         gamma = 4.0
-        from repro.core.gamma_diagonal import GammaDiagonalMatrix
-
         dense = GammaDiagonalMatrix(tiny_schema.joint_size, gamma).to_dense()
         naive = MatrixPerturbation(tiny_schema, dense)
         fast = GammaDiagonalPerturbation(tiny_schema, gamma)

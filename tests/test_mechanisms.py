@@ -455,7 +455,7 @@ class TestEndToEnd:
         noise_miner = make_miner("additive-noise", survey_schema, 2.0, scale=99)
 
     def test_make_miner_kwargs_override(self, survey_schema):
-        """Non-shim mechanisms receive gamma positionally and kwargs."""
+        """Mechanisms receive gamma and kwargs; unknown ones fail closed."""
         from repro.mining.reconstructing import make_miner
 
         with pytest.raises(ExperimentError, match="'bogus'"):

@@ -107,39 +107,38 @@ class TestCellKeys:
 
     def test_env_is_not_keyed(self):
         orch = Orchestrator(store=None, fingerprint="fp")
-        closed = exact_cell(SPEC, 0.02, env={"solver": "closed"})
-        raced = exact_cell(SPEC, 0.02, env={"solver": "portfolio"})
-        assert orch.key_for(closed) == orch.key_for(raced)
+        pickled = exact_cell(SPEC, 0.02, env={"dispatch": "pickle"})
+        shared = exact_cell(SPEC, 0.02, env={"dispatch": "shm"})
+        assert orch.key_for(pickled) == orch.key_for(shared)
 
-    def test_dispatch_and_solver_are_result_invariant_env(self):
-        """Cache-key sensitivity to ``dispatch``/``solver``: none.
+    def test_dispatch_is_result_invariant_env(self):
+        """Cache-key sensitivity to ``dispatch``: none.
 
-        The dispatch mode and the solver are bit-identity choices
-        (pinned by the pipeline/solver test suites), so flipping them
-        must *reuse* cached results, not fragment the cache -- they
-        ride in ``env`` and stay out of the key.
+        The dispatch mode is a bit-identity choice (pinned by the
+        pipeline test suite), so flipping it must *reuse* cached
+        results, not fragment the cache -- it rides in ``env`` and
+        stays out of the key.
         """
         orch = Orchestrator(store=None, fingerprint="fp")
         exact = exact_cell(SPEC, 0.02)
         pickled = mechanism_cell(
             SPEC,
             "DET-GD",
-            ExperimentConfig(seed=3, dispatch="pickle", solver="closed"),
+            ExperimentConfig(seed=3, dispatch="pickle"),
             int_seed(1),
             exact,
         )
         shared = mechanism_cell(
             SPEC,
             "DET-GD",
-            ExperimentConfig(seed=3, dispatch="shm", solver="portfolio"),
+            ExperimentConfig(seed=3, dispatch="shm"),
             int_seed(1),
             exact,
         )
         assert orch.key_for(pickled) == orch.key_for(shared)
-        # ...but the knobs do reach the execution environment.
+        # ...but the knob does reach the execution environment.
         assert pickled.env["dispatch"] == "pickle"
         assert shared.env["dispatch"] == "shm"
-        assert shared.env["solver"] == "portfolio"
 
     def test_mechanism_results_identical_across_backends(self, tmp_path):
         """A cell computes the same numbers on every counting kernel."""

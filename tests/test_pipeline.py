@@ -29,7 +29,7 @@ from repro.data.io import iter_csv_chunks, save_csv_chunks
 from repro.exceptions import DataError, ExperimentError, MiningError
 from repro.mining.counting import GammaDiagonalSupportEstimator
 from repro.mining.itemsets import all_items
-from repro.mining.reconstructing import DetGDMiner
+from repro.mining.reconstructing import make_miner
 from repro.pipeline import (
     AccumulatedSupportEstimator,
     JointCountAccumulator,
@@ -174,14 +174,6 @@ class TestPipelineDeterminism:
         pipeline = PerturbationPipeline(engine, chunk_size=900)
         assert pipeline.perturb(census, seed=3) == engine.perturb(census, seed=3)
 
-    def test_workers1_bit_identical_for_sequential_sampler(self, survey_dataset):
-        engine = GammaDiagonalPerturbation(
-            survey_dataset.schema, 8.0, method="sequential"
-        )
-        small = CategoricalDataset(survey_dataset.schema, survey_dataset.records[:600])
-        pipeline = PerturbationPipeline(engine, chunk_size=250)
-        assert pipeline.perturb(small, seed=5) == engine.perturb(small, seed=5)
-
     def test_workers1_bit_identical_for_dense_sampler(self, tiny_dataset):
         dense = GammaDiagonalMatrix(tiny_dataset.schema.joint_size, 5.0).to_dense()
         engine = MatrixPerturbation(tiny_dataset.schema, dense)
@@ -292,6 +284,17 @@ class TestStreamingFrontEnd:
         clipped = reconstruct_stream(acc, GAMMA, clip=True)
         assert (clipped >= 0).all()
 
+    def test_reconstruct_stream_portfolio_keeps_the_closed_form(self, census):
+        """The fallback solves with the O(n) operator, never densifying."""
+        acc = JointCountAccumulator(census.schema)
+        acc.update(
+            GammaDiagonalPerturbation(census.schema, GAMMA).perturb(census, seed=1)
+        )
+        np.testing.assert_array_equal(
+            reconstruct_stream(acc, GAMMA, method="portfolio"),
+            reconstruct_stream(acc, GAMMA, method="solve"),
+        )
+
     def test_reconstruct_stream_em_is_nonnegative(self, census):
         acc = JointCountAccumulator(census.schema)
         acc.update(
@@ -303,7 +306,7 @@ class TestStreamingFrontEnd:
 
     def test_mine_stream_equals_one_shot_mining(self, census, det_engine):
         """workers=1 streaming preserves the one-shot mining result."""
-        miner = DetGDMiner(census.schema, GAMMA)
+        miner = make_miner("det-gd", census.schema, GAMMA)
         one_shot = miner.mine(census, 0.02, seed=4)
         streamed = mine_stream(
             census.iter_chunks(1_500),
@@ -337,7 +340,7 @@ class TestStreamingFrontEnd:
 # ----------------------------------------------------------------------
 class TestMinerIntegration:
     def test_chunked_miner_matches_direct_miner(self, census):
-        miner = DetGDMiner(census.schema, GAMMA)
+        miner = make_miner("det-gd", census.schema, GAMMA)
         direct = miner.mine(census, 0.02, seed=8)
         chunked = miner.mine(census, 0.02, seed=8, chunk_size=1_000)
         assert direct.by_length.keys() == chunked.by_length.keys()

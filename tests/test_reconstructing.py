@@ -2,26 +2,29 @@
 
 import pytest
 
-from repro.mining.apriori import AprioriResult
-from repro.mining.reconstructing import (
-    CutAndPasteMiner,
-    DetGDMiner,
-    MaskMiner,
-    RanGDMiner,
-    make_miner,
-    mine_exact,
+from repro.mechanisms.builtin import (
+    CutAndPasteMechanism,
+    GammaDiagonalMechanism,
+    MaskMechanism,
+    RandomizedGammaDiagonalMechanism,
 )
+from repro.mining.apriori import AprioriResult
+from repro.mining.reconstructing import MechanismMiner, make_miner, mine_exact
 
 
 class TestFactory:
     def test_names(self, survey_schema):
-        assert isinstance(make_miner("det-gd", survey_schema, 19.0), DetGDMiner)
-        assert isinstance(make_miner("RAN-GD", survey_schema, 19.0), RanGDMiner)
-        assert isinstance(make_miner("mask", survey_schema, 19.0), MaskMiner)
-        assert isinstance(make_miner("C&P", survey_schema, 19.0), CutAndPasteMiner)
-        assert isinstance(
-            make_miner("cut-and-paste", survey_schema, 19.0), CutAndPasteMiner
-        )
+        for name, mechanism, display in (
+            ("det-gd", GammaDiagonalMechanism, "DET-GD"),
+            ("RAN-GD", RandomizedGammaDiagonalMechanism, "RAN-GD"),
+            ("mask", MaskMechanism, "MASK"),
+            ("C&P", CutAndPasteMechanism, "C&P"),
+            ("cut-and-paste", CutAndPasteMechanism, "C&P"),
+        ):
+            miner = make_miner(name, survey_schema, 19.0)
+            assert type(miner) is MechanismMiner
+            assert type(miner.mechanism) is mechanism
+            assert miner.name == display
 
     def test_unknown_name(self, survey_schema):
         with pytest.raises(ValueError):
@@ -29,7 +32,7 @@ class TestFactory:
 
     def test_kwargs_forwarded(self, survey_schema):
         miner = make_miner("ran-gd", survey_schema, 19.0, relative_alpha=0.25)
-        assert miner.alpha == pytest.approx(
+        assert miner.mechanism.alpha == pytest.approx(
             0.25 * 19.0 / (19.0 + survey_schema.joint_size - 1)
         )
 
@@ -43,7 +46,7 @@ class TestDrivers:
         assert result.min_support == 0.10
 
     def test_deterministic_with_seed(self, survey_schema, survey_dataset):
-        miner = DetGDMiner(survey_schema, 19.0)
+        miner = make_miner("det-gd", survey_schema, 19.0)
         a = miner.mine(survey_dataset, 0.10, seed=5)
         b = miner.mine(survey_dataset, 0.10, seed=5)
         assert a.frequent() == b.frequent()
@@ -51,27 +54,29 @@ class TestDrivers:
     def test_high_gamma_recovers_exact_mining(self, survey_schema, survey_dataset):
         """With a huge gamma (nearly no perturbation), DET-GD mining
         converges to exact mining."""
-        miner = DetGDMiner(survey_schema, gamma=1e6)
+        miner = make_miner("det-gd", survey_schema, 1e6)
         mined = miner.mine(survey_dataset, 0.10, seed=1)
         truth = mine_exact(survey_dataset, 0.10)
         assert set(mined.frequent()) == set(truth.frequent())
 
     def test_mask_p_configured_from_gamma(self, survey_schema):
-        miner = MaskMiner(survey_schema, 19.0)
-        assert miner.p == pytest.approx(
+        miner = make_miner("mask", survey_schema, 19.0)
+        assert miner.mechanism.p == pytest.approx(
             19.0 ** (1 / 6) / (1 + 19.0 ** (1 / 6))
         )
 
     def test_cp_rho_configured_from_gamma(self, survey_schema):
-        miner = CutAndPasteMiner(survey_schema, 19.0)
-        assert miner.operator.amplification() <= 19.0 * (1 + 1e-9)
+        miner = make_miner("c&p", survey_schema, 19.0)
+        assert miner.gamma <= 19.0 * (1 + 1e-9)
 
     def test_perturb_exposed(self, survey_schema, survey_dataset):
-        det = DetGDMiner(survey_schema, 19.0)
+        det = make_miner("det-gd", survey_schema, 19.0)
         perturbed = det.perturb(survey_dataset, seed=2)
         assert perturbed.schema == survey_schema
 
-        mask_bits = MaskMiner(survey_schema, 19.0).perturb(survey_dataset, seed=3)
+        mask_bits = make_miner("mask", survey_schema, 19.0).perturb(
+            survey_dataset, seed=3
+        )
         assert mask_bits.shape == (survey_dataset.n_records, survey_schema.n_boolean)
 
     def test_mine_exact_reference(self, survey_dataset):

@@ -12,7 +12,7 @@ from repro.core.reconstruction import (
     reconstruct_counts,
     reconstruction_matrix_for,
 )
-from repro.exceptions import ReconstructionError, SolverDivergedError
+from repro.exceptions import ReconstructionError
 
 
 @pytest.fixture
@@ -104,66 +104,16 @@ class TestEM:
 
 
 class TestEMSolverLane:
-    """``target_residual`` mode: early return on success, typed stall."""
+    """EM is no fallback lane for ``method="portfolio"``.
 
-    def test_target_reached_returns_early(self, warner_matrix):
-        x = np.array([300.0, 700.0])
-        y = warner_matrix @ x
-        estimate = em_reconstruct(warner_matrix, y, target_residual=1e-3)
-        residual = np.linalg.norm(warner_matrix @ estimate - y) / np.linalg.norm(y)
-        assert residual <= 1e-3
-        assert estimate.sum() == pytest.approx(y.sum())
-
-    def test_stall_raises_typed_error_with_fallback_estimate(self):
-        # Rank-1 system, inconsistent observation: A p is [0.5, 0.5]
-        # for every distribution p, so the residual never moves and the
-        # lane must report divergence instead of looping to the cap.
-        matrix = np.full((2, 2), 0.5)
-        y = np.array([95.0, 5.0])
-        with pytest.raises(SolverDivergedError) as excinfo:
-            em_reconstruct(matrix, y, target_residual=1e-6)
-        error = excinfo.value
-        assert error.residual > 1e-6
-        assert error.iterations >= 1
-        # The carried estimate is a usable degraded fallback.
-        assert np.all(error.estimate >= 0)
-        assert error.estimate.sum() == pytest.approx(y.sum())
-
-    def test_iteration_cap_above_target_raises(self, warner_matrix):
-        x = np.array([250.0, 750.0])
-        y = warner_matrix @ x
-        with pytest.raises(SolverDivergedError) as excinfo:
-            em_reconstruct(
-                warner_matrix, y, n_iterations=2, target_residual=1e-12
-            )
-        assert excinfo.value.iterations <= 2
-
-    def test_stall_patience_bounds_the_wasted_iterations(self):
-        # Heavy uniform mixing makes EM creep: the residual falls by
-        # well under 1% per iteration, so the stall counter -- not tol
-        # convergence or the iteration cap -- ends the run, after
-        # exactly ``patience`` unproductive iterations.
-        eps = 0.02
-        matrix = np.full((4, 4), (1.0 - eps) / 4.0) + eps * np.eye(4)
-        y = matrix @ np.array([5.0, 10.0, 400.0, 85.0])
-        with pytest.raises(SolverDivergedError) as impatient:
-            em_reconstruct(matrix, y, target_residual=1e-8, stall_patience=1)
-        with pytest.raises(SolverDivergedError) as patient:
-            em_reconstruct(matrix, y, target_residual=1e-8, stall_patience=40)
-        assert "stalled" in str(impatient.value)
-        assert impatient.value.iterations < patient.value.iterations
-        # More patience bought a (slightly) better fallback estimate.
-        assert patient.value.residual < impatient.value.residual
-
-    def test_stall_patience_validated(self, warner_matrix):
-        with pytest.raises(ReconstructionError):
-            em_reconstruct(
-                warner_matrix, np.ones(2), target_residual=1e-6, stall_patience=0
-            )
+    Least squares minimises the residual EM would be judged by, so on a
+    system least squares cannot answer EM plateaus short of the bound.
+    """
 
     def test_no_target_keeps_the_historical_plateau_contract(self):
-        # The exact system that stalls the solver lane: without a
-        # target, plateauing at the constrained optimum is success.
+        # Rank-1 system, inconsistent observation: A p is [0.5, 0.5]
+        # for every distribution p, so the residual never moves.
+        # Plateauing at the constrained optimum is success.
         matrix = np.full((2, 2), 0.5)
         y = np.array([95.0, 5.0])
         estimate = em_reconstruct(matrix, y)

@@ -335,7 +335,7 @@ class TestUnifiedKnobs:
         )
 
     #: Spellings the execution group no longer takes: the five old
-    #: aliases and the two removed knobs.
+    #: aliases and the three removed knobs.
     REMOVED_SPELLINGS = (
         ("--num-workers", "3"),
         ("--chunksize", "128"),
@@ -344,6 +344,7 @@ class TestUnifiedKnobs:
         ("--n-jobs", "2"),
         ("--count-backend", "native"),
         ("--backend", "int64"),
+        ("--solver", "portfolio"),
     )
 
     @pytest.mark.parametrize(("spelling", "value"), REMOVED_SPELLINGS)

@@ -677,6 +677,72 @@ class TestBadMechanismSpecs:
             service.close()
 
 
+def dispatch(server, path, body):
+    return asyncio.run(server._dispatch("POST", path, json.dumps(body).encode()))
+
+
+class TestFailedOpensChargeNothing:
+    @pytest.mark.parametrize("seed", [-5, True], ids=["negative", "bool"])
+    def test_bad_seed_answers_400_and_leaves_the_ledger(
+        self, schema, data, tmp_path, seed
+    ):
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        try:
+            status, _ = dispatch(server, "/v1/collections", {"tenant": "acme"})
+            assert status == 200
+            before = service.ledger_summary()
+            requests = {
+                "/v1/collections": {
+                    "tenant": "acme",
+                    "collection": "bad",
+                    "seed": seed,
+                },
+                "/v1/perturb": {
+                    "records": wire.encode_records(data.records[:3]),
+                    "seed": seed,
+                },
+                "/v1/mine": {"tenant": "acme", "min_support": True},
+            }
+            for path, body in requests.items():
+                status, reply = dispatch(server, path, body)
+                assert status == 400, (path, reply)
+                assert reply["error"]["code"] == "bad_request"
+            status, reply = dispatch(
+                server, "/v1/mine", {"tenant": "acme", "max_length": True}
+            )
+            assert status == 400, reply
+            assert service.ledger_summary() == before
+        finally:
+            service.close()
+
+    def test_runtime_failure_rolls_back_the_charge(
+        self, schema, tmp_path, monkeypatch
+    ):
+        """A budget of one DET-GD(19) collection survives a failed open."""
+        import repro.service.server as server_module
+
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+
+        def broken_runtime(*args, **kwargs):
+            raise RuntimeError("spool unavailable")
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(server_module, "CollectionRuntime", broken_runtime)
+                status, _ = dispatch(server, "/v1/collections", {"tenant": "acme"})
+            assert status == 500
+            ledger = service.ledger_summary("acme")["ledger"]
+            assert ledger["collections"] == {}
+            assert ledger["cumulative"] is None
+            status, reply = dispatch(server, "/v1/collections", {"tenant": "acme"})
+            assert status == 200, reply
+            assert reply["cumulative_amplification"] == pytest.approx(GAMMA)
+        finally:
+            service.close()
+
+
 class TestServiceEndToEnd:
     def test_submissions_bit_identical_to_offline(self, schema, data, tmp_path):
         config = make_config(schema, tmp_path)

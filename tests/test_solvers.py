@@ -1,30 +1,22 @@
-"""The solver portfolio: deterministic racing, rescue lanes, stats.
+"""The residual-checked fallback: ``reconstruct_counts(method="portfolio")``.
 
-The load-bearing property is the determinism contract of
-:mod:`repro.solvers.portfolio`: the accepted estimate is a pure
-function of the system ``(A, y)`` -- identical bits whether lanes run
-inline or raced in processes, and no matter which lane finishes first
-(pinned here by injecting delays that force every finishing order).
+The method tries the closed form (``"solve"``), then least squares
+(``"lstsq"``), and accepts the first answer whose relative residual
+``||A x - y|| / ||y||`` is at most 1e-6.  The load-bearing property is
+that it adds no arithmetic of its own: wherever the closed form
+answers, the estimate is bit-identical to ``method="solve"``, and a
+rescued system gets exactly ``method="lstsq"``'s floats.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from faultinject import solver_delay_env
 from repro.core.reconstruction import reconstruct_counts
-from repro.exceptions import ExperimentError, SolverError
-from repro.solvers import (
-    DELAY_ENV,
-    GLOBAL_STATS,
-    PortfolioStats,
-    SolverPortfolio,
-    portfolio_for,
-    solver_delays,
-)
+from repro.exceptions import ReconstructionError, SolverError
 from repro.stats.linalg import UniformOffDiagonalMatrix, residual_norm
 
 
@@ -44,176 +36,53 @@ def well_conditioned_systems(draw, max_n=8):
     return matrix, observed
 
 
-def fresh_portfolio(**kwargs):
-    kwargs.setdefault("stats", PortfolioStats())
-    return SolverPortfolio(**kwargs)
+def fallback(matrix, observed):
+    return reconstruct_counts(matrix, observed, method="portfolio")
 
 
 class TestDeterminismContract:
     @given(well_conditioned_systems())
     def test_closed_lane_bit_identical_to_plain_solve(self, system):
         matrix, observed = system
-        estimate = fresh_portfolio(mode="inline").solve(matrix, observed)
+        estimate = fallback(matrix, observed)
         np.testing.assert_array_equal(estimate, np.linalg.solve(matrix, observed))
-
-    @settings(
-        max_examples=5,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(well_conditioned_systems(max_n=5))
-    def test_race_bit_identical_to_inline(self, system):
-        matrix, observed = system
-        inline = fresh_portfolio(mode="inline").solve(matrix, observed)
-        raced = fresh_portfolio(mode="race").solve(matrix, observed)
-        np.testing.assert_array_equal(inline, raced)
-
-    @pytest.mark.parametrize(
-        "delays",
-        [
-            {"closed": 0.2},
-            {"closed": 0.1, "lstsq": 0.05},
-            {"em": 0.2},
-        ],
-    )
-    def test_delays_cannot_move_a_float(self, delays):
-        # Force every finishing order: the slowest-possible closed lane
-        # must still win, bit-identically, because acceptance walks the
-        # priority order -- never arrival order.
-        rng = np.random.default_rng(7)
-        matrix = rng.normal(size=(4, 4)) + np.eye(4) * 5.0
-        observed = rng.normal(size=4) + 2.0
-        plain = fresh_portfolio(mode="race").solve(matrix, observed)
-        stats = PortfolioStats()
-        delayed = fresh_portfolio(mode="race", delays=delays, stats=stats).solve(
-            matrix, observed
-        )
-        np.testing.assert_array_equal(plain, delayed)
-        assert stats.wins == {"closed": 1}
-
-    def test_delay_env_applies_and_overrides(self, monkeypatch):
-        monkeypatch.setenv(DELAY_ENV, solver_delay_env(closed=0.05)[DELAY_ENV])
-        rng = np.random.default_rng(11)
-        matrix = rng.normal(size=(3, 3)) + np.eye(3) * 4.0
-        observed = rng.normal(size=3) + 2.0
-        stats = PortfolioStats()
-        estimate = fresh_portfolio(mode="race", stats=stats).solve(matrix, observed)
-        np.testing.assert_array_equal(estimate, np.linalg.solve(matrix, observed))
-        assert stats.wins == {"closed": 1}
 
     def test_operator_systems_use_the_historical_closed_solve(self):
         matrix = UniformOffDiagonalMatrix(6, 19.0 / 24.0, 1.0 / 24.0)
         observed = np.arange(6, dtype=float) + 1.0
-        estimate = fresh_portfolio().solve(matrix, observed)
+        estimate = fallback(matrix, observed)
         np.testing.assert_array_equal(estimate, matrix.solve(observed))
-
-    def test_auto_mode_races_only_large_dense_systems(self):
-        small = fresh_portfolio(race_threshold=64)
-        assert small._should_race(np.eye(3)) is False
-        assert small._should_race(np.eye(64)) is True
-        assert small._should_race(UniformOffDiagonalMatrix(100, 0.5, 0.1)) is False
 
 
 class TestRescueLanes:
     def test_singular_system_is_rescued_by_lstsq(self):
-        # Rank-1 but consistent: closed errors, lstsq solves exactly.
+        # Rank-1 but consistent: the closed form fails, lstsq solves
+        # exactly.
         matrix = np.ones((3, 3))
         observed = np.full(3, 6.0)
-        stats = PortfolioStats()
-        estimate = fresh_portfolio(stats=stats).solve(matrix, observed)
+        estimate = fallback(matrix, observed)
         assert residual_norm(matrix, estimate, observed) <= 1e-6
-        assert stats.errors == {"closed": 1}
-        assert stats.wins == {"lstsq": 1}
-
-    def test_em_lane_wins_when_alone(self):
-        # The FRAPP marginal at gamma=19, n=4: a*I + b*J with
-        # a=(gamma-1)x, b=x, x=1/(gamma+n-1) -- column-stochastic, the
-        # regime EM's multiplicative update is exact for.
-        matrix = UniformOffDiagonalMatrix(4, 18.0 / 22.0, 1.0 / 22.0).to_dense()
-        true = np.array([10.0, 20.0, 30.0, 40.0])
-        observed = matrix @ true
-        stats = PortfolioStats()
-        estimate = fresh_portfolio(
-            solvers=("em",), residual_rtol=1e-6, stats=stats
-        ).solve(matrix, observed)
-        assert stats.wins == {"em": 1}
-        assert residual_norm(matrix, estimate, observed) <= 1e-6
-        np.testing.assert_allclose(estimate, true, rtol=1e-3)
+        np.testing.assert_array_equal(
+            estimate, reconstruct_counts(matrix, observed, method="lstsq")
+        )
 
     def test_every_lane_failing_raises_with_reasons(self):
-        # Inconsistent singular system far beyond the tolerance: closed
-        # errors, lstsq's least-squares residual fails the check, EM
-        # diverges.  The error names every lane's reason.
+        # Inconsistent singular system: the closed form fails and the
+        # least-squares residual misses the bound.  The error names
+        # each method's reason.
         matrix = np.ones((3, 3))
         observed = np.array([1.0, 5.0, 20.0])
-        stats = PortfolioStats()
         with pytest.raises(SolverError) as excinfo:
-            fresh_portfolio(residual_rtol=1e-9, stats=stats).solve(matrix, observed)
+            fallback(matrix, observed)
         message = str(excinfo.value)
-        assert "closed" in message and "lstsq" in message and "em" in message
-        assert stats.wins == {}
-
-    def test_race_mode_matches_inline_on_rescued_systems(self):
-        matrix = np.ones((3, 3))
-        observed = np.full(3, 6.0)
-        inline = fresh_portfolio(mode="inline").solve(matrix, observed)
-        raced = fresh_portfolio(mode="race").solve(matrix, observed)
-        np.testing.assert_array_equal(inline, raced)
+        assert "solve: ReconstructionError: singular system" in message
+        assert "lstsq: residual" in message
 
 
 class TestValidationAndPlumbing:
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ExperimentError):
-            SolverPortfolio(solvers=())
-        with pytest.raises(ExperimentError):
-            SolverPortfolio(solvers=("closed", "closed"))
-        with pytest.raises(ExperimentError):
-            SolverPortfolio(solvers=("newton",))
-        with pytest.raises(ExperimentError):
-            SolverPortfolio(mode="temporal")
-        with pytest.raises(ExperimentError):
-            SolverPortfolio(residual_rtol=0.0)
-
     def test_rejects_non_vector_observations(self):
-        with pytest.raises(SolverError):
-            fresh_portfolio().solve(np.eye(2), np.eye(2))
-
-    def test_solver_delays_parsing(self):
-        assert solver_delays("em=0.2, lstsq=0.05") == {"em": 0.2, "lstsq": 0.05}
-        assert solver_delays("") == {}
-        with pytest.raises(ExperimentError):
-            solver_delays("newton=1")
-        with pytest.raises(ExperimentError):
-            solver_delays("em=fast")
-
-    def test_portfolio_for_mapping(self):
-        assert portfolio_for(None) is None
-        assert portfolio_for("closed") is None
-        portfolio = portfolio_for("portfolio")
-        assert isinstance(portfolio, SolverPortfolio)
-        assert portfolio.stats is GLOBAL_STATS
-        with pytest.raises(ExperimentError):
-            portfolio_for("newton")
-
-    def test_stats_rollup_and_summary(self):
-        stats = PortfolioStats()
-        portfolio = fresh_portfolio(mode="race", stats=stats)
-        rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(3, 3)) + np.eye(3) * 4.0
-        portfolio.solve(matrix, rng.normal(size=3) + 2.0)
-        portfolio.solve(np.ones((3, 3)), np.full(3, 6.0))
-        assert stats.cells == 2 and stats.raced == 2
-        assert stats.cancelled >= 1  # em (at least) outlived both wins
-        assert stats.as_rows()[0][0] == "closed"
-        summary = stats.summary()
-        assert "2 cell(s)" in summary and "closed won 1" in summary
-        other = PortfolioStats()
-        other.record_cell(False)
-        other.record_win("closed")
-        stats.merge(other)
-        assert stats.cells == 3 and stats.wins["closed"] == 2
-        stats.reset()
-        assert stats.cells == 0 and stats.summary().startswith("solvers: 0 cell(s)")
+        with pytest.raises(ReconstructionError):
+            fallback(np.eye(2), np.eye(2))
 
 
 class TestIntegration:
@@ -225,13 +94,14 @@ class TestIntegration:
         np.testing.assert_array_equal(direct, portfolio)
 
     def test_marginal_inversion_estimator_is_solver_invariant(self):
-        # The portfolio plugs into per-subset marginal solves of the
-        # generic columnar estimator (composites, warner); estimates
-        # must not move by a bit.
+        # The generic columnar estimator (composites, warner) solves
+        # every subset system through reconstruct_counts: its supports
+        # are the direct per-subset solves, and the fallback would
+        # return the same floats.
         from repro.data.dataset import CategoricalDataset
         from repro.data.schema import Attribute, Schema
         from repro.mechanisms import CompositeMechanism
-        from repro.mining.reconstructing import MechanismMiner
+        from repro.mining.itemsets import all_items
 
         schema = Schema(
             [
@@ -250,11 +120,22 @@ class TestIntegration:
                 {"name": "det-gd", "n_attributes": 1, "params": {"gamma": 7.0}},
             ],
         )
-        miner = MechanismMiner(mechanism)
-        plain = miner.mine(data, 0.05, seed=42)
-        stats = PortfolioStats()
-        raced = miner.mine(data, 0.05, seed=42, solver=SolverPortfolio(stats=stats))
-        assert stats.cells > 0 and set(stats.wins) == {"closed"}
-        assert plain.by_length.keys() == raced.by_length.keys()
-        for length, level in plain.by_length.items():
-            assert level == raced.by_length[length]
+        estimator = mechanism.build_estimator(data, seed=42)
+        perturbed = mechanism.perturb(data, seed=42)
+        items = all_items(schema)
+        itemsets = items + [
+            a.union(b) for a in items for b in items if a.attributes < b.attributes
+        ]
+        for itemset, support in zip(itemsets, estimator.supports(itemsets)):
+            attrs = itemset.attributes
+            matrix = mechanism.marginal_operator(attrs)
+            observed = perturbed.subset_counts(attrs).astype(float)
+            direct = (
+                np.linalg.solve(matrix, observed)
+                if isinstance(matrix, np.ndarray)
+                else matrix.solve(observed)
+            )
+            np.testing.assert_array_equal(direct, fallback(matrix, observed))
+            dims = [schema.cardinalities[a] for a in attrs]
+            cell = int(np.ravel_multi_index(itemset.values, dims))
+            assert support == direct[cell] / data.n_records
