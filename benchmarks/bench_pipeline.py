@@ -8,22 +8,17 @@ perturb-and-count paths:
 * ``stream w1``  -- ``PerturbationPipeline(workers=1).accumulate``:
   chunked joint-index streaming in-process (bit-identical counts to
   the one-shot path for the same seed);
-* ``stream wN``  -- the same with a pool of N worker processes and
-  ``dispatch="pickle"``: every chunk is pickled through the pool pipe;
-* ``shm wN``     -- ``dispatch="shm"``: the record block is placed in
-  shared memory once and tasks carry only ``(start, stop, seed)``
-  spans;
-* ``memmap wN``  -- ``dispatch="shm"`` over an ``.frd`` memory map:
-  workers re-open the file and the parent never touches the records.
+* ``stream wN``  -- the same with a pool of N worker processes: every
+  chunk of the in-RAM dataset is pickled through the pool pipe;
+* ``memmap wN``  -- the same over an ``.frd`` memory map: workers
+  re-open the file, tasks carry only ``(start, stop)`` spans and the
+  parent never touches the records.
 
 The dataset size honours ``$REPRO_SCALE`` (1e7 records at scale 1), so
 CI can smoke-run the same benchmarks at ``REPRO_SCALE=0.1``.
 
-Headline claims, asserted here and recorded in ``BENCH_pipeline.json``:
+Headline claim, asserted here and recorded in ``BENCH_pipeline.json``:
 
-* ``test_shm_beats_pickle_dispatch`` -- shm dispatch delivers >= 2x the
-  pickle-dispatch throughput at paper scale (gated on >= 4 CPUs, like
-  the orchestrator's pool claims);
 * ``test_compact_rss_reduction`` -- compact record storage cuts the
   pipeline's dataset-attributable peak RSS by >= 4x versus the same
   records as an ``astype(np.int64)`` array (measured in fresh child
@@ -32,7 +27,6 @@ Headline claims, asserted here and recorded in ``BENCH_pipeline.json``:
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import time
@@ -50,7 +44,6 @@ N_RECORDS = int(10_000_000 * dataset_scale())
 CHUNK_SIZE = max(1, N_RECORDS // 32)
 GAMMA = 19.0
 SEED = 7
-WORKERS = min(4, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +68,8 @@ def _one_shot_counts(engine, records):
     return engine.perturb(records, seed=SEED).joint_counts()
 
 
-def _stream_counts(engine, source, workers, dispatch="pickle"):
-    pipeline = PerturbationPipeline(
-        engine, chunk_size=CHUNK_SIZE, workers=workers, dispatch=dispatch
-    )
+def _stream_counts(engine, source, workers):
+    pipeline = PerturbationPipeline(engine, chunk_size=CHUNK_SIZE, workers=workers)
     return pipeline.accumulate(source, seed=SEED).counts
 
 
@@ -110,17 +101,10 @@ def test_stream_four_workers(benchmark, engine, records):
     assert counts.sum() == N_RECORDS
 
 
-def test_stream_four_workers_shm(benchmark, engine, records):
-    counts = benchmark.pedantic(
-        _stream_counts, args=(engine, records, 4, "shm"), rounds=3, iterations=1
-    )
-    assert counts.sum() == N_RECORDS
-
-
 def test_stream_four_workers_memmap(benchmark, engine, frd_path):
     source = open_frd(frd_path)
     counts = benchmark.pedantic(
-        _stream_counts, args=(engine, source, 4, "shm"), rounds=3, iterations=1
+        _stream_counts, args=(engine, source, 4), rounds=3, iterations=1
     )
     assert counts.sum() == N_RECORDS
 
@@ -162,40 +146,6 @@ def test_multiworker_beats_one_shot(engine, records, report):
         assert t_multi < t_one_shot, (
             f"multi-worker pipeline ({t_multi:.3f}s) should beat the one-shot "
             f"path ({t_one_shot:.3f}s) on {N_RECORDS:,} records"
-        )
-
-
-def test_shm_beats_pickle_dispatch(engine, records, frd_path, report):
-    """This PR's dispatch claim: zero-copy spans >= 2x pickled chunks.
-
-    Measured at the same worker count so the only variable is how
-    chunk data crosses the process boundary.  Also checks all dispatch
-    modes agree bit-for-bit, which is the invariant that makes the
-    comparison meaningful.
-    """
-    t_pickle, counts_pickle = _best_of(_stream_counts, engine, records, WORKERS)
-    t_shm, counts_shm = _best_of(
-        _stream_counts, engine, records, WORKERS, "shm"
-    )
-    source = open_frd(frd_path)
-    t_memmap, counts_memmap = _best_of(
-        _stream_counts, engine, source, WORKERS, "shm"
-    )
-    assert np.array_equal(counts_pickle, counts_shm)
-    assert np.array_equal(counts_pickle, counts_memmap)
-    rows = [f"{'dispatch':<12} {'seconds':>8} {'records/s':>12}"]
-    for name, t in (("pickle", t_pickle), ("shm", t_shm), ("memmap", t_memmap)):
-        rows.append(
-            f"{f'{name} w{WORKERS}':<12} {t:>8.3f} {N_RECORDS / t:>12,.0f}"
-        )
-    rows.append(f"shm speedup over pickle: {t_pickle / t_shm:.2f}x")
-    report("pipeline_dispatch", "\n".join(rows))
-    # The >= 2x claim needs real parallel hardware and the full-scale
-    # workload; small hosts/scales record the numbers without gating.
-    if dataset_scale() >= 1.0 and (os.cpu_count() or 1) >= 4:
-        assert t_pickle / t_shm >= 2.0, (
-            f"shm dispatch ({t_shm:.3f}s) should be >= 2x faster than pickle "
-            f"dispatch ({t_pickle:.3f}s) on {N_RECORDS:,} records"
         )
 
 

@@ -80,11 +80,7 @@ def _wide_dataset(schema: Schema) -> CategoricalDataset:
 def _reconstruct_singletons(composite, dataset) -> np.ndarray:
     """The benchmarked unit: pipeline-perturb, pack, invert marginals."""
     estimator = composite.build_estimator(
-        dataset,
-        seed=SEED,
-        workers=WORKERS,
-        chunk_size=CHUNK_SIZE,
-        dispatch="shm",
+        dataset, seed=SEED, workers=WORKERS, chunk_size=CHUNK_SIZE
     )
     return estimator.supports(all_items(dataset.schema))
 
@@ -163,7 +159,6 @@ def test_wide_end_to_end_mining(benchmark):
             seed=SEED,
             workers=WORKERS,
             chunk_size=CHUNK_SIZE,
-            dispatch="shm",
         )
 
     result = benchmark.pedantic(_mine, rounds=1, iterations=1)

@@ -63,8 +63,6 @@ from repro.pipeline import (
     PerturbationPipeline,
     mine_stream,
     reconstruct_stream,
-    stream_perturbed_bitmaps,
-    stream_perturbed_counts,
 )
 from repro.store import ClaimBoard, ResultStore, cache_key, code_fingerprint
 from repro.mechanisms import (
@@ -152,6 +150,4 @@ __all__ = [
     "reconstruct_stream",
     "register_mechanism",
     "save_frd",
-    "stream_perturbed_bitmaps",
-    "stream_perturbed_counts",
 ]

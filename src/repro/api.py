@@ -131,7 +131,7 @@ class Session:
     seed:
         Default perturbation seed; each verb accepts an overriding
         ``seed=`` keyword.
-    workers, chunk_size, dispatch:
+    workers, chunk_size:
         Execution knobs routed to
         :class:`~repro.pipeline.PerturbationPipeline` (in-process and
         one-shot when left at their defaults).
@@ -146,21 +146,15 @@ class Session:
         seed=None,
         workers: int = 1,
         chunk_size: int | None = None,
-        dispatch: str = "pickle",
     ):
         self.schema = schema
         self.mechanism = _resolve_mechanism(schema, mechanism, params)
         self.seed = seed
         self.workers = int(workers)
         self.chunk_size = chunk_size
-        self.dispatch = str(dispatch)
 
     def _pipelined(self) -> bool:
-        return (
-            self.workers != 1
-            or self.chunk_size is not None
-            or self.dispatch != "pickle"
-        )
+        return self.workers != 1 or self.chunk_size is not None
 
     def perturb(self, data, *, seed=None) -> CategoricalDataset:
         """Perturb a dataset (or raw record array) with this session's
@@ -177,7 +171,6 @@ class Session:
             pipeline = PerturbationPipeline(
                 self.mechanism,
                 workers=self.workers,
-                dispatch=self.dispatch,
                 **(
                     {}
                     if self.chunk_size is None
@@ -214,7 +207,6 @@ class Session:
             seed=seed,
             workers=self.workers,
             chunk_size=self.chunk_size,
-            dispatch=self.dispatch,
         )
         return apriori(estimator, self.schema, min_support, max_length)
 

@@ -16,8 +16,7 @@ supplies that substrate:
   synthetic generators standing in for the UCI/NHIS raw data -- see
   DESIGN.md for the substitution rationale);
 * :mod:`repro.data.backing` -- compact record storage policy: minimal
-  per-attribute dtypes, the uniform compact cell dtype, and the
-  record-block protocol behind the zero-copy pipeline dispatch;
+  per-attribute dtypes and the uniform compact cell dtype;
 * :mod:`repro.data.io` -- CSV round-tripping and the memory-mappable
   columnar ``.frd`` format for out-of-core datasets.
 """

@@ -1,4 +1,4 @@
-"""Compact record backing: minimal dtypes and uniform record blocks.
+"""Compact record backing: minimal dtypes for categorical cells.
 
 FRAPP datasets are categorical, so every cell is a small non-negative
 integer bounded by its attribute's cardinality -- yet the seed library
@@ -16,13 +16,6 @@ in one place:
   :func:`record_dtype` returns the widest of the per-attribute minimal
   dtypes (``uint8`` for both paper schemas -- an 8x reduction over
   ``int64``).
-* **Record blocks.**  A :class:`RecordBlock` is the unit the pipeline's
-  zero-copy dispatch operates on: anything exposing ``schema``,
-  ``n_records`` and ``records(start, stop)``.  :class:`ArrayRecordBlock`
-  wraps an in-RAM array; :class:`repro.data.io.FrdDataset` is the
-  memory-mapped implementation.  :func:`as_record_block` normalises the
-  pipeline's accepted source types into a block (or ``None`` for
-  unsized chunk iterables, which cannot be block-dispatched).
 
 Dtype choice can never change any count: category indices are equal as
 integers whatever their width, and every kernel downstream
@@ -34,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.schema import Schema, as_integer_array
+from repro.data.schema import Schema
 from repro.exceptions import DataError
 
 #: The unsigned dtype ladder minimal dtypes are drawn from.
@@ -46,7 +39,7 @@ def validate_in_domain(schema: Schema, records: np.ndarray) -> None:
 
     The one domain scan of the storage policy, shared by dataset
     construction, the ``.frd`` writer, the bitmap packer and the
-    shared-memory exporter.  Reports the first offending record and
+    service's wire decoder.  Reports the first offending record and
     attribute.
     """
     cards = np.asarray(schema.cardinalities, dtype=np.int64)
@@ -78,61 +71,3 @@ def column_dtypes(schema: Schema) -> tuple[np.dtype, ...]:
 def record_dtype(schema: Schema) -> np.dtype:
     """The uniform compact cell dtype: widest per-attribute minimum."""
     return max(column_dtypes(schema), key=lambda dtype: dtype.itemsize)
-
-
-class ArrayRecordBlock:
-    """An in-RAM :class:`RecordBlock` over an ``(N, M)`` record array.
-
-    ``records(start, stop)`` returns zero-copy views; the executor's
-    ``dispatch="shm"`` mode copies the whole block *once* into shared
-    memory and re-wraps the shared buffer with this class inside each
-    worker.
-    """
-
-    def __init__(self, schema: Schema, records: np.ndarray):
-        records = np.asarray(records)
-        if records.ndim != 2 or records.shape[1] != schema.n_attributes:
-            raise DataError(
-                f"record block must have shape (N, {schema.n_attributes}), "
-                f"got {records.shape}"
-            )
-        self.schema = schema
-        self._records = records
-
-    @property
-    def n_records(self) -> int:
-        """``N`` -- the number of records in the block."""
-        return int(self._records.shape[0])
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The cell dtype records are stored at."""
-        return self._records.dtype
-
-    def records(self, start: int, stop: int) -> np.ndarray:
-        """Zero-copy ``(stop - start, M)`` view of the block."""
-        return self._records[start:stop]
-
-
-def as_record_block(source, schema: Schema):
-    """Normalise a pipeline source into a :class:`RecordBlock`, if sized.
-
-    Datasets, raw record arrays and memory-mapped
-    :class:`~repro.data.io.FrdDataset` handles are blocks (random
-    access by span, known extent); generic chunk iterables are not and
-    yield ``None`` -- callers fall back to streaming dispatch.
-    """
-    from repro.data.dataset import CategoricalDataset
-    from repro.data.io import FrdDataset
-
-    if isinstance(source, CategoricalDataset):
-        if source.schema != schema:
-            raise DataError("dataset schema does not match the pipeline schema")
-        return ArrayRecordBlock(schema, source.records)
-    if isinstance(source, FrdDataset):
-        if source.schema != schema:
-            raise DataError("dataset schema does not match the pipeline schema")
-        return source
-    if isinstance(source, np.ndarray):
-        return ArrayRecordBlock(schema, as_integer_array(source))
-    return None

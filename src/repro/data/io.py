@@ -12,9 +12,8 @@ Two formats with complementary jobs:
   header that embeds the full schema.  :func:`open_frd` memory-maps
   the columns, so a :class:`FrdDataset` occupies no record heap at all:
   chunks are assembled on demand from page-cached file views, and the
-  multi-worker executor can hand workers nothing but the path and a
-  row span (``dispatch="shm"`` -- see
-  :mod:`repro.pipeline.executor`).
+  multi-worker executor hands its workers nothing but the path and a
+  row span per chunk (see :mod:`repro.pipeline.executor`).
 
 FRD layout (version 1, little-endian)::
 
@@ -340,7 +339,7 @@ class FrdSpool:
     acknowledge-after-fsync discipline this gives at-most-once
     semantics: an unacknowledged torn tail is dropped, never half-kept.
 
-    The spool implements the pipeline's record-block protocol
+    Like :class:`FrdDataset`, the spool serves record spans
     (``schema`` / ``n_records`` / ``records(start, stop)``), so
     estimators and miners read it like any dataset.
     """
@@ -487,9 +486,8 @@ class FrdSpool:
 class FrdDataset:
     """A memory-mapped ``.frd`` dataset (see :func:`open_frd`).
 
-    Implements the pipeline's record-block protocol (``schema``,
-    ``n_records``, ``records(start, stop)``) without ever materialising
-    the records on the heap: each attribute column is an
+    Serves record spans (``records(start, stop)``) without ever
+    materialising the records on the heap: each attribute column is an
     ``np.memmap`` view into the file, and chunk assembly copies only
     the requested span at the schema's compact cell dtype.
     """

@@ -17,9 +17,9 @@ and runs the always-on perturbation service:
    $ frapp ledger show acme      # one tenant's full ledger
    $ frapp kernels               # active counting kernel / native-kernel report
 
-Execution knobs (``--workers``, ``--chunk-size``, ``--dispatch``,
-``--jobs``, ``--claim-dir``, ``--lease``) are shared
-across all subcommands via :mod:`repro.experiments.options`.
+Execution knobs (``--workers``, ``--chunk-size``, ``--jobs``,
+``--claim-dir``, ``--lease``) are shared across all subcommands via
+:mod:`repro.experiments.options`.
 
 Experiment results are memoised in a content-addressed store (default
 ``~/.cache/frapp``, override with ``--cache-dir`` or
@@ -97,7 +97,6 @@ def _config_from_args(args) -> ExperimentConfig:
         n_records=args.records,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        dispatch=args.dispatch,
     )
 
 

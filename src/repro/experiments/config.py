@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.core.privacy import gamma_from_rho
 from repro.exceptions import ExperimentError
 from repro.mechanisms.registry import paper_mechanisms
-from repro.pipeline.executor import DISPATCH_MODES
 
 #: The paper's privacy requirement and its implied amplification bound.
 PAPER_RHO1 = 0.05
@@ -75,11 +74,6 @@ class ExperimentConfig:
     #: (MASK and C&P always run direct).
     workers: int = 1
     chunk_size: int | None = None
-    #: How multi-worker perturbation ships chunk data: ``"pickle"``
-    #: (per-chunk pipe copies) or ``"shm"`` (zero-copy shared-memory /
-    #: memmap spans).  Bit-identical outputs; see
-    #: :mod:`repro.pipeline.executor`.
-    dispatch: str = "pickle"
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -102,10 +96,6 @@ class ExperimentConfig:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ExperimentError(
                 f"chunk_size must be >= 1 (or None), got {self.chunk_size}"
-            )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ExperimentError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}"
             )
 
     def records_for(self, dataset_default: int) -> int:

@@ -1,20 +1,21 @@
 """Shared execution-knob options for every ``frapp`` invocation.
 
-The execution knobs -- ``--workers``, ``--chunk-size``, ``--dispatch``,
-``--jobs``, ``--claim-dir`` and ``--lease`` -- live in
-one parent parser (:func:`execution_options`) so every subcommand
-(experiments, ``serve``, future tools) spells them identically and
-help text cannot drift.  None of them changes a result.  The counting
-kernel and the record storage are not knobs at all: the kernel layer
-picks the kernel (:mod:`repro.mining.kernels`) and datasets are always
-stored compact (:mod:`repro.data.backing`).
+The execution knobs -- ``--workers``, ``--chunk-size``, ``--jobs``,
+``--claim-dir`` and ``--lease`` -- live in one parent parser
+(:func:`execution_options`) so every subcommand (experiments,
+``serve``, future tools) spells them identically and help text cannot
+drift.  None of them changes a result.  The counting kernel, the
+record storage and the chunk transport are not knobs at all: the
+kernel layer picks the kernel (:mod:`repro.mining.kernels`), datasets
+are always stored compact (:mod:`repro.data.backing`) and the
+executor picks the transport from the source
+(:mod:`repro.pipeline.executor`).
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.pipeline.executor import DISPATCH_MODES
 from repro.store.claims import DEFAULT_CLAIM_LEASE
 
 
@@ -37,14 +38,6 @@ def execution_options() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="records per pipeline chunk (unset = one-shot when workers=1)",
-    )
-    group.add_argument(
-        "--dispatch",
-        choices=list(DISPATCH_MODES),
-        default="pickle",
-        help="multi-worker chunk transport: per-chunk pickling (default) or "
-        "zero-copy shared-memory spans (identical results; needs --workers > 1 "
-        "to matter)",
     )
     group.add_argument(
         "--jobs",

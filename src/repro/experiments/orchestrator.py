@@ -23,9 +23,9 @@ Cache keys
 ----------
 A cell's key hashes ``{"func", "params"}`` together with the
 :func:`~repro.store.code_fingerprint` of the library source.  Knobs
-that cannot change the numbers (worker counts, the chunk ``dispatch``
-mode) live in :attr:`Cell.env` and stay *out* of the key; knobs that
-can (the spawn-seeded chunk layout of a multi-worker perturbation) are
+that cannot change the numbers (worker counts) live in
+:attr:`Cell.env` and stay *out* of the key; knobs that can (the
+spawn-seeded chunk layout of a multi-worker perturbation) are
 normalised into ``params``.
 
 Examples
@@ -166,8 +166,8 @@ class Cell:
     deps:
         Names of cells whose decoded results this cell consumes.
     env:
-        Result-invariant execution knobs (worker counts, dispatch);
-        excluded from the cache key by construction.
+        Result-invariant execution knobs (worker counts); excluded
+        from the cache key by construction.
     """
 
     name: str
@@ -279,7 +279,6 @@ def _compute_mechanism(params, deps, env):
         protocol=params["protocol"],
         workers=env.get("workers", 1),
         chunk_size=env.get("chunk_size"),
-        dispatch=env.get("dispatch", "pickle"),
     )
     run = run_mechanism(
         dataset,
@@ -403,15 +402,11 @@ def config_env(config: ExperimentConfig) -> dict:
     """The result-invariant execution knobs of a config, as cell env.
 
     Everything here is guaranteed (and tested) not to move any cell's
-    numbers: the worker layout and the chunk-dispatch mode both
-    produce bit-identical results.  Keeping them out of the cache key
-    means a warm cache survives switching any of them.
+    numbers: the part of the worker layout that does is normalised
+    into ``params`` by :func:`_pipeline_signature`.  Keeping the rest
+    out of the cache key means a warm cache survives switching it.
     """
-    return {
-        "workers": config.workers,
-        "chunk_size": config.chunk_size,
-        "dispatch": config.dispatch,
-    }
+    return {"workers": config.workers, "chunk_size": config.chunk_size}
 
 
 def mechanism_cell(

@@ -99,7 +99,6 @@ def run_mechanism(
         pipeline_kwargs = {
             "workers": config.workers,
             "chunk_size": config.chunk_size,
-            "dispatch": config.dispatch,
         }
     start = time.perf_counter()
     if config.protocol == "per-level":

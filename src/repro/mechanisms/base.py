@@ -19,9 +19,9 @@ module makes that bundle a first-class object:
   (:attr:`~ColumnarMechanism.uniform_width`).  That invariant is what
   lets :class:`~repro.mechanisms.composite.CompositeMechanism` slice
   one ``(m, K)`` uniform block across per-attribute parts and stay
-  chunk-splittable -- so composite outputs remain bit-identical across
-  worker counts and dispatch modes, exactly like the single-matrix
-  engines (see :mod:`repro.core.engine`).
+  chunk-splittable -- so composite outputs follow the pipeline's
+  determinism contract exactly like the single-matrix engines (see
+  :mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class Mechanism(abc.ABC):
     whether the mechanism's sampler satisfies the chunk protocol of
     :class:`repro.pipeline.PerturbationPipeline` (fixed-width uniform
     blocks per record, in record order) -- drivers route ``workers`` /
-    ``chunk_size`` / ``dispatch`` only to mechanisms that do.
+    ``chunk_size`` only to mechanisms that do.
     """
 
     #: Registry key (set per subclass, e.g. ``"det-gd"``).
@@ -220,22 +220,14 @@ class Mechanism(abc.ABC):
         """
 
     @abc.abstractmethod
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-    ):
+    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
         """Perturb ``dataset`` and wrap it in this mechanism's estimator.
 
         The returned object satisfies the Apriori ``SupportSource``
         protocol (``supports(itemsets) -> array``).  Mechanisms with
         ``supports_pipeline`` route non-default ``workers`` /
-        ``chunk_size`` / ``dispatch`` through
-        :class:`repro.pipeline.PerturbationPipeline`; others raise
-        :class:`~repro.exceptions.ExperimentError` for them.
+        ``chunk_size`` through :class:`repro.pipeline.PerturbationPipeline`;
+        others raise :class:`~repro.exceptions.ExperimentError` for them.
         """
 
     # ------------------------------------------------------------------
@@ -331,8 +323,8 @@ class ColumnarMechanism(Mechanism):
 
         Decode/encode round trip over :meth:`perturb_chunk`, so the
         uniform stream is consumed identically on the records and the
-        joint-index pipeline paths (which is what keeps pickle and shm
-        dispatch bit-identical).
+        joint-index pipeline paths (which is what keeps
+        ``accumulate`` bit-identical to ``perturb``-then-count).
         """
         records = self.schema.decode(joint)
         return self.schema.encode(self.perturb_chunk(records, rng))
@@ -361,14 +353,7 @@ class ColumnarMechanism(Mechanism):
             )
         return positions
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-    ):
+    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
         """Generic estimator: invert the induced marginal per itemset.
 
         The direct path perturbs in one shot and counts on the perturbed
@@ -391,10 +376,7 @@ class ColumnarMechanism(Mechanism):
         from repro.pipeline import DEFAULT_CHUNK_SIZE, PerturbationPipeline
 
         pipeline = PerturbationPipeline(
-            self,
-            chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-            workers=workers,
-            dispatch=dispatch,
+            self, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE, workers=workers
         )
         if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
             accumulator = pipeline.accumulate_bitmaps(dataset, seed=seed)

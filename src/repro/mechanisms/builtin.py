@@ -118,14 +118,7 @@ class GammaDiagonalMechanism(ColumnarMechanism):
         """Fixed-width sampler for composite slicing."""
         return self.engine.perturb_from_uniforms(records, draws)
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-    ):
+    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
         """Perturb and wrap in the Eq.-28 support estimator.
 
         The direct path (``workers=1``, no ``chunk_size``) perturbs in
@@ -150,10 +143,7 @@ class GammaDiagonalMechanism(ColumnarMechanism):
         )
 
         pipeline = PerturbationPipeline(
-            self.engine,
-            chunk_size=chunk_size or DEFAULT_CHUNK_SIZE,
-            workers=workers,
-            dispatch=dispatch,
+            self.engine, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE, workers=workers
         )
         if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
             return BitmapStreamSupportEstimator(
@@ -291,14 +281,7 @@ class MaskMechanism(Mechanism):
         """Booleanize and flip; returns the ``(N, M_b)`` bit matrix."""
         return self.operator.perturb(dataset, seed=seed)
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-    ):
+    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
         """Perturb and wrap in the tensor-power estimator."""
         from repro.mining.counting import MaskSupportEstimator
 
@@ -337,14 +320,7 @@ class CutAndPasteMechanism(Mechanism):
         """Apply the operator; returns the ``(N, M_b)`` bit matrix."""
         return self.operator.perturb(dataset, seed=seed)
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-    ):
+    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
         """Perturb and wrap in the partial-support estimator."""
         from repro.mining.counting import CutAndPasteSupportEstimator
 

@@ -22,9 +22,9 @@ Analytics follow the product structure exactly:
 
 Sampling preserves the fixed-width-uniforms-per-record invariant: the
 composite draws one ``(m, sum_i width_i)`` block per chunk and hands
-each part its column slice, so chunked output is bit-identical across
-chunk sizes, worker counts and dispatch modes, exactly like the
-single-matrix engines (see :mod:`repro.core.engine`).
+each part its column slice, so chunked output follows the pipeline's
+determinism contract exactly like the single-matrix engines (see
+:mod:`repro.core.engine` and :mod:`repro.pipeline.executor`).
 """
 
 from __future__ import annotations

@@ -88,13 +88,13 @@ class MechanismMiner:
         estimator construction to the mechanism and owns only the
         mining protocol.
 
-    ``workers`` / ``chunk_size`` / ``dispatch`` on the mining methods
-    route perturbation through
-    :class:`repro.pipeline.PerturbationPipeline` for mechanisms with
-    ``supports_pipeline`` (the gamma-diagonal engines and every
-    columnar/composite mechanism); other mechanisms reject non-default
-    values.  With ``workers=1`` the chunked estimates are bit-identical
-    to the direct path for the same seed (see DESIGN.md, "Scaling").
+    ``workers`` / ``chunk_size`` on the mining methods route
+    perturbation through :class:`repro.pipeline.PerturbationPipeline`
+    for mechanisms with ``supports_pipeline`` (the gamma-diagonal
+    engines and every columnar/composite mechanism); other mechanisms
+    reject non-default values.  With ``workers=1`` the chunked
+    estimates are bit-identical to the direct path for the same seed
+    (see DESIGN.md, "Scaling").
     """
 
     def __init__(self, mechanism: Mechanism):
@@ -120,28 +120,15 @@ class MechanismMiner:
         """Client-side step (exposed for inspection and reuse)."""
         return self.mechanism.perturb(dataset, seed=seed)
 
-    def build_estimator(
-        self,
-        dataset,
-        seed=None,
-        workers: int = 1,
-        chunk_size=None,
-        dispatch: str = "pickle",
-    ):
+    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
         """Perturb and wrap in the mechanism's support estimator.
 
         ``dataset`` may also be a chunk iterable (e.g.
         :func:`repro.data.io.iter_csv_chunks`) when a pipeline option is
         set; the direct path requires a materialised dataset.
-        ``dispatch="shm"`` routes multi-worker runs through zero-copy
-        shared-memory block dispatch (bit-identical outputs).
         """
         return self.mechanism.build_estimator(
-            dataset,
-            seed=seed,
-            workers=workers,
-            chunk_size=chunk_size,
-            dispatch=dispatch,
+            dataset, seed=seed, workers=workers, chunk_size=chunk_size
         )
 
     def mine(
@@ -152,15 +139,10 @@ class MechanismMiner:
         max_length=None,
         workers: int = 1,
         chunk_size=None,
-        dispatch: str = "pickle",
     ) -> AprioriResult:
         """Perturb, then Apriori-mine over reconstructed supports."""
         estimator = self.build_estimator(
-            dataset,
-            seed=seed,
-            workers=workers,
-            chunk_size=chunk_size,
-            dispatch=dispatch,
+            dataset, seed=seed, workers=workers, chunk_size=chunk_size
         )
         return apriori(estimator, self.schema, min_support, max_length)
 
@@ -172,15 +154,10 @@ class MechanismMiner:
         seed=None,
         workers: int = 1,
         chunk_size=None,
-        dispatch: str = "pickle",
     ) -> AprioriResult:
         """Per-level evaluation protocol (see :func:`mine_per_level`)."""
         estimator = self.build_estimator(
-            dataset,
-            seed=seed,
-            workers=workers,
-            chunk_size=chunk_size,
-            dispatch=dispatch,
+            dataset, seed=seed, workers=workers, chunk_size=chunk_size
         )
         return mine_per_level(estimator, self.schema, min_support, true_result)
 

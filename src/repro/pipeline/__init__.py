@@ -23,14 +23,12 @@ vectors.  This package exploits both facts to turn the one-shot
 from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
 from repro.pipeline.batch import SequentialPerturbStream
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE, iter_record_chunks
-from repro.pipeline.executor import DISPATCH_MODES, PerturbationPipeline
+from repro.pipeline.executor import PerturbationPipeline
 from repro.pipeline.streaming import (
     AccumulatedSupportEstimator,
     BitmapStreamSupportEstimator,
     mine_stream,
     reconstruct_stream,
-    stream_perturbed_bitmaps,
-    stream_perturbed_counts,
 )
 
 __all__ = [
@@ -38,13 +36,10 @@ __all__ = [
     "BitmapAccumulator",
     "BitmapStreamSupportEstimator",
     "DEFAULT_CHUNK_SIZE",
-    "DISPATCH_MODES",
     "JointCountAccumulator",
     "PerturbationPipeline",
     "SequentialPerturbStream",
     "iter_record_chunks",
     "mine_stream",
     "reconstruct_stream",
-    "stream_perturbed_bitmaps",
-    "stream_perturbed_counts",
 ]

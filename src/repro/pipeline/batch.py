@@ -4,8 +4,8 @@ The always-on service receives records in micro-batches whose
 boundaries are set by *traffic* (max-batch / max-latency flushes), not
 by a fixed chunk size.  :class:`SequentialPerturbStream` is the
 pipeline entry point for that shape of work: it threads **one**
-generator through successive batches, exactly like the executor's
-``seeding="sequential"`` discipline.
+generator through successive batches, exactly like the executor does
+with ``workers=1``.
 
 Determinism argument
 --------------------

@@ -8,65 +8,35 @@ out to a pool of worker processes.
 
 Determinism contract
 --------------------
-Two seeding disciplines are offered (``seeding=``):
+The chunks are the spans ``range(0, N, chunk_size)`` of a sized source
+(the items of a chunk iterable, re-sliced to at most ``chunk_size``).
 
-* ``"sequential"`` -- one generator is threaded through the chunks in
-  order.  Because every engine consumes a fixed-width block of uniforms
-  per record *in record order* (see :mod:`repro.core.engine`), the
-  output is **bit-identical to the one-shot** ``engine.perturb(dataset,
-  seed)`` for the same seed, for *any* chunk size.  A shared stream
-  cannot be split across processes, so this discipline always executes
-  serially.
-* ``"spawn"`` -- chunk ``i`` receives the ``i``-th child of
-  ``numpy.random.SeedSequence(seed)`` (spawned incrementally, so the
-  number of chunks need not be known up front).  Chunk outputs are then
-  statistically independent and fixed by ``(seed, chunk boundaries)``
-  alone -- **invariant across worker counts**, including serial
-  execution.
+* ``workers == 1`` -- one generator runs through the chunks in order.
+  Because every engine consumes a fixed-width block of uniforms per
+  record *in record order* (see :mod:`repro.core.engine`), the output
+  is **bit-identical to the one-shot** ``engine.perturb(dataset,
+  seed)`` for the same seed, for *any* chunk size.
+* ``workers > 1`` -- chunk ``i`` is perturbed with
+  ``default_rng(SeedSequence(seed).spawn(n)[i])`` (children are spawned
+  one chunk at a time, so ``n`` need not be known up front).  The
+  output is fixed by ``(seed, chunk boundaries)`` alone: it is the same
+  for every worker count ``>= 2`` and for either source type below.
 
-``seeding="auto"`` (the default) picks ``"sequential"`` when
-``workers == 1`` and ``"spawn"`` otherwise, i.e. single-worker runs
-reproduce the one-shot path exactly and multi-worker runs are
-reproducible across pool sizes.
-
-Dispatch modes
---------------
-``dispatch=`` controls how chunk *data* reaches the workers:
-
-* ``"pickle"`` (default) -- each task carries its chunk through the
-  ``multiprocessing.Pool`` pipe, i.e. one pickle + two pipe copies per
-  chunk.  Works for any source, including unsized chunk iterables.
-* ``"shm"`` -- zero-copy block dispatch.  The source must be a *record
-  block* (a dataset, a raw record array, or a memory-mapped
-  :class:`~repro.data.io.FrdDataset`).  An in-RAM block is placed once
-  in ``multiprocessing.shared_memory`` at the schema's compact cell
-  dtype; an ``.frd`` block is not copied at all -- workers re-open the
-  memory map themselves.  Tasks then carry only a ``(start, stop)``
-  row span plus a seed, and each worker reads its records as a view of
-  the shared block.
-
-Both modes spawn per-chunk seed streams over the *same* chunk
-boundaries (``range(0, N, chunk_size)``), so for a fixed seed the
-outputs are bit-identical across dispatch modes and worker counts.
-With ``workers=1`` dispatch is moot (everything runs in-process) and
-the sequential-seeding guarantee above applies unchanged -- including
-over memory-mapped sources.
+How chunk data reaches the workers follows from the source and can
+never change a result.  Workers of an open ``.frd``
+(:class:`~repro.data.io.FrdDataset`) re-open its memory map once and
+receive only ``(start, stop)`` row spans, so the parent never touches
+the records; any other source sends each chunk pickled through the
+pool pipe.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from collections import deque
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.data.backing import (
-    ArrayRecordBlock,
-    as_record_block,
-    record_dtype,
-    validate_in_domain,
-)
 from repro.data.dataset import CategoricalDataset
 from repro.data.io import FrdDataset, open_frd
 from repro.exceptions import DataError, ExperimentError
@@ -75,164 +45,69 @@ from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE, iter_record_chunks
 from repro.stats.rng import as_generator, as_seed_sequence
 
-_SEEDINGS = ("auto", "sequential", "spawn")
-
-#: How chunk data crosses the process boundary (see module docstring).
-DISPATCH_MODES = ("pickle", "shm")
-
 #: Engine handed to each pool worker once at startup (via
 #: ``_init_worker``), so tasks carry only (chunk, seed) -- the engine
 #: (and any state it caches lazily, like the dense sampler's CDF) is
 #: shipped and built per *worker*, not per chunk.
 _WORKER_ENGINE = None
 
-#: Record block attached by shm-dispatch workers at startup: a
-#: ``(block, shared_memory_handle_or_None)`` pair.  The handle is kept
-#: only to pin the mapping for the worker's lifetime.
-_WORKER_BLOCK = None
+#: The ``.frd`` source a worker re-opened at startup, or ``None`` when
+#: its tasks carry pickled chunks instead of row spans.
+_WORKER_FRD = None
 
 
-def _attach_block(schema, descriptor):
-    """Re-open a block descriptor inside a worker (or in-process).
-
-    Pool workers share the parent's resource tracker on every POSIX
-    start method (fork/forkserver inherit it; spawn receives the
-    tracker fd on the command line), and its registry is a set -- so
-    the attach-side re-registration is a no-op and the parent's
-    close-and-unlink remains the segment's single owner.  No
-    worker-side unregistration is needed (or safe: it would strip the
-    parent's only entry).
-    """
-    kind = descriptor[0]
-    if kind == "frd":
-        return open_frd(descriptor[1], schema=schema), None
-    _, name, shape, dtype_name = descriptor
-    shm = shared_memory.SharedMemory(name=name)
-    records = np.ndarray(shape, dtype=np.dtype(dtype_name), buffer=shm.buf)
-    records.setflags(write=False)
-    return ArrayRecordBlock(schema, records), shm
-
-
-def _export_block(schema, block):
-    """Publish a record block for worker access.
-
-    Returns ``(descriptor, owned_shm_or_None)``.  Memory-mapped blocks
-    export just their path; in-RAM blocks are copied *once* into a
-    shared-memory segment at the schema's compact cell dtype (the copy
-    is also the down-cast, validated when the source bytes were not).
-    """
-    if isinstance(block, FrdDataset):
-        return ("frd", str(block.path)), None
-    records = block.records(0, block.n_records)
-    dtype = record_dtype(schema)
-    if records.dtype != dtype:
-        validate_in_domain(schema, records)
-    nbytes = max(1, records.size * dtype.itemsize)
-    shm = shared_memory.SharedMemory(create=True, size=nbytes)
-    shared = np.ndarray(records.shape, dtype=dtype, buffer=shm.buf)
-    shared[...] = records
-    return ("shm", shm.name, records.shape, dtype.name), shm
-
-
-def _init_worker(engine, block_descriptor=None):
-    global _WORKER_ENGINE, _WORKER_BLOCK
+def _init_worker(engine, frd_path):
+    global _WORKER_ENGINE, _WORKER_FRD
     _WORKER_ENGINE = engine
-    if block_descriptor is not None:
-        _WORKER_BLOCK = _attach_block(engine.schema, block_descriptor)
+    _WORKER_FRD = None if frd_path is None else open_frd(frd_path, engine.schema)
 
 
-def _perturb_records(engine, task):
-    """Perturb one record chunk with its own child stream."""
-    records, seed_seq = task
-    return engine.perturb_chunk(records, np.random.default_rng(seed_seq))
+def _pool_task(work, chunk, seed_seq, encode):
+    """Run ``work`` on one chunk with its own stream.
+
+    A chunk of an ``.frd`` source arrives as a ``(start, stop)`` row
+    span and is read here -- and, with ``encode``, joint-encoded here,
+    next to the data.
+    """
+    if _WORKER_FRD is not None:
+        chunk = _WORKER_FRD.records(*chunk)
+        if encode:
+            chunk = _WORKER_ENGINE.schema.encode(chunk)
+    return work(_WORKER_ENGINE, chunk, np.random.default_rng(seed_seq))
 
 
-def _perturb_counts(engine, task):
+def _perturb_records(engine, records, rng):
+    """Perturb one record chunk."""
+    return engine.perturb_chunk(records, rng)
+
+
+def _perturb_counts(engine, joint, rng):
     """Perturb one joint-index chunk and bin it locally.
 
     Only the ``(|S_U|,)`` count vector crosses the process boundary,
     which is what makes the counting path scale: per-chunk IPC is
     independent of the chunk size.
     """
-    joint, seed_seq = task
-    perturbed = engine.perturb_joint(joint, np.random.default_rng(seed_seq))
+    perturbed = engine.perturb_joint(joint, rng)
     counts = np.bincount(perturbed, minlength=engine.schema.joint_size)
     return counts, joint.shape[0]
 
 
-def _perturb_bitmaps(engine, task):
+def _perturb_bitmaps(engine, records, rng):
     """Perturb one record chunk and pack it into transaction bitmaps.
 
     Packing happens worker-side, so only the packed words (~8x smaller
     than the records) cross the process boundary and the parent's fold
     is a cheap list append.
     """
-    records, seed_seq = task
-    perturbed = engine.perturb_chunk(records, np.random.default_rng(seed_seq))
+    perturbed = engine.perturb_chunk(records, rng)
     return TransactionBitmaps.from_records(engine.schema, perturbed)
-
-
-def _span_records(engine, block, task):
-    """Span-task sibling of :func:`_perturb_records` (shm dispatch)."""
-    (start, stop), seed_seq = task
-    records = block.records(start, stop)
-    return _perturb_records(engine, (records, seed_seq))
-
-
-def _span_counts(engine, block, task):
-    """Span-task sibling of :func:`_perturb_counts` (shm dispatch).
-
-    The joint encode happens here, next to the data, instead of in the
-    parent -- with a pool that serial parent-side stage disappears.
-    """
-    (start, stop), seed_seq = task
-    joint = engine.schema.encode(block.records(start, stop))
-    return _perturb_counts(engine, (joint, seed_seq))
-
-
-def _span_bitmaps(engine, block, task):
-    """Span-task sibling of :func:`_perturb_bitmaps` (shm dispatch)."""
-    (start, stop), seed_seq = task
-    records = block.records(start, stop)
-    return _perturb_bitmaps(engine, (records, seed_seq))
-
-
-def _pool_records_task(task):
-    return _perturb_records(_WORKER_ENGINE, task)
-
-
-def _pool_counts_task(task):
-    return _perturb_counts(_WORKER_ENGINE, task)
-
-
-def _pool_bitmaps_task(task):
-    return _perturb_bitmaps(_WORKER_ENGINE, task)
-
-
-def _pool_span_records_task(task):
-    return _span_records(_WORKER_ENGINE, _WORKER_BLOCK[0], task)
-
-
-def _pool_span_counts_task(task):
-    return _span_counts(_WORKER_ENGINE, _WORKER_BLOCK[0], task)
-
-
-def _pool_span_bitmaps_task(task):
-    return _span_bitmaps(_WORKER_ENGINE, _WORKER_BLOCK[0], task)
-
-
-_POOL_TASKS = {
-    _perturb_records: _pool_records_task,
-    _perturb_counts: _pool_counts_task,
-    _perturb_bitmaps: _pool_bitmaps_task,
-    _span_records: _pool_span_records_task,
-    _span_counts: _pool_span_counts_task,
-    _span_bitmaps: _pool_span_bitmaps_task,
-}
 
 
 class PerturbationPipeline:
     """Streaming, optionally multi-process, perturbation executor.
+
+    See the module docstring for the determinism contract.
 
     Parameters
     ----------
@@ -243,23 +118,9 @@ class PerturbationPipeline:
         Upper bound on records processed per batch.
     workers:
         Number of worker processes; ``1`` runs in-process.
-    seeding:
-        ``"auto"`` (default), ``"sequential"`` or ``"spawn"`` -- see the
-        module docstring for the determinism contract.
-    dispatch:
-        ``"pickle"`` (default) or ``"shm"`` -- how chunk data reaches
-        the workers; see the module docstring.  ``"shm"`` with
-        ``workers > 1`` requires a record-block source.
     """
 
-    def __init__(
-        self,
-        engine,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        workers: int = 1,
-        seeding: str = "auto",
-        dispatch: str = "pickle",
-    ):
+    def __init__(self, engine, chunk_size: int = DEFAULT_CHUNK_SIZE, workers: int = 1):
         for attr in ("schema", "perturb_chunk", "perturb_joint"):
             if not hasattr(engine, attr):
                 raise ExperimentError(
@@ -270,118 +131,53 @@ class PerturbationPipeline:
             raise ExperimentError(f"chunk_size must be >= 1, got {chunk_size}")
         if workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {workers}")
-        if seeding not in _SEEDINGS:
-            raise ExperimentError(f"seeding must be one of {_SEEDINGS}, got {seeding!r}")
-        if seeding == "sequential" and workers > 1:
-            raise ExperimentError(
-                "sequential seeding threads one RNG stream through the chunks and "
-                "cannot be split across workers; use seeding='spawn' (or workers=1)"
-            )
-        if dispatch not in DISPATCH_MODES:
-            raise ExperimentError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
         self.engine = engine
         self.schema = engine.schema
         self.chunk_size = int(chunk_size)
         self.workers = int(workers)
-        self.seeding = seeding
-        self.dispatch = dispatch
 
-    def _effective_seeding(self) -> str:
-        if self.seeding != "auto":
-            return self.seeding
-        return "sequential" if self.workers == 1 else "spawn"
+    def _map(self, work, source, seed, encode=False):
+        """Yield ``work(engine, chunk, rng)`` for each chunk, in order.
 
-    def _block_dispatch(self) -> bool:
-        """Whether chunk data should travel as shared-block spans."""
-        return self.dispatch == "shm" and self.workers > 1
-
-    def _require_block(self, source):
-        """Resolve ``source`` into a record block or fail loudly."""
-        block = as_record_block(source, self.schema)
-        if block is None:
-            raise ExperimentError(
-                "dispatch='shm' needs a record-block source (a dataset, a "
-                "record array, or an open .frd dataset); unsized chunk "
-                "iterables can only use dispatch='pickle'"
+        Chunks are record arrays, or joint indices with ``encode``.
+        The pool path keeps at most ``4 * workers`` chunks in flight,
+        so streaming sources larger than memory are never drained
+        eagerly.
+        """
+        frd_path = None
+        if self.workers > 1 and isinstance(source, FrdDataset):
+            if source.schema != self.schema:
+                raise DataError("chunk schema does not match the pipeline schema")
+            frd_path = str(source.path)
+            chunks = (
+                (start, start + self.chunk_size)
+                for start in range(0, source.n_records, self.chunk_size)
             )
-        return block
-
-    # ------------------------------------------------------------------
-    # execution strategies
-    # ------------------------------------------------------------------
-    def _map_sequential_stream(self, chunks, seed, transform):
-        """Thread one generator through the chunks, in order."""
-        rng = as_generator(seed)
-        for chunk in chunks:
-            yield transform(chunk, rng)
-
-    def _spawn_tasks(self, chunks, seed):
-        """Pair each chunk with its incrementally spawned child sequence."""
-        root = as_seed_sequence(seed)
-        for chunk in chunks:
-            yield chunk, root.spawn(1)[0]
-
-    def _span_tasks(self, n_records, seed):
-        """Spawn-seeded ``(start, stop)`` spans over a block.
-
-        The spans are exactly the chunk boundaries
-        ``iter_record_chunks`` would produce for the same block, and the
-        seeds are spawned in the same order -- which is why shm and
-        pickle dispatch produce bit-identical chunk outputs.
-        """
-        root = as_seed_sequence(seed)
-        for start in range(0, n_records, self.chunk_size):
-            stop = min(start + self.chunk_size, n_records)
-            yield (start, stop), root.spawn(1)[0]
-
-    def _map_spawn(self, work, tasks, block=None):
-        """Run spawn-seeded tasks, in order, serially or on a pool.
-
-        The engine (and, for shm dispatch, the block descriptor) is
-        handed to each pool worker once at startup; tasks carry only
-        (chunk-or-span, seed).  The pool path keeps at most
-        ``4 * workers`` chunks in flight, so streaming sources larger
-        than memory are never drained eagerly.  Shared-memory segments
-        exported for the block live exactly as long as the pool.
-        """
+        else:
+            chunks = iter_record_chunks(source, self.schema, self.chunk_size)
+            if encode:
+                chunks = (self.schema.encode(records) for records in chunks)
         if self.workers == 1:
-            if block is not None:
-                for task in tasks:
-                    yield work(self.engine, block, task)
-                return
-            for task in tasks:
-                yield work(self.engine, task)
+            rng = as_generator(seed)
+            for chunk in chunks:
+                yield work(self.engine, chunk, rng)
             return
-        pool, owned_shm = (None, None)
+        root = as_seed_sequence(seed)
+        pool = multiprocessing.Pool(
+            self.workers, initializer=_init_worker, initargs=(self.engine, frd_path)
+        )
         try:
-            descriptor = None
-            if block is not None:
-                descriptor, owned_shm = _export_block(self.schema, block)
-            pool = multiprocessing.Pool(
-                self.workers,
-                initializer=_init_worker,
-                initargs=(self.engine, descriptor),
-            )
             pending = deque()
-            pool_task = _POOL_TASKS[work]
-            for task in tasks:
-                pending.append(pool.apply_async(pool_task, (task,)))
+            for chunk in chunks:
+                task = (work, chunk, root.spawn(1)[0], encode)
+                pending.append(pool.apply_async(_pool_task, task))
                 while len(pending) >= 4 * self.workers:
                     yield pending.popleft().get()
             while pending:
                 yield pending.popleft().get()
         finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-            if owned_shm is not None:
-                owned_shm.close()
-                try:
-                    owned_shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
+            pool.terminate()
+            pool.join()
 
     # ------------------------------------------------------------------
     # public API
@@ -395,26 +191,12 @@ class PerturbationPipeline:
         datasets / record arrays (e.g. a CSV chunk reader).  Chunk
         dtypes follow the source (compact in, compact out).
         """
-        if self._block_dispatch():
-            block = self._require_block(source)
-            yield from self._map_spawn(
-                _span_records, self._span_tasks(block.n_records, seed), block=block
-            )
-            return
-        chunks = iter_record_chunks(source, self.schema, self.chunk_size)
-        if self._effective_seeding() == "sequential":
-            yield from self._map_sequential_stream(
-                chunks, seed, lambda records, rng: self.engine.perturb_chunk(records, rng)
-            )
-        else:
-            yield from self._map_spawn(
-                _perturb_records, self._spawn_tasks(chunks, seed)
-            )
+        return self._map(_perturb_records, source, seed)
 
     def perturb(self, dataset: CategoricalDataset, seed=None) -> CategoricalDataset:
         """Chunked counterpart of ``engine.perturb`` (same signature).
 
-        With ``workers=1`` (auto seeding) the result is bit-identical to
+        With ``workers=1`` the result is bit-identical to
         ``engine.perturb(dataset, seed)`` for any chunk size.
         """
         if dataset.schema != self.schema:
@@ -432,38 +214,12 @@ class PerturbationPipeline:
         Never materialises perturbed records beyond one chunk; with
         ``workers > 1`` each worker perturbs and bins its chunks in
         joint-index space and only count vectors return to the parent.
-        With ``dispatch="shm"`` the chunk *inputs* never cross the
-        process boundary either -- workers read spans of the shared (or
-        memory-mapped) block and encode them locally.
+        Workers of an ``.frd`` source also read and encode their own
+        spans, so the chunk inputs never cross the process boundary
+        either.
         """
         accumulator = JointCountAccumulator(self.schema)
-        if self._block_dispatch():
-            block = self._require_block(source)
-            results = self._map_spawn(
-                _span_counts, self._span_tasks(block.n_records, seed), block=block
-            )
-        else:
-            chunks = (
-                self.schema.encode(records)
-                for records in iter_record_chunks(source, self.schema, self.chunk_size)
-            )
-            if self._effective_seeding() == "sequential":
-                results = self._map_sequential_stream(
-                    chunks,
-                    seed,
-                    lambda joint, rng: (
-                        np.bincount(
-                            self.engine.perturb_joint(joint, rng),
-                            minlength=self.schema.joint_size,
-                        ),
-                        joint.shape[0],
-                    ),
-                )
-            else:
-                results = self._map_spawn(
-                    _perturb_counts, self._spawn_tasks(chunks, seed)
-                )
-        for counts, n_records in results:
+        for counts, n_records in self._map(_perturb_counts, source, seed, encode=True):
             accumulator.update_counts(counts, n_records)
         return accumulator
 
@@ -481,25 +237,6 @@ class PerturbationPipeline:
         exactly for the same seed.
         """
         accumulator = BitmapAccumulator(self.schema)
-        if self._block_dispatch():
-            block = self._require_block(source)
-            results = self._map_spawn(
-                _span_bitmaps, self._span_tasks(block.n_records, seed), block=block
-            )
-        else:
-            chunks = iter_record_chunks(source, self.schema, self.chunk_size)
-            if self._effective_seeding() == "sequential":
-                results = self._map_sequential_stream(
-                    chunks,
-                    seed,
-                    lambda records, rng: TransactionBitmaps.from_records(
-                        self.schema, self.engine.perturb_chunk(records, rng)
-                    ),
-                )
-            else:
-                results = self._map_spawn(
-                    _perturb_bitmaps, self._spawn_tasks(chunks, seed)
-                )
-        for bitmaps in results:
+        for bitmaps in self._map(_perturb_bitmaps, source, seed):
             accumulator.update_bitmaps(bitmaps)
         return accumulator

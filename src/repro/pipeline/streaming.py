@@ -31,7 +31,7 @@ from repro.core.engine import GammaDiagonalPerturbation
 from repro.core.gamma_diagonal import GammaDiagonalMatrix
 from repro.core.reconstruction import clip_counts, reconstruct_counts
 from repro.data.schema import Schema
-from repro.exceptions import MiningError
+from repro.exceptions import ExperimentError, MiningError
 from repro.mechanisms.base import MAX_JOINT_ACCUMULATION
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.counting import (
@@ -135,36 +135,6 @@ class BitmapStreamSupportEstimator:
         )
 
 
-def stream_perturbed_counts(
-    source,
-    engine,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: int = 1,
-    seed=None,
-    dispatch: str = "pickle",
-) -> JointCountAccumulator:
-    """Perturb a record stream and return its accumulated joint counts."""
-    pipeline = PerturbationPipeline(
-        engine, chunk_size=chunk_size, workers=workers, dispatch=dispatch
-    )
-    return pipeline.accumulate(source, seed=seed)
-
-
-def stream_perturbed_bitmaps(
-    source,
-    engine,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: int = 1,
-    seed=None,
-    dispatch: str = "pickle",
-) -> BitmapAccumulator:
-    """Perturb a record stream into accumulated transaction bitmaps."""
-    pipeline = PerturbationPipeline(
-        engine, chunk_size=chunk_size, workers=workers, dispatch=dispatch
-    )
-    return pipeline.accumulate_bitmaps(source, seed=seed)
-
-
 def mine_stream(
     source,
     schema: Schema,
@@ -175,13 +145,15 @@ def mine_stream(
     workers: int = 1,
     seed=None,
     max_length=None,
-    dispatch: str = "pickle",
 ) -> AprioriResult:
     """Privacy-preserving mining over a chunked record stream.
 
     Runs DET-GD perturbation (or the supplied ``engine``) through the
     chunked executor, accumulates the perturbed stream, and mines it
-    with Apriori over Eq.-28 reconstructed supports.
+    with Apriori over Eq.-28 reconstructed supports.  Those supports
+    invert the gamma-diagonal matrix of ``gamma``, so a supplied
+    ``engine`` must perturb over ``schema`` with that same ``gamma``;
+    anything else raises :class:`~repro.exceptions.ExperimentError`.
 
     The schema picks the accumulated representation, as
     :meth:`repro.mechanisms.ColumnarMechanism.build_estimator` does.
@@ -193,19 +165,25 @@ def mine_stream(
     map).  Wider schemas fold packed transaction bitmaps --
     ``O(N * M_b / 8)`` memory, independent of the joint domain -- and
     every mining pass runs on the AND/popcount kernels.  Both mine
-    identical itemsets for the same seed.  ``dispatch="shm"`` switches
-    multi-worker runs to zero-copy block dispatch (see
-    :class:`~repro.pipeline.executor.PerturbationPipeline`).
+    identical itemsets for the same seed.
     """
     if engine is None:
         engine = GammaDiagonalPerturbation(schema, gamma)
-    options = dict(chunk_size=chunk_size, workers=workers, seed=seed, dispatch=dispatch)
+    pipeline = PerturbationPipeline(engine, chunk_size=chunk_size, workers=workers)
+    if engine.schema != schema:
+        raise ExperimentError("engine schema does not match the stream schema")
+    engine_gamma = getattr(engine, "gamma", None)
+    if engine_gamma != gamma:
+        raise ExperimentError(
+            f"mine_stream reconstructs with gamma={gamma!r}, but the engine "
+            f"perturbs with gamma={engine_gamma!r}"
+        )
     if schema.joint_size <= MAX_JOINT_ACCUMULATION:
         estimator = AccumulatedSupportEstimator(
-            stream_perturbed_counts(source, engine, **options), gamma
+            pipeline.accumulate(source, seed=seed), gamma
         )
     else:
         estimator = BitmapStreamSupportEstimator(
-            stream_perturbed_bitmaps(source, engine, **options), gamma
+            pipeline.accumulate_bitmaps(source, seed=seed), gamma
         )
     return apriori(estimator, schema, min_support, max_length)

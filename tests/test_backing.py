@@ -1,17 +1,11 @@
-"""Tests for repro.data.backing: dtypes, record blocks, equivalence."""
+"""Tests for repro.data.backing: dtypes and count equivalence."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.backing import (
-    ArrayRecordBlock,
-    as_record_block,
-    column_dtypes,
-    minimal_dtype,
-    record_dtype,
-)
+from repro.data.backing import column_dtypes, minimal_dtype, record_dtype
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import DataError
@@ -53,47 +47,6 @@ class TestMinimalDtype:
         )
         assert column_dtypes(schema) == (np.dtype(np.uint8), np.dtype(np.uint16))
         assert record_dtype(schema) == np.dtype(np.uint16)
-
-
-class TestArrayRecordBlock:
-    def test_slicing_is_zero_copy(self, tiny_dataset):
-        block = ArrayRecordBlock(tiny_dataset.schema, tiny_dataset.records)
-        view = block.records(2, 5)
-        assert view.shape == (3, 2)
-        assert np.shares_memory(view, tiny_dataset.records)
-        assert block.n_records == tiny_dataset.n_records
-        assert block.dtype == tiny_dataset.records.dtype
-
-    def test_shape_validated(self, tiny_schema):
-        with pytest.raises(DataError):
-            ArrayRecordBlock(tiny_schema, np.zeros((4, 3), dtype=np.uint8))
-
-
-class TestAsRecordBlock:
-    def test_dataset_resolves(self, tiny_dataset):
-        block = as_record_block(tiny_dataset, tiny_dataset.schema)
-        assert block.n_records == tiny_dataset.n_records
-
-    def test_schema_mismatch_rejected(self, tiny_dataset, survey_schema):
-        with pytest.raises(DataError):
-            as_record_block(tiny_dataset, survey_schema)
-
-    def test_array_resolves(self, tiny_schema):
-        block = as_record_block(np.zeros((5, 2), dtype=np.uint8), tiny_schema)
-        assert block.n_records == 5
-
-    def test_iterable_is_not_a_block(self, tiny_dataset):
-        chunks = iter([tiny_dataset.records])
-        assert as_record_block(chunks, tiny_dataset.schema) is None
-
-    def test_frd_resolves(self, tiny_dataset, tmp_path):
-        from repro.data.io import open_frd, save_frd
-
-        path = tmp_path / "tiny.frd"
-        save_frd(tiny_dataset, path)
-        block = as_record_block(open_frd(path), tiny_dataset.schema)
-        assert block.n_records == tiny_dataset.n_records
-        assert np.array_equal(block.records(0, 3), tiny_dataset.records[:3])
 
 
 # ----------------------------------------------------------------------

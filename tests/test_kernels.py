@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_sides import KERNELS, OracleCounter, kernel_side, oracle_supports
+from spawn_reference import perturb_spawned
 
 from repro.baselines.mask import MaskPerturbation
 from repro.core.engine import GammaDiagonalPerturbation
@@ -41,7 +42,6 @@ from repro.pipeline import (
     BitmapStreamSupportEstimator,
     PerturbationPipeline,
     mine_stream,
-    stream_perturbed_bitmaps,
 )
 
 # ----------------------------------------------------------------------
@@ -322,10 +322,12 @@ def test_mine_stream_backends_identical(survey_dataset):
     schema = survey_dataset.schema
     stream = dict(chunk_size=700, seed=11)
     joint = mine_stream(survey_dataset, schema, 19.0, 0.05, **stream)
-    engine = GammaDiagonalPerturbation(schema, 19.0)
+    pipeline = PerturbationPipeline(
+        GammaDiagonalPerturbation(schema, 19.0), chunk_size=stream["chunk_size"]
+    )
     for side in KERNELS:
         with kernel_side(side):
-            bitmaps = stream_perturbed_bitmaps(survey_dataset, engine, **stream)
+            bitmaps = pipeline.accumulate_bitmaps(survey_dataset, seed=stream["seed"])
             mined = apriori(BitmapStreamSupportEstimator(bitmaps, 19.0), schema, 0.05)
         assert mined.frequent() == joint.frequent()
 
@@ -362,20 +364,19 @@ def test_bitmap_stream_estimator_sees_later_folds(survey_dataset):
 
 
 def test_accumulate_bitmaps_worker_invariance(survey_dataset):
-    """Worker-side packing returns the same bitmapped supports."""
+    """Worker-side packing returns the spawn oracle's bitmaps."""
     schema = survey_dataset.schema
     engine = GammaDiagonalPerturbation(schema, 19.0)
-    supports = {}
+    pipeline = PerturbationPipeline(engine, chunk_size=512, workers=2)
+    accumulator = pipeline.accumulate_bitmaps(survey_dataset, seed=3)
+    expected = TransactionBitmaps.from_dataset(
+        perturb_spawned(engine, survey_dataset, 3, 512)
+    )
     items = all_items(schema)
-    for workers in (1, 2):
-        pipeline = PerturbationPipeline(
-            engine, chunk_size=512, workers=workers, seeding="spawn"
-        )
-        accumulator = pipeline.accumulate_bitmaps(survey_dataset, seed=3)
-        supports[workers] = BitmapSupportCounter(accumulator.bitmaps).supports(
-            items
-        )
-    assert np.array_equal(supports[1], supports[2])
+    assert np.array_equal(
+        BitmapSupportCounter(accumulator.bitmaps).supports(items),
+        BitmapSupportCounter(expected).supports(items),
+    )
 
 
 def test_bitmap_stream_estimator_rejects_empty(survey_schema):
@@ -413,40 +414,26 @@ def test_miner_drivers_agree_across_backends(survey_dataset):
     seed=SEEDS,
     n=st.integers(1, 150),
 )
-def test_backend_worker_dispatch_matrix_bit_identical(schema, seed, n):
-    """Hypothesis: perturbed records and counts are invariant across the
-    workers x dispatch grid, on every kernel.
+def test_backend_worker_matrix_matches_spawn_reference(schema, seed, n):
+    """Hypothesis: perturbed records and counts are invariant across
+    worker counts, on every kernel.
 
-    One reference cell (workers=1, pickle) pins the perturbed records;
-    every other execution cell must reproduce them bit for bit, and on
-    each cell's output every kernel must return the ``bincount``
-    oracle's Apriori-level supports.
+    The serial spawn-per-chunk oracle pins the perturbed records; every
+    worker count must reproduce them bit for bit, and on that output
+    every kernel must return the ``bincount`` oracle's Apriori-level
+    supports.
     """
     dataset = _random_dataset(schema, seed, n)
     engine = GammaDiagonalPerturbation(schema, 19.0)
     items = all_items(schema)
     queries = items + generate_candidates(items)[:30]
-    reference_records = None
-    reference_supports = None
-    for workers in (1, 4):
-        for dispatch in ("pickle", "shm"):
-            pipeline = PerturbationPipeline(
-                engine,
-                chunk_size=48,
-                workers=workers,
-                seeding="spawn",
-                dispatch=dispatch,
-            )
-            perturbed = pipeline.perturb(dataset, seed=seed % 1009)
-            if reference_records is None:
-                reference_records = np.asarray(perturbed.records).copy()
-            else:
-                assert np.array_equal(reference_records, perturbed.records)
-            expected = oracle_supports(perturbed, queries)
-            if reference_supports is None:
-                reference_supports = expected
-            assert np.array_equal(reference_supports, expected)
-            for side in KERNELS:
-                with kernel_side(side):
-                    supports = ExactSupportCounter(perturbed).supports(queries)
-                assert np.array_equal(expected, supports)
+    reference = perturb_spawned(engine, dataset, seed % 1009, 48)
+    expected = oracle_supports(reference, queries)
+    for workers in (2, 4):
+        pipeline = PerturbationPipeline(engine, chunk_size=48, workers=workers)
+        perturbed = pipeline.perturb(dataset, seed=seed % 1009)
+        assert np.array_equal(reference.records, perturbed.records)
+    for side in KERNELS:
+        with kernel_side(side):
+            supports = ExactSupportCounter(reference).supports(queries)
+        assert np.array_equal(expected, supports)

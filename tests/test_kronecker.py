@@ -8,8 +8,7 @@ Three layers, mirroring how wide-schema reconstruction is built up:
   for the silent-``None``/ordering bug in ``marginal_matrix``);
 * end-to-end wide-schema reconstruction: a 50-attribute composite whose
   joint domain (``4**50``) could never be materialised perturbs,
-  reconstructs and mines -- bit-identically across worker counts and
-  dispatch modes.
+  reconstructs and mines -- bit-identically across worker counts.
 """
 
 import math
@@ -18,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spawn_reference import perturb_spawned
 
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
@@ -349,28 +349,26 @@ class TestWideSchema:
     def test_wide_pipeline_bit_identical_across_layouts(
         self, wide_composite, wide_dataset
     ):
-        """Spawn-seeded layouts (worker counts x dispatch modes) must
-        produce bit-identical estimates on a joint domain far beyond
-        any materialisable count vector."""
+        """Every multi-worker layout must produce the spawn oracle's
+        estimates on a joint domain far beyond any materialisable count
+        vector."""
+        from repro.mechanisms.base import MarginalInversionEstimator
+
         itemsets = [
             Itemset.of((0, 0)),
             Itemset.of((3, 2)),
             Itemset.of((0, 0), (17, 1)),
             Itemset.of((0, 0), (17, 1), (49, 2)),
         ]
-        reference = None
-        for workers, dispatch in [(2, "pickle"), (4, "pickle"), (2, "shm")]:
+        perturbed = perturb_spawned(wide_composite, wide_dataset, 11, 512)
+        reference = MarginalInversionEstimator(
+            wide_composite, perturbed.subset_counts, perturbed.n_records
+        ).supports(itemsets)
+        for workers in (2, 4):
             estimates = wide_composite.build_estimator(
-                wide_dataset,
-                seed=11,
-                workers=workers,
-                chunk_size=512,
-                dispatch=dispatch,
+                wide_dataset, seed=11, workers=workers, chunk_size=512
             ).supports(itemsets)
-            if reference is None:
-                reference = estimates
-            else:
-                assert np.array_equal(estimates, reference), (workers, dispatch)
+            assert np.array_equal(estimates, reference), workers
 
     def test_wide_end_to_end_mining(self, wide_composite, wide_dataset):
         """Perturb -> reconstruct -> mine without the joint ever existing."""

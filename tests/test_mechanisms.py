@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spawn_reference import perturb_spawned
 
 from repro.core.privacy import PrivacyRequirement, amplification, rho2_from_gamma
 from repro.data.dataset import CategoricalDataset
@@ -326,29 +327,22 @@ class TestCompositeSampler:
         out = warner_det_composite.perturb_chunk(records, np.random.default_rng(0))
         assert out.dtype == np.uint8
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("dispatch", ["pickle", "shm"])
+    @pytest.mark.parametrize("workers", [2, 4])
     def test_pipeline_bit_identity(
-        self, mixed_schema, warner_det_composite, rng, workers, dispatch
+        self, mixed_schema, warner_det_composite, rng, workers
     ):
-        """Accumulated composite counts are invariant across worker
-        counts and dispatch modes under spawn seeding -- the pipeline
-        contract extended to composites."""
+        """Accumulated composite counts equal the spawn-per-chunk oracle
+        at every worker count -- the pipeline contract extended to
+        composites."""
         records = np.stack(
             [rng.integers(0, c, 12_000) for c in mixed_schema.cardinalities], axis=1
         )
         dataset = CategoricalDataset(mixed_schema, records)
-        reference = PerturbationPipeline(
-            warner_det_composite, chunk_size=1024, workers=1, seeding="spawn"
-        ).accumulate(dataset, seed=99)
+        reference = perturb_spawned(warner_det_composite, dataset, 99, 1024)
         run = PerturbationPipeline(
-            warner_det_composite,
-            chunk_size=1024,
-            workers=workers,
-            seeding="spawn",
-            dispatch=dispatch,
+            warner_det_composite, chunk_size=1024, workers=workers
         ).accumulate(dataset, seed=99)
-        assert np.array_equal(reference.counts, run.counts)
+        assert np.array_equal(reference.joint_counts(), run.counts)
 
 
 class TestCompositeEstimation:
@@ -405,7 +399,7 @@ class TestCompositeEstimation:
         direct = warner_det_composite.build_estimator(dataset, seed=21).supports(
             itemsets
         )
-        # workers=1 chunked threads one stream (sequential seeding), so
+        # workers=1 chunked threads one stream through the chunks, so
         # estimates are bit-identical to the one-shot path.
         assert np.array_equal(chunked, direct)
 
@@ -431,18 +425,17 @@ class TestEndToEnd:
             },
         )
         runs = []
-        for workers, dispatch in ((1, "pickle"), (4, "pickle"), (4, "shm")):
+        for workers in (1, 2, 4):
             config = ExperimentConfig(
                 min_support=0.05,
                 workers=workers,
                 chunk_size=1024,
-                dispatch=dispatch,
                 protocol="apriori",
             )
             runs.append(run_mechanism(dataset, spec, config, seed=3))
         assert runs[0].mechanism == "WARNER+DET-GD"
-        # Multi-worker layouts (pickle vs shm) are bit-identical to each
-        # other; see the pipeline determinism contract.
+        # Multi-worker layouts are bit-identical to each other; see the
+        # pipeline determinism contract.
         assert runs[1].result.by_length == runs[2].result.by_length
         for run in runs:
             assert run.result.n_frequent > 0

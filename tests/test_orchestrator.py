@@ -107,38 +107,33 @@ class TestCellKeys:
 
     def test_env_is_not_keyed(self):
         orch = Orchestrator(store=None, fingerprint="fp")
-        pickled = exact_cell(SPEC, 0.02, env={"dispatch": "pickle"})
-        shared = exact_cell(SPEC, 0.02, env={"dispatch": "shm"})
-        assert orch.key_for(pickled) == orch.key_for(shared)
+        two = exact_cell(SPEC, 0.02, env={"workers": 2})
+        four = exact_cell(SPEC, 0.02, env={"workers": 4})
+        assert orch.key_for(two) == orch.key_for(four)
 
-    def test_dispatch_is_result_invariant_env(self):
-        """Cache-key sensitivity to ``dispatch``: none.
+    def test_worker_count_is_result_invariant_env(self):
+        """Cache-key sensitivity to the multi-worker count: none.
 
-        The dispatch mode is a bit-identity choice (pinned by the
-        pipeline test suite), so flipping it must *reuse* cached
-        results, not fragment the cache -- it rides in ``env`` and
-        stays out of the key.
+        Every worker count above one gives the spawn-per-chunk output
+        (pinned by the pipeline test suite), so switching between them
+        must *reuse* cached results, not fragment the cache -- the
+        count rides in ``env`` and stays out of the key.
         """
         orch = Orchestrator(store=None, fingerprint="fp")
         exact = exact_cell(SPEC, 0.02)
-        pickled = mechanism_cell(
-            SPEC,
-            "DET-GD",
-            ExperimentConfig(seed=3, dispatch="pickle"),
-            int_seed(1),
-            exact,
+        two, four = (
+            mechanism_cell(
+                SPEC,
+                "DET-GD",
+                ExperimentConfig(seed=3, workers=workers, chunk_size=1000),
+                int_seed(1),
+                exact,
+            )
+            for workers in (2, 4)
         )
-        shared = mechanism_cell(
-            SPEC,
-            "DET-GD",
-            ExperimentConfig(seed=3, dispatch="shm"),
-            int_seed(1),
-            exact,
-        )
-        assert orch.key_for(pickled) == orch.key_for(shared)
+        assert orch.key_for(two) == orch.key_for(four)
         # ...but the knob does reach the execution environment.
-        assert pickled.env["dispatch"] == "pickle"
-        assert shared.env["dispatch"] == "shm"
+        assert (two.env["workers"], four.env["workers"]) == (2, 4)
 
     def test_mechanism_results_identical_across_backends(self, tmp_path):
         """A cell computes the same numbers on every counting kernel."""

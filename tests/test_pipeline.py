@@ -4,8 +4,10 @@ The load-bearing guarantees:
 
 * chunked execution with ``workers=1`` is bit-identical to the one-shot
   ``engine.perturb()`` for the same seed, for any chunk size;
-* accumulated counts are invariant to the chunk size at ``workers=1``
-  and invariant to the worker count under spawn seeding;
+* accumulated counts are invariant to the chunk size at ``workers=1``;
+  with ``workers > 1`` every output equals the serial spawn-per-chunk
+  oracle (:mod:`spawn_reference`), whatever the worker count and
+  whether chunks travel pickled or as ``.frd`` row spans;
 * the accumulated-count support estimator matches the dataset-backed
   estimator exactly, so streaming mining equals one-shot mining.
 """
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from spawn_reference import perturb_spawned
 
 from repro.core.engine import (
     GammaDiagonalPerturbation,
@@ -37,7 +40,6 @@ from repro.pipeline import (
     iter_record_chunks,
     mine_stream,
     reconstruct_stream,
-    stream_perturbed_counts,
 )
 
 GAMMA = 19.0
@@ -193,25 +195,29 @@ class TestPipelineDeterminism:
         assert np.array_equal(acc.counts, reference)
 
     def test_spawn_totals_invariant_across_worker_counts(self, census, det_engine):
-        counts = [
-            PerturbationPipeline(
-                det_engine, chunk_size=2_048, workers=workers, seeding="spawn"
+        reference = perturb_spawned(det_engine, census, 5, 2_048).joint_counts()
+        for workers in (2, 3):
+            pipeline = PerturbationPipeline(
+                det_engine, chunk_size=2_048, workers=workers
             )
-            .accumulate(census, seed=5)
-            .counts
-            for workers in (1, 2, 3)
-        ]
-        assert np.array_equal(counts[0], counts[1])
-        assert np.array_equal(counts[1], counts[2])
+            acc = pipeline.accumulate(census, seed=5)
+            assert acc.n_records == census.n_records
+            assert np.array_equal(acc.counts, reference), workers
 
     def test_spawn_perturb_invariant_across_worker_counts(self, census, det_engine):
-        serial = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=1, seeding="spawn"
-        ).perturb(census, seed=5)
         pooled = PerturbationPipeline(
             det_engine, chunk_size=2_048, workers=2
         ).perturb(census, seed=5)
-        assert serial == pooled
+        assert pooled == perturb_spawned(det_engine, census, 5, 2_048)
+
+    def test_spawn_accepts_arrays_and_chunk_iterables(self, census, det_engine):
+        """Raw record arrays and unsized chunk iterables reach the pool
+        pickled, with the same chunk boundaries as the dataset."""
+        reference = perturb_spawned(det_engine, census, 5, 2_048).joint_counts()
+        pipeline = PerturbationPipeline(det_engine, chunk_size=2_048, workers=2)
+        for source in (census.records, iter([census.records])):
+            counts = pipeline.accumulate(source, seed=5).counts
+            assert np.array_equal(counts, reference)
 
     def test_spawn_reproducible_for_same_seed(self, census, det_engine):
         pipeline = PerturbationPipeline(det_engine, chunk_size=2_048, workers=2)
@@ -233,10 +239,6 @@ class TestPipelineDeterminism:
             PerturbationPipeline(det_engine, chunk_size=0)
         with pytest.raises(ExperimentError):
             PerturbationPipeline(det_engine, workers=0)
-        with pytest.raises(ExperimentError):
-            PerturbationPipeline(det_engine, seeding="nope")
-        with pytest.raises(ExperimentError):
-            PerturbationPipeline(det_engine, workers=2, seeding="sequential")
         with pytest.raises(ExperimentError):
             PerturbationPipeline(object())
 
@@ -328,11 +330,28 @@ class TestStreamingFrontEnd:
         )
         assert 1 in result.by_length
 
-    def test_stream_perturbed_counts_convenience(self, census, det_engine):
-        acc = stream_perturbed_counts(census, det_engine, chunk_size=1_024, seed=42)
-        assert np.array_equal(
-            acc.counts, det_engine.perturb(census, seed=42).joint_counts()
-        )
+    def test_mine_stream_rejects_a_mismatched_gamma(self):
+        """The stream inverts with ``gamma``, so the engine must perturb
+        with that gamma; an engine without one cannot be checked."""
+        data = generate_census(20_000, seed=1)
+        engine = GammaDiagonalPerturbation(data.schema, 5.0)
+        with pytest.raises(ExperimentError, match="gamma"):
+            mine_stream(data, data.schema, GAMMA, 0.02, engine=engine, seed=3)
+        dense = GammaDiagonalMatrix(data.schema.joint_size, GAMMA).to_dense()
+        no_gamma = MatrixPerturbation(data.schema, dense)
+        with pytest.raises(ExperimentError, match="gamma"):
+            mine_stream(data, data.schema, GAMMA, 0.02, engine=no_gamma, seed=3)
+        matched = GammaDiagonalPerturbation(data.schema, GAMMA)
+        expected = mine_stream(data, data.schema, GAMMA, 0.02, seed=3)
+        got = mine_stream(data, data.schema, GAMMA, 0.02, engine=matched, seed=3)
+        assert got == expected
+
+    def test_mine_stream_rejects_an_engine_on_another_schema(
+        self, census, tiny_dataset
+    ):
+        engine = GammaDiagonalPerturbation(tiny_dataset.schema, GAMMA)
+        with pytest.raises(ExperimentError, match="schema"):
+            mine_stream(census, census.schema, GAMMA, 0.02, engine=engine, seed=3)
 
 
 # ----------------------------------------------------------------------
@@ -364,84 +383,11 @@ class TestMinerIntegration:
             ExperimentConfig(workers=0)
         with pytest.raises(ExperimentError):
             ExperimentConfig(chunk_size=0)
-        with pytest.raises(ExperimentError):
-            ExperimentConfig(dispatch="carrier-pigeon")
 
 
 # ----------------------------------------------------------------------
-# zero-copy dispatch (shm / memmap)
+# memory-mapped sources (.frd)
 # ----------------------------------------------------------------------
-class TestShmDispatch:
-    """``dispatch="shm"`` must be a pure transport change: same chunk
-    boundaries, same spawned streams, bit-identical outputs."""
-
-    @pytest.fixture(scope="class")
-    def spawn_counts(self, census, det_engine):
-        """Reference: workers=1 spawn-seeded counts at chunk 2_048."""
-        pipeline = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=1, seeding="spawn"
-        )
-        return pipeline.accumulate(census, seed=5).counts
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_shm_counts_bit_identical(self, census, det_engine, spawn_counts, workers):
-        pipeline = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=workers, dispatch="shm"
-        )
-        assert np.array_equal(pipeline.accumulate(census, seed=5).counts, spawn_counts)
-
-    def test_shm_matches_pickle_dispatch(self, census, det_engine):
-        shm = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=2, dispatch="shm"
-        )
-        pickled = PerturbationPipeline(det_engine, chunk_size=2_048, workers=2)
-        assert np.array_equal(
-            shm.accumulate(census, seed=5).counts,
-            pickled.accumulate(census, seed=5).counts,
-        )
-
-    def test_shm_perturb_records_identical(self, census, det_engine):
-        shm = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=2, dispatch="shm"
-        )
-        pickled = PerturbationPipeline(det_engine, chunk_size=2_048, workers=2)
-        assert shm.perturb(census, seed=5) == pickled.perturb(census, seed=5)
-
-    def test_shm_bitmaps_identical(self, census, det_engine):
-        shm = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=2, dispatch="shm"
-        )
-        pickled = PerturbationPipeline(det_engine, chunk_size=2_048, workers=2)
-        assert np.array_equal(
-            shm.accumulate_bitmaps(census, seed=5).bitmaps.words,
-            pickled.accumulate_bitmaps(census, seed=5).bitmaps.words,
-        )
-
-    def test_shm_accepts_raw_record_arrays(self, census, det_engine, spawn_counts):
-        pipeline = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=2, dispatch="shm"
-        )
-        counts = pipeline.accumulate(census.records, seed=5).counts
-        assert np.array_equal(counts, spawn_counts)
-
-    def test_shm_rejects_unsized_iterables(self, census, det_engine):
-        pipeline = PerturbationPipeline(
-            det_engine, chunk_size=2_048, workers=2, dispatch="shm"
-        )
-        with pytest.raises(ExperimentError):
-            pipeline.accumulate(iter([census.records]), seed=5)
-
-    def test_invalid_dispatch_rejected(self, det_engine):
-        with pytest.raises(ExperimentError):
-            PerturbationPipeline(det_engine, dispatch="smoke-signals")
-
-    def test_workers1_shm_equals_one_shot(self, census, det_engine):
-        """With one worker dispatch is moot; the sequential guarantee
-        (bit-identical to ``engine.perturb``) must survive."""
-        pipeline = PerturbationPipeline(det_engine, chunk_size=2_048, dispatch="shm")
-        assert pipeline.perturb(census, seed=5) == det_engine.perturb(census, seed=5)
-
-
 class TestMemmapSource:
     @pytest.fixture(scope="class")
     def frd_path(self, census, tmp_path_factory):
@@ -452,25 +398,38 @@ class TestMemmapSource:
         return path
 
     def test_memmap_counts_equal_in_ram(self, census, det_engine, frd_path):
+        """With two workers an ``.frd`` travels as row spans and an
+        in-RAM dataset as pickled chunks; every output is identical."""
         from repro.data.io import open_frd
 
-        for workers, dispatch in [(1, "pickle"), (2, "pickle"), (2, "shm")]:
-            seeding = "spawn" if workers == 1 else "auto"
-            in_ram = PerturbationPipeline(
-                det_engine,
-                chunk_size=2_048,
-                workers=workers,
-                seeding=seeding,
-                dispatch=dispatch,
-            ).accumulate(census, seed=5)
-            mapped = PerturbationPipeline(
-                det_engine,
-                chunk_size=2_048,
-                workers=workers,
-                seeding=seeding,
-                dispatch=dispatch,
-            ).accumulate(open_frd(frd_path), seed=5)
+        for workers in (1, 2):
+            pipeline = PerturbationPipeline(
+                det_engine, chunk_size=2_048, workers=workers
+            )
+            in_ram = pipeline.accumulate(census, seed=5)
+            mapped = pipeline.accumulate(open_frd(frd_path), seed=5)
             assert np.array_equal(in_ram.counts, mapped.counts)
+        assert np.array_equal(
+            mapped.counts,
+            perturb_spawned(det_engine, census, 5, 2_048).joint_counts(),
+        )
+        assert np.array_equal(
+            np.concatenate(list(pipeline.perturb_stream(open_frd(frd_path), seed=5))),
+            pipeline.perturb(census, seed=5).records,
+        )
+        assert np.array_equal(
+            pipeline.accumulate_bitmaps(open_frd(frd_path), seed=5).bitmaps.words,
+            pipeline.accumulate_bitmaps(census, seed=5).bitmaps.words,
+        )
+
+    def test_spans_reject_another_schema(self, det_engine, tiny_dataset, tmp_path):
+        from repro.data.io import open_frd, save_frd
+
+        path = tmp_path / "tiny.frd"
+        save_frd(tiny_dataset, path)
+        pipeline = PerturbationPipeline(det_engine, chunk_size=2, workers=2)
+        with pytest.raises(DataError):
+            pipeline.accumulate(open_frd(path), seed=5)
 
     def test_memmap_sequential_equals_one_shot(self, census, det_engine, frd_path):
         from repro.data.io import open_frd

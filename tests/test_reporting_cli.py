@@ -335,7 +335,7 @@ class TestUnifiedKnobs:
         )
 
     #: Spellings the execution group no longer takes: the five old
-    #: aliases and the three removed knobs.
+    #: aliases and the four removed knobs.
     REMOVED_SPELLINGS = (
         ("--num-workers", "3"),
         ("--chunksize", "128"),
@@ -345,6 +345,7 @@ class TestUnifiedKnobs:
         ("--count-backend", "native"),
         ("--backend", "int64"),
         ("--solver", "portfolio"),
+        ("--dispatch", "shm"),
     )
 
     @pytest.mark.parametrize(("spelling", "value"), REMOVED_SPELLINGS)
