@@ -218,6 +218,8 @@ class CutAndPastePerturbation:
         self.schema = schema
         self.max_cut = int(max_cut)
         self.rho = float(rho)
+        # Partial-support matrices by itemset length, built on first use.
+        self._matrices: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_gamma(
@@ -268,8 +270,19 @@ class CutAndPastePerturbation:
     # support reconstruction
     # ------------------------------------------------------------------
     def reconstruction_matrix(self, k: int) -> np.ndarray:
-        """Partial-support matrix for ``k``-itemsets."""
-        return partial_support_matrix(self.schema.n_attributes, self.max_cut, self.rho, k)
+        """Partial-support matrix for ``k``-itemsets.
+
+        Built once per ``k`` and returned read-only: every caller shares
+        the cached array.
+        """
+        matrix = self._matrices.get(k)
+        if matrix is None:
+            matrix = partial_support_matrix(
+                self.schema.n_attributes, self.max_cut, self.rho, k
+            )
+            matrix.setflags(write=False)
+            self._matrices[k] = matrix
+        return matrix
 
     def estimate_itemset_support(self, perturbed_bits: np.ndarray, positions) -> float:
         """Estimated fractional support of the itemset on given bit columns.

@@ -104,6 +104,8 @@ class MaskPerturbation:
             raise MatrixError(f"p must lie in [0, 1], got {p}")
         self.schema = schema
         self.p = float(p)
+        # Tensor-power matrices by itemset length, built on first use.
+        self._matrices: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_gamma(cls, schema: Schema, gamma: float) -> "MaskPerturbation":
@@ -166,7 +168,8 @@ class MaskPerturbation:
         ``observed_counts`` is the length-``2^k`` perturbed pattern
         distribution (msb-first codes, as produced by
         :meth:`estimate_pattern_counts`'s counting pass or by the bitmap
-        kernel's :func:`repro.mining.kernels.pattern_counts`).
+        kernel's :func:`repro.mining.kernels.pattern_counts`).  The
+        ``2^k x 2^k`` matrix is built once per ``k`` and kept read-only.
         """
         observed = np.asarray(observed_counts, dtype=float)
         size = observed.shape[0]
@@ -175,7 +178,11 @@ class MaskPerturbation:
             raise DataError(
                 f"pattern counts must have a 2^k length >= 2, got {size}"
             )
-        matrix = itemset_matrix(self.p, k)
+        matrix = self._matrices.get(k)
+        if matrix is None:
+            matrix = itemset_matrix(self.p, k)
+            matrix.setflags(write=False)
+            self._matrices[k] = matrix
         return np.linalg.solve(matrix, observed)
 
     def estimate_itemset_support(self, perturbed_bits: np.ndarray, positions) -> float:

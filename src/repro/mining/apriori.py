@@ -12,6 +12,7 @@ reuse the same miner (paper Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -77,18 +78,22 @@ def generate_candidates(frequent_level: list[Itemset]) -> list[Itemset]:
     (downward closure).
     """
     ordered = sorted(frequent_level)
-    frequent_set = set(ordered)
+    frequent = {itemset.items for itemset in ordered}
     candidates = []
-    for i, left in enumerate(ordered):
-        for right in ordered[i + 1 :]:
-            if left.items[:-1] != right.items[:-1]:
-                # ordered list: no later itemset shares the prefix either
-                break
-            if left.items[-1][0] == right.items[-1][0]:
-                continue
-            candidate = Itemset(left.items + (right.items[-1],))
-            if all(s in frequent_set for s in candidate.subsets_dropping_one()):
-                candidates.append(candidate)
+    # Sorted order keeps each prefix's itemsets adjacent, and a join of
+    # two of them is again sorted with distinct attributes.
+    for prefix, group in groupby(ordered, key=lambda itemset: itemset.items[:-1]):
+        tails = [itemset.items[-1] for itemset in group]
+        for i, left in enumerate(tails):
+            for right in tails[i + 1 :]:
+                if left[0] == right[0]:
+                    continue
+                items = prefix + (left, right)
+                # Dropping ``left`` or ``right`` gives a parent; check
+                # the subsets that drop a prefix item.
+                subsets = (items[:j] + items[j + 1 :] for j in range(len(prefix)))
+                if all(subset in frequent for subset in subsets):
+                    candidates.append(Itemset._trusted(items))
     return candidates
 
 

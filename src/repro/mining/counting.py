@@ -20,13 +20,16 @@ Implementations:
   partial-support system.
 
 Every *observed*-support side (exact counting, and the counting pass of
-the DET-GD/RAN-GD and MASK estimators) runs on the packed AND/popcount
-kernels of :mod:`repro.mining.kernels`: whole candidate batches per
-Apriori level, with the previous level's itemset bitmaps cached.  The
-kernel layer itself picks the compiled or the NumPy kernels; both give
-integer counts identical to a per-subset ``bincount``
-(:func:`supports_from_subset_counts`, the tests' oracle), so supports
-are bit-identical floats either way.
+the DET-GD/RAN-GD, MASK and C&P estimators) runs on the packed
+AND/popcount kernels of :mod:`repro.mining.kernels`: whole candidate
+batches per Apriori level, with the previous level's itemset bitmaps
+cached.  MASK and C&P also keep every counted itemset in a
+:class:`~repro.mining.kernels.counting.SupersetCounts` memo, from which
+a candidate's ``2^k`` pattern counts follow without touching the
+bitmaps again.  The kernel layer itself picks the compiled or the NumPy
+kernels; both give integer counts identical to a per-subset
+``bincount`` (:func:`supports_from_subset_counts`, the tests' oracle),
+so supports are bit-identical floats either way.
 """
 
 from __future__ import annotations
@@ -39,12 +42,8 @@ from repro.core.marginal import estimate_subset_supports_batch
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MiningError
-from repro.mining.kernels import (
-    BitmapSupportCounter,
-    TransactionBitmaps,
-    pattern_counts,
-)
-from repro.mining.kernels.counting import MAX_PATTERN_BITS
+from repro.mining.kernels import BitmapSupportCounter, TransactionBitmaps
+from repro.mining.kernels.counting import MAX_PATTERN_BITS, SupersetCounts
 
 
 def supports_from_subset_counts(
@@ -148,21 +147,18 @@ class GammaDiagonalSupportEstimator:
         )
 
 
-class MaskSupportEstimator:
-    """Reconstructed supports from MASK-perturbed boolean data.
+class _BooleanSupportEstimator:
+    """Observed side shared by the MASK and C&P estimators.
 
-    The observed pattern distribution of each candidate is computed from
-    packed bit columns (superset popcounts + a Möbius transform, see
-    :func:`repro.mining.kernels.pattern_counts`) instead of re-scanning
-    the ``(N, M_b)`` bit matrix per candidate.  Only candidates wider
-    than :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits
-    are scanned directly.  The tensor-power solve is shared, so
-    estimates are identical either way.
+    Both reconstruct a candidate from the counts of its ``2^k`` bit
+    patterns over the perturbed ``(N, M_b)`` bit matrix.  Each batch is
+    counted by a :class:`~repro.mining.kernels.BitmapSupportCounter`
+    and recorded in a
+    :class:`~repro.mining.kernels.counting.SupersetCounts` memo, which
+    then yields the pattern counts.
     """
 
-    def __init__(
-        self, schema: Schema, perturbed_bits: np.ndarray, mask: MaskPerturbation
-    ):
+    def __init__(self, schema: Schema, perturbed_bits: np.ndarray):
         perturbed_bits = np.asarray(perturbed_bits)
         if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
             raise DataError(
@@ -171,43 +167,79 @@ class MaskSupportEstimator:
             )
         self.schema = schema
         self.perturbed_bits = perturbed_bits
-        self.mask = mask
-        self._bitmaps: TransactionBitmaps | None = None
+        bitmaps = TransactionBitmaps.from_boolean_matrix(schema, perturbed_bits)
+        self._counter = BitmapSupportCounter(bitmaps)
+        self._supersets = SupersetCounts(bitmaps)
 
-    def _pattern_counts(self, positions) -> np.ndarray:
-        if self._bitmaps is None:
-            self._bitmaps = TransactionBitmaps.from_boolean_matrix(
-                self.schema, self.perturbed_bits
-            )
-        return pattern_counts(self._bitmaps, positions)
+    def _observed(self, itemsets: list) -> tuple[list, list]:
+        """Bit rows and pattern counts (None when too wide) per itemset.
+
+        Rows are resolved by
+        :meth:`~repro.mining.kernels.TransactionBitmaps.itemset_rows`,
+        which rejects items outside the schema's domain.
+        """
+        bitmaps = self._counter.bitmaps
+        rows = [bitmaps.itemset_rows(itemset) for itemset in itemsets]
+        if itemsets and bitmaps.n_records == 0:
+            raise DataError("empty perturbed database")
+        narrow = [i for i, r in enumerate(rows) if len(r) <= MAX_PATTERN_BITS]
+        patterns = [None] * len(itemsets)
+        if narrow:
+            counts = self._counter.counts([itemsets[i] for i in narrow])
+            # Record the whole batch first: a candidate's subsets may
+            # come later in the same batch.
+            for i, count in zip(narrow, counts):
+                self._supersets.record(rows[i], count)
+            for i in narrow:
+                patterns[i] = self._supersets.patterns(rows[i])
+        return rows, patterns
+
+
+class MaskSupportEstimator(_BooleanSupportEstimator):
+    """Reconstructed supports from MASK-perturbed boolean data.
+
+    Each candidate's pattern counts, from memoised superset counts over
+    the packed perturbed bits, go through the operator's tensor-power
+    solve, so every estimate equals
+    :meth:`~repro.baselines.mask.MaskPerturbation.estimate_itemset_support`,
+    the per-candidate column scan that answers candidates wider than
+    :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits.
+    """
+
+    def __init__(
+        self, schema: Schema, perturbed_bits: np.ndarray, mask: MaskPerturbation
+    ):
+        super().__init__(schema, perturbed_bits)
+        self.mask = mask
 
     def supports(self, itemsets) -> np.ndarray:
         """Tensor-power reconstruction per candidate (paper Section 7)."""
         itemsets = list(itemsets)
+        rows, patterns = self._observed(itemsets)
         n_records = self.perturbed_bits.shape[0]
         estimates = np.empty(len(itemsets))
-        for i, itemset in enumerate(itemsets):
-            positions = itemset.boolean_positions(self.schema)
-            if len(positions) <= MAX_PATTERN_BITS:
-                if n_records == 0:
-                    raise DataError("empty perturbed database")
-                observed = self._pattern_counts(positions).astype(float)
-                estimates[i] = float(
-                    self.mask.solve_pattern_counts(observed)[-1] / n_records
-                )
-            else:
+        for i, observed in enumerate(patterns):
+            if observed is None:
                 estimates[i] = self.mask.estimate_itemset_support(
-                    self.perturbed_bits, positions
+                    self.perturbed_bits, rows[i]
                 )
+                continue
+            solved = self.mask.solve_pattern_counts(observed.astype(float))
+            estimates[i] = float(solved[-1] / n_records)
         return estimates
 
 
-class CutAndPasteSupportEstimator:
+class CutAndPasteSupportEstimator(_BooleanSupportEstimator):
     """Reconstructed supports from C&P-perturbed boolean data.
 
-    The partial-support system consumes per-record set-bit counts over
-    the candidate's columns (not an all-bits AND), so this estimator
-    scans the bit matrix per candidate rather than counting bitmaps.
+    The partial-support system takes each candidate's intersection-size
+    histogram: its pattern counts, from memoised superset counts over
+    the packed perturbed bits, folded by the popcount of the pattern
+    code with integer adds.  The solve is the operator's, so every
+    estimate equals
+    :meth:`~repro.baselines.cut_and_paste.CutAndPastePerturbation.estimate_itemset_support`,
+    the per-candidate column scan that answers candidates wider than
+    :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits.
     """
 
     def __init__(
@@ -216,23 +248,30 @@ class CutAndPasteSupportEstimator:
         perturbed_bits: np.ndarray,
         operator: CutAndPastePerturbation,
     ):
-        perturbed_bits = np.asarray(perturbed_bits)
-        if perturbed_bits.ndim != 2 or perturbed_bits.shape[1] != schema.n_boolean:
-            raise DataError(
-                f"perturbed bits must have shape (N, {schema.n_boolean}), "
-                f"got {perturbed_bits.shape}"
-            )
-        self.schema = schema
-        self.perturbed_bits = perturbed_bits
+        super().__init__(schema, perturbed_bits)
         self.operator = operator
 
     def supports(self, itemsets) -> np.ndarray:
         """Partial-support-system reconstruction per candidate."""
         itemsets = list(itemsets)
+        rows, patterns = self._observed(itemsets)
+        n_records = self.perturbed_bits.shape[0]
         estimates = np.empty(len(itemsets))
-        for i, itemset in enumerate(itemsets):
-            positions = itemset.boolean_positions(self.schema)
-            estimates[i] = self.operator.estimate_itemset_support(
-                self.perturbed_bits, positions
+        for i, observed in enumerate(patterns):
+            if observed is None:
+                estimates[i] = self.operator.estimate_itemset_support(
+                    self.perturbed_bits, rows[i]
+                )
+                continue
+            k = len(rows[i])
+            histogram = np.zeros(k + 1, dtype=np.int64)
+            np.add.at(histogram, [code.bit_count() for code in range(1 << k)], observed)
+            # The operator's least-squares solve (the matrix is
+            # rank-deficient beyond K items).
+            solution, *_ = np.linalg.lstsq(
+                self.operator.reconstruction_matrix(k),
+                histogram.astype(float) / n_records,
+                rcond=None,
             )
+            estimates[i] = float(solution[k])
         return estimates

@@ -47,6 +47,17 @@ class Itemset:
         """Convenience variadic constructor."""
         return cls(items)
 
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[int, int], ...]) -> "Itemset":
+        """An itemset over ``items`` as given, skipping validation.
+
+        ``items`` must already be a sorted tuple of ``(int, int)`` pairs
+        on distinct attributes, such as an Apriori join of two itemsets.
+        """
+        itemset = object.__new__(cls)
+        object.__setattr__(itemset, "items", items)
+        return itemset
+
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------

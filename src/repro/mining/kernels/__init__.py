@@ -14,8 +14,9 @@ itemset bitmaps so a level-``k`` candidate costs a single AND.
   (:class:`TransactionBitmaps`) plus the popcount/packing primitives;
 * :mod:`repro.mining.kernels.counting` -- the batched
   :class:`BitmapSupportCounter` (an Apriori ``SupportSource``), the
-  MASK pattern-count kernel and the vectorized transaction compressor
-  used by FP-Growth;
+  memoised superset counts behind the MASK and C&P estimators' pattern
+  counts (:class:`~repro.mining.kernels.counting.SupersetCounts`) and
+  the vectorized transaction compressor used by FP-Growth;
 * :mod:`repro.mining.kernels.native` -- typed wrappers around the
   optional compiled extension (``repro._native_kernels``): threaded
   hardware-popcount AND reductions and the fused sample-and-encode

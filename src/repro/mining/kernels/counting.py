@@ -11,9 +11,10 @@ batched.
 
 Also here:
 
-* :func:`pattern_counts` -- exact counts of all ``2^k`` bit patterns
-  over ``k`` bitmap rows (superset popcounts + a Möbius transform),
-  which is how the MASK estimator's observed side runs on bitmaps;
+* :class:`SupersetCounts` -- memoised superset popcounts over bitmap
+  rows and their Möbius transform into exact ``2^k`` pattern counts,
+  which is how the MASK and C&P estimators' observed side runs on
+  bitmaps (:func:`pattern_counts` is its one-shot form);
 * :func:`compress_transactions` -- vectorized transaction weighting for
   FP-Growth (one ``np.unique`` pass instead of a per-record Python
   loop).
@@ -30,8 +31,8 @@ from repro.mining.kernels.bitmap import TransactionBitmaps, popcount_words
 
 #: Pattern spaces larger than this are beyond :func:`pattern_counts`:
 #: 2^k AND/popcounts (and the 2^k x 2^k tensor-power solve downstream)
-#: stop paying off, so the MASK estimator scans those candidates
-#: directly instead.
+#: stop paying off, so the MASK and C&P estimators scan those
+#: candidates directly instead.
 MAX_PATTERN_BITS = 12
 
 
@@ -158,6 +159,82 @@ class BitmapSupportCounter:
         return self.counts(itemsets) / self.bitmaps.n_records
 
 
+class SupersetCounts:
+    """Memoised superset counts over the rows of one bitmap set.
+
+    ``m[S]`` -- the number of records with every row of ``S`` set -- is
+    kept per row tuple ``S`` (``m[()]`` is the record count).
+    :meth:`patterns` turns the ``2^k`` superset counts of a ``k``-row
+    set into its exact pattern counts with a superset Möbius transform.
+    Callers pass rows in one fixed order (itemset rows are ascending),
+    so a subset's key is the same whichever superset asks for it.
+
+    Subsets missing from the memo are filled by walking the subset
+    lattice depth-first: each subset costs one AND against its parent's
+    bitmap, and only the ``O(k)`` bitmaps on the current path stay live.
+    Callers that :meth:`record` the counts they already have skip the
+    walk: every proper subset of an Apriori candidate was a candidate at
+    an earlier level, so the MASK and C&P estimators, which record each
+    candidate's count from :meth:`BitmapSupportCounter.counts`, answer a
+    level from the memo alone.
+
+    Parameters
+    ----------
+    bitmaps:
+        The packed rows the counts are over.
+    """
+
+    def __init__(self, bitmaps: TransactionBitmaps):
+        self.bitmaps = bitmaps
+        self._memo: dict[tuple[int, ...], int] = {(): bitmaps.n_records}
+
+    def record(self, rows, count: int) -> None:
+        """Remember ``count`` records with every one of ``rows`` set."""
+        self._memo[tuple(rows)] = int(count)
+
+    def patterns(self, rows) -> np.ndarray:
+        """Exact counts of all ``2^k`` bit patterns over ``k`` rows.
+
+        Pattern code ``sum_i b_i * 2^(k-1-i)`` with ``b_i`` the bit of
+        ``rows[i]`` (most significant first), as in
+        :func:`pattern_counts`; an ``int64`` array of length ``2^k``.
+        """
+        rows = tuple(rows)
+        k = len(rows)
+        # keys[code] is the row tuple of the code's set bits: dropping
+        # the lowest set bit drops the last row of the tuple.
+        keys = [()] * (1 << k)
+        for code in range(1, 1 << k):
+            low = code & -code
+            keys[code] = keys[code ^ low] + (rows[k - low.bit_length()],)
+        memo = self._memo
+        if not all(key in memo for key in keys):
+            self._fill(rows)
+        tensor = np.array([memo[key] for key in keys], dtype=np.int64)
+        tensor = tensor.reshape((2,) * k)
+        # Möbius over supersets: c[P] = sum_{S >= P} (-1)^{|S \ P|} m[S].
+        for axis in range(k):
+            lead = (slice(None),) * axis
+            tensor[lead + (0,)] -= tensor[lead + (1,)]
+        return tensor.reshape(-1)
+
+    def _fill(self, rows: tuple[int, ...]) -> None:
+        words = self.bitmaps.words
+        count_one = native.popcount_total if native.available() else popcount_words
+        memo = self._memo
+
+        def descend(start: int, key: tuple, acc: np.ndarray | None) -> None:
+            # ``acc`` is the AND over ``key``'s rows (None for no rows).
+            for i in range(start, len(rows)):
+                child_key = key + (rows[i],)
+                child = words[rows[i]] if acc is None else acc & words[rows[i]]
+                if child_key not in memo:
+                    memo[child_key] = int(count_one(child))
+                descend(i + 1, child_key, child)
+
+        descend(0, (), None)
+
+
 def pattern_counts(bitmaps: TransactionBitmaps, positions) -> np.ndarray:
     """Exact counts of all ``2^k`` bit patterns over ``k`` bitmap rows.
 
@@ -165,15 +242,9 @@ def pattern_counts(bitmaps: TransactionBitmaps, positions) -> np.ndarray:
     :meth:`repro.baselines.mask.MaskPerturbation.estimate_pattern_counts`:
     pattern code ``sum_i b_i * 2^(k-1-i)`` with ``b_i`` the bit at
     ``positions[i]`` (most significant first), so index ``2^k - 1`` is
-    the all-bits-set itemset count.  Each node's popcount runs on the
-    compiled kernel when the extension is available (identical counts);
-    the lattice walk itself is shared.
-
-    The kernel computes superset counts ``m[S]`` -- records with every
-    bit of ``S`` set -- walking the subset lattice depth-first so each
-    subset costs one AND against its parent's bitmap while only the
-    ``O(k)`` bitmaps on the current path stay live, then recovers exact
-    pattern counts with a superset Möbius transform in ``O(k 2^k)``.
+    the all-bits-set itemset count.  A one-shot :class:`SupersetCounts`
+    walk (one AND per subset, each popcount on the compiled kernel when
+    the extension is available) plus its ``O(k 2^k)`` Möbius transform.
     """
     positions = list(positions)
     k = len(positions)
@@ -181,31 +252,7 @@ def pattern_counts(bitmaps: TransactionBitmaps, positions) -> np.ndarray:
         raise DataError("need at least one bit position")
     if k > MAX_PATTERN_BITS:
         raise DataError(f"pattern space 2^{k} too large for the bitmap kernel")
-    words = bitmaps.words
-    count_one = native.popcount_total if native.available() else popcount_words
-    superset = np.empty(1 << k, dtype=np.int64)
-    superset[0] = bitmaps.n_records
-
-    def descend(start: int, acc: np.ndarray | None, mask: int) -> None:
-        # ``mask`` uses the msb-first code convention: position ``i``
-        # owns bit ``k - 1 - i``; ``acc`` is the AND over ``mask``.
-        for i in range(start, k):
-            row = words[positions[i]]
-            child = row if acc is None else acc & row
-            child_mask = mask | (1 << (k - 1 - i))
-            superset[child_mask] = count_one(child)
-            descend(i + 1, child, child_mask)
-
-    descend(0, None, 0)
-    # Möbius over supersets: c[P] = sum_{S >= P} (-1)^{|S \ P|} m[S].
-    tensor = superset.reshape((2,) * k)
-    for axis in range(k):
-        without = [slice(None)] * k
-        with_bit = [slice(None)] * k
-        without[axis] = 0
-        with_bit[axis] = 1
-        tensor[tuple(without)] -= tensor[tuple(with_bit)]
-    return tensor.reshape(-1)
+    return SupersetCounts(bitmaps).patterns(positions)
 
 
 def compress_transactions(dataset: CategoricalDataset):

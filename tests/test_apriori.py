@@ -33,7 +33,64 @@ def brute_force_frequent(dataset, min_support):
     return frequent
 
 
+def reference_candidates(frequent_level):
+    """Candidate generation through validated ``Itemset`` subsets (oracle)."""
+    ordered = sorted(frequent_level)
+    frequent_set = set(ordered)
+    candidates = []
+    for i, left in enumerate(ordered):
+        for right in ordered[i + 1 :]:
+            if left.items[:-1] != right.items[:-1]:
+                break
+            if left.items[-1][0] == right.items[-1][0]:
+                continue
+            candidate = Itemset(left.items + (right.items[-1],))
+            if all(s in frequent_set for s in candidate.subsets_dropping_one()):
+                candidates.append(candidate)
+    return candidates
+
+
+@st.composite
+def frequent_levels(draw):
+    """A random level of same-length itemsets over a random schema.
+
+    Either every ``k``-itemset kept with some probability (most joins
+    then lose a subset to pruning) or the frequent ``k``-itemsets of
+    random data (a downward-closed lattice, so most joins survive).
+    """
+    cards = draw(st.lists(st.integers(2, 3), min_size=2, max_size=5))
+    length = draw(st.integers(1, min(3, len(cards))))
+    every = [
+        Itemset(zip(attrs, values))
+        for attrs in combinations(range(len(cards)), length)
+        for values in product(*(range(cards[a]) for a in attrs))
+    ]
+    if draw(st.booleans()):
+        keep = draw(st.floats(0.2, 1.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return [its for its in every if rng.random() < keep]
+    schema = Schema(
+        [Attribute(f"a{i}", [f"c{j}" for j in range(c)]) for i, c in enumerate(cards)]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = rng.integers(0, cards, size=(40, len(cards)))
+    dataset = CategoricalDataset(schema, records)
+    supports = ExactSupportCounter(dataset).supports(every)
+    return [its for its, support in zip(every, supports) if support >= 0.05]
+
+
 class TestCandidateGeneration:
+    @given(level=frequent_levels(), shuffle_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, level, shuffle_seed):
+        """Same candidates in the same order as the validated oracle."""
+        np.random.default_rng(shuffle_seed).shuffle(level)
+        candidates = generate_candidates(level)
+        assert candidates == reference_candidates(level)
+        for candidate in candidates:
+            assert candidate.items == Itemset(candidate.items).items
+            assert hash(candidate) == hash(Itemset(candidate.items))
+
     def test_joins_shared_prefix(self):
         level = [Itemset.of((0, 1), (1, 0)), Itemset.of((0, 1), (2, 1))]
         candidates = generate_candidates(level)

@@ -129,6 +129,31 @@ class TestCutAndPasteEstimator:
             CutAndPasteSupportEstimator(survey_schema, np.zeros((5, 3)), operator)
 
 
+@pytest.mark.parametrize("kind", ["mask", "cp"])
+@pytest.mark.parametrize("item", [(0, 4), (1, -1)])
+def test_boolean_estimators_reject_out_of_domain_items(kind, item):
+    """An item past its attribute's domain raises, as DET-GD's does.
+
+    On CENSUS, cardinalities (4, 5, 5, 5, 2, 2), the bit row of
+    ``(0, 4)`` is the row of ``(1, 0)``; it must not be answered as it.
+    """
+    from repro.data.census import census_schema, generate_census
+
+    schema = census_schema()
+    dataset = generate_census(500, seed=3)
+    if kind == "mask":
+        operator = MaskPerturbation.for_gamma(schema, 19.0)
+        estimator_cls = MaskSupportEstimator
+    else:
+        operator = CutAndPastePerturbation.for_gamma(schema, 19.0)
+        estimator_cls = CutAndPasteSupportEstimator
+    estimator = estimator_cls(schema, operator.perturb(dataset, seed=4), operator)
+    with pytest.raises(DataError, match="out of domain"):
+        estimator.supports([Itemset.of((0, 0)), Itemset.of(item)])
+    with pytest.raises(DataError, match="out of domain"):
+        estimator.supports([Itemset.of(item, (2, 1))])
+
+
 # ----------------------------------------------------------------------
 # every support source accepts a one-shot iterable
 # ----------------------------------------------------------------------

@@ -169,6 +169,14 @@ class TestPartialSupportMatrix:
             freq = np.bincount(inter, minlength=k + 1) / n_trials
             assert np.allclose(freq, matrix[:, l_in], atol=0.01), f"l={l_in}"
 
+    def test_cached_matrix_is_read_only(self, survey_schema):
+        operator = CutAndPastePerturbation(survey_schema, max_cut=2, rho=0.3)
+        matrix = operator.reconstruction_matrix(2)
+        assert operator.reconstruction_matrix(2) is matrix
+        assert np.array_equal(matrix, partial_support_matrix(3, 2, 0.3, 2))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
     def test_k_too_long_rejected(self):
         with pytest.raises(MatrixError):
             partial_support_matrix(3, 2, 0.4, 4)

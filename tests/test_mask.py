@@ -150,6 +150,16 @@ class TestSupportEstimation:
         counts = mask.estimate_pattern_counts(bits, [0, 2, 5])
         assert counts.sum() == pytest.approx(survey_dataset.n_records)
 
+    def test_cached_matrix_is_read_only(self, survey_schema):
+        mask = MaskPerturbation(survey_schema, p=0.8)
+        observed = np.array([10.0, 20.0, 30.0, 40.0])
+        first = mask.solve_pattern_counts(observed)
+        matrix = mask._matrices[2]
+        assert np.array_equal(matrix, itemset_matrix(0.8, 2))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        assert np.array_equal(mask.solve_pattern_counts(observed), first)
+
     def test_empty_database_rejected(self, survey_schema):
         mask = MaskPerturbation(survey_schema, p=0.8)
         with pytest.raises(DataError):

@@ -1,6 +1,8 @@
 """Tests for repro.experiments.reporting and the frapp CLI."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,14 @@ from repro.experiments.reporting import (
     render_figure_panels,
     render_schema_table,
     render_series_table,
+)
+
+DATA_DIR = Path(__file__).parent / "data"
+
+#: sha256 of ``frapp all``'s stdout at paper scale, copied from
+#: ``PAPER_STDOUT_SHA256`` in perfbench/run.py (the benchmark's check).
+PAPER_STDOUT_SHA256 = (
+    "f2d0bbd6dd52c3940ba82ef67587569b31f435662a00780d7227bc7d6c9262ba"
 )
 
 
@@ -170,15 +180,26 @@ class TestGoldenStdout:
         [("fig1", "golden_fig1.txt"), ("fig2", "golden_fig2.txt")],
     )
     def test_figures_byte_identical(self, capsys, experiment, fixture, monkeypatch):
-        from pathlib import Path
-
         monkeypatch.delenv("REPRO_SCALE", raising=False)
         assert (
             main([experiment, "--records", "4000", "--seed", "11", "--no-cache"]) == 0
         )
         out = capsys.readouterr().out
-        golden = (Path(__file__).parent / "data" / fixture).read_text()
+        golden = (DATA_DIR / fixture).read_text()
         assert out == golden
+
+    @pytest.mark.slow
+    def test_paper_scale_all_byte_identical(self, capsys, monkeypatch, tmp_path):
+        """A cold ``frapp all`` at paper scale (Tables 1-3, Figures 1-4).
+
+        The fixture was captured while the MASK and C&P estimators still
+        scanned the bit matrix per candidate.
+        """
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        golden = (DATA_DIR / "golden_all.txt").read_bytes()
+        assert hashlib.sha256(golden).hexdigest() == PAPER_STDOUT_SHA256
+        assert main(["all", "--cache-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.encode() == golden
 
 
 class TestPrivacyCommand:
