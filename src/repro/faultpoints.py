@@ -36,6 +36,11 @@ FAULTPOINTS_ENV = "REPRO_FAULTPOINTS"
 #: is how the chaos suite proves idempotent replay across restarts.
 SERVICE_PRE_RESPOND = "service:pre-respond"
 
+#: Service-path barrier: a batch's rows are fsynced into the spool, but
+#: its journal line is not yet appended.  A daemon killed here has
+#: committed nothing, so recovery must drop the spooled tail.
+LEDGER_PRE_COMMIT = "ledger:pre-commit"
+
 #: Seconds between ``.hold`` polls while frozen at a barrier.
 _POLL_INTERVAL = 0.01
 

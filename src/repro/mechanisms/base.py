@@ -380,10 +380,8 @@ class ColumnarMechanism(Mechanism):
         )
         if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
             accumulator = pipeline.accumulate_bitmaps(dataset, seed=seed)
-            return MarginalInversionEstimator(
-                self, accumulator.bitmaps.subset_counts, accumulator.n_records
-            )
-        accumulator = pipeline.accumulate(dataset, seed=seed)
+        else:
+            accumulator = pipeline.accumulate(dataset, seed=seed)
         return MarginalInversionEstimator(
             self, accumulator.subset_counts, accumulator.n_records
         )
@@ -411,7 +409,8 @@ class MarginalInversionEstimator:
     subset_counts:
         Callable ``positions -> count vector`` over the perturbed data
         -- a dataset's ``subset_counts`` or a
-        :class:`repro.pipeline.JointCountAccumulator`'s.
+        :class:`repro.pipeline.JointCountAccumulator`'s or
+        :class:`repro.pipeline.BitmapAccumulator`'s.
     n_records:
         Total perturbed record count.
     """

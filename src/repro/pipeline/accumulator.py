@@ -191,6 +191,14 @@ class BitmapAccumulator:
             self._parts = [self._merged]
         return self._merged
 
+    def subset_counts(self, positions) -> np.ndarray:
+        """Accumulated counts over an attribute subset's sub-domain.
+
+        Answered by AND/popcount over the merged bitmaps; indexed and
+        valued like :meth:`JointCountAccumulator.subset_counts`.
+        """
+        return self.bitmaps.subset_counts(positions)
+
     def __repr__(self) -> str:
         return (
             f"BitmapAccumulator(n_records={self.n_records}, "

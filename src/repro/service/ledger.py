@@ -25,42 +25,65 @@ Exactly-once journal
 --------------------
 Each ledger also carries the tenant's **idempotency journal**: a
 capped, insertion-ordered map from client-generated idempotency keys
-to the response of the mutating request that first carried them.  The
-journal is serialised *inside* the ledger JSON, so the atomic write
-that acknowledges a submission (or charges a collection) also makes
-its journal entry durable -- a crash can leave "neither applied nor
-journaled" or "both", never one without the other.  A retried request
-whose key is journaled replays the recorded response instead of
-re-spooling rows or re-charging budget; a key reused with a different
-payload is refused with HTTP 409 (``idempotency_conflict``).
+to the response of the mutating request that first carried them.  A
+retried request whose key is journaled replays the recorded response
+instead of re-spooling rows or re-charging budget; a key reused with a
+different payload is refused with HTTP 409 (``idempotency_conflict``).
+A batch's journal entries travel in the same journal line as its
+acknowledged record count (below), so a crash can leave "neither
+applied nor journaled" or "both", never one without the other.
 
 Durability
 ----------
-Ledger state lives in one JSON file per tenant
-(``<root>/<tenant>/ledger.json``), written with the store's atomic
-write-temp-then-rename primitive plus fsync
-(:func:`repro.store.atomic_write_json`), so a crash leaves either the
-old state or the new state, never a torn file.  The invariant linking
-ledger and spool: a submission batch is fsynced into the tenant's
-``.frd`` spool *before* its record count is acknowledged here, so on
-recovery the ledger's ``records`` is a lower bound on the spool's
-durable rows and the spool truncates to ``min(complete rows,
-acknowledged rows)`` (see :class:`repro.data.io.FrdSpool`).
+A tenant's state is a snapshot plus an append-only log, both in
+``<root>/<tenant>/``:
+
+* ``ledger.json`` -- the snapshot: :meth:`TenantLedger.to_dict` plus
+  ``lines``, the number of journal lines it covers.  It is rewritten
+  atomically (write-temp, fsync, rename) when a tenant is created, when
+  a collection is charged, when the daemon starts and stops, and
+  whenever the log has grown larger than the snapshot -- so the
+  rewrites cost a constant share of the bytes appended, and no size
+  constant needs tuning.
+* ``ledger.log`` -- one JSON line per acknowledged submission batch:
+  its sequence number, the collection, the collection's absolute
+  acknowledged record count and the batch's journal entries.
+  :meth:`LedgerStore.commit` appends and fsyncs the line before the
+  in-memory ledger changes; that fsync is the batch's commit point.
+  A snapshot save empties the log.
+
+:meth:`LedgerStore.load` replays the complete lines the snapshot does
+not cover through :meth:`TenantLedger.apply_batch`, the method the
+live path uses.  A torn last line (no newline) is a batch that never
+committed and is ignored; a malformed complete line or a gap in the
+sequence raises ``ledger_corrupt``.  Lines the snapshot already covers
+-- left behind by a crash between the snapshot rename and the log
+reset -- are skipped, so no line is ever applied twice.  ``load``
+never writes: ``frapp ledger`` may read a live daemon's state.
+
+The invariant linking ledger and spool: a submission batch is fsynced
+into the tenant's ``.frd`` spool *before* its journal line is
+appended, so on recovery the ledger's ``records`` is a lower bound on
+the spool's durable rows and the spool truncates to ``min(complete
+rows, acknowledged rows)`` (see :class:`repro.data.io.FrdSpool`).
+Version-1 ledgers (one ``ledger.json``, no log) still load.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.privacy import PrivacyRequirement
 from repro.exceptions import BudgetExceededError, ServiceError
 from repro.mechanisms.accountant import PrivacyStatement
-from repro.store.store import atomic_write_json
+from repro.store.store import atomic_write_bytes
 
-#: On-disk ledger format version; bump on incompatible changes.
-LEDGER_VERSION = 1
+#: On-disk ledger format version; bump on incompatible changes.  Version
+#: 2 adds the ``ledger.log`` journal lines; version 1 still loads.
+LEDGER_VERSION = 2
 
 #: Idempotency journal entries kept per tenant (oldest evicted first).
 #: The journal is a sliding dedup window, not an audit log: a client
@@ -129,11 +152,15 @@ class TenantLedger:
     collections: dict[str, CollectionRecord] = field(default_factory=dict)
     cumulative: PrivacyStatement | None = None
     #: Idempotency journal: key -> {"digest", "response"}, insertion
-    #: ordered, capped at :data:`JOURNAL_CAP`.  Serialised inside the
-    #: same atomic ledger write as the acknowledgement it belongs to,
-    #: so "journaled" and "applied" are indistinguishable under crashes
-    #: -- the exactly-once invariant.
+    #: ordered, capped at :data:`JOURNAL_CAP`.  Committed in the same
+    #: journal line as the acknowledgement it belongs to, so
+    #: "journaled" and "applied" are indistinguishable under crashes --
+    #: the exactly-once invariant.
     journal: dict[str, dict] = field(default_factory=dict)
+    #: Journal lines applied over the tenant's lifetime: the log
+    #: position, persisted by :class:`LedgerStore` beside the snapshot
+    #: and left out of :meth:`to_dict`.
+    lines: int = 0
 
     @property
     def rho1(self) -> float:
@@ -245,13 +272,34 @@ class TenantLedger:
         """Journal ``response`` under ``key`` (evicting beyond the cap).
 
         Callers must persist the ledger in the same step that applies
-        the journaled effect -- for submissions that is the batch
-        acknowledgement save, for collections the charge save -- so a
-        crash can never separate "applied" from "journaled".
+        the journaled effect -- for submissions that is the batch's
+        journal line, for collections the charge snapshot -- so a crash
+        can never separate "applied" from "journaled".
         """
         self.journal[key] = {"digest": digest, "response": dict(response)}
         while len(self.journal) > JOURNAL_CAP:
             self.journal.pop(next(iter(self.journal)))
+
+    def apply_batch(self, line: dict) -> None:
+        """Apply one committed journal line (see :meth:`LedgerStore.commit`).
+
+        Sets the line's collection to its absolute acknowledged count,
+        journals each of its ``key -> {"digest", "response"}`` entries
+        in order, and advances :attr:`lines` to its sequence number.
+        :meth:`LedgerStore.commit` calls this once the line is durable,
+        and :meth:`LedgerStore.load` again for every line it replays.
+        """
+        record = self.collections.get(line["collection"])
+        if record is None:
+            raise _corrupt(
+                self.tenant,
+                f"log line {line['seq']} names unknown collection "
+                f"{line['collection']!r}",
+            )
+        record.records = line["records"]
+        for key, entry in line["journal"].items():
+            self.journal_record(key, entry["digest"], entry["response"])
+        self.lines = line["seq"]
 
     def to_dict(self) -> dict:
         """JSON-able form (inverse of :meth:`from_dict`)."""
@@ -267,14 +315,16 @@ class TenantLedger:
                 None if self.cumulative is None else self.cumulative.to_dict()
             ),
             # Insertion order IS the eviction order; JSON objects keep
-            # it, so the journal round-trips with its window intact.
+            # it (the snapshot is written unsorted), so the journal
+            # round-trips with its window intact.
             "journal": {key: dict(entry) for key, entry in self.journal.items()},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantLedger":
         """Rebuild a tenant ledger serialised by :meth:`to_dict`."""
-        if not isinstance(data, dict) or data.get("version") != LEDGER_VERSION:
+        version = data.get("version") if isinstance(data, dict) else None
+        if version not in (1, LEDGER_VERSION):
             raise ServiceError(f"unsupported ledger state: {data!r}")
         budget = data["budget"]
         cumulative = data.get("cumulative")
@@ -305,9 +355,9 @@ class TenantLedger:
 class LedgerStore:
     """The on-disk home of every tenant's ledger.
 
-    One directory per tenant under ``root``; the ledger JSON sits next
-    to the tenant's spool files, so a tenant's entire durable state
-    moves (and is backed up) as one directory.
+    One directory per tenant under ``root``; the ledger snapshot and
+    its log sit next to the tenant's spool files, so a tenant's entire
+    durable state moves (and is backed up) as one directory.
     """
 
     def __init__(self, root):
@@ -321,6 +371,9 @@ class LedgerStore:
     def _ledger_path(self, tenant: str) -> Path:
         return self.tenant_dir(tenant) / "ledger.json"
 
+    def _log_path(self, tenant: str) -> Path:
+        return self.tenant_dir(tenant) / "ledger.log"
+
     def tenants(self) -> list[str]:
         """Registered tenant names (those with a persisted ledger)."""
         return sorted(
@@ -330,35 +383,146 @@ class LedgerStore:
     def load(self, tenant: str) -> TenantLedger | None:
         """The persisted ledger of ``tenant``, or ``None``.
 
+        The snapshot plus every complete journal line it does not
+        cover; a torn last line is ignored.  Nothing is written.  The
+        log is read before the snapshot, so a snapshot saved between
+        the two reads covers every line read and the load still sees
+        one consistent state.
+
         Raises
         ------
         ServiceError
-            When the file exists but cannot be parsed -- corrupt
-            privacy state must never be silently reset to "unspent".
+            With code ``ledger_corrupt`` when the snapshot cannot be
+            parsed, or a complete line is malformed or out of sequence
+            -- corrupt privacy state must never be silently reset to
+            "unspent".
         """
         path = self._ledger_path(tenant)
+        try:
+            log = self._log_path(tenant).read_bytes()
+        except FileNotFoundError:
+            log = b""
+        except OSError as error:
+            raise _corrupt(tenant, f"unreadable log: {error}") from error
         try:
             data = json.loads(path.read_bytes())
         except FileNotFoundError:
             return None
         except (OSError, ValueError) as error:
-            raise ServiceError(
-                f"tenant {tenant!r} has an unreadable ledger at {path}: {error}",
-                code="ledger_corrupt",
-                status=500,
-            ) from error
-        return TenantLedger.from_dict(data)
+            raise _corrupt(tenant, f"unreadable snapshot at {path}: {error}") from error
+        ledger = TenantLedger.from_dict(data)
+        ledger.lines = int(data.get("lines", 0))
+        # Everything after the last newline is a torn, uncommitted tail.
+        complete = log[: log.rfind(b"\n") + 1]
+        expected = None
+        for number, raw in enumerate(complete.splitlines(), 1):
+            line = _parse_line(tenant, number, raw)
+            seq = line["seq"]
+            if seq > ledger.lines + 1 or (expected is not None and seq != expected):
+                raise _corrupt(
+                    tenant,
+                    f"log line {number} has sequence number {seq}, expected "
+                    f"{ledger.lines + 1 if expected is None else expected}",
+                )
+            expected = seq + 1
+            if seq > ledger.lines:
+                ledger.apply_batch(line)
+        return ledger
 
     def save(self, ledger: TenantLedger) -> None:
-        """Persist ``ledger`` atomically (fsynced before rename)."""
+        """Write ``ledger``'s snapshot atomically, then empty its log.
+
+        The snapshot is fsynced before the rename, the emptied log
+        after it, and the directory last, so both names are durable
+        before any line is committed.  A crash between the rename and
+        the log reset leaves lines the snapshot already covers, which
+        :meth:`load` skips.
+        """
         directory = self.tenant_dir(ledger.tenant)
         directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            self._ledger_path(ledger.tenant), ledger.to_dict(), fsync=True
+        snapshot = dict(ledger.to_dict(), lines=ledger.lines)
+        atomic_write_bytes(
+            self._ledger_path(ledger.tenant),
+            json.dumps(snapshot, indent=1, allow_nan=False).encode("utf-8"),
+            fsync=True,
         )
+        with self._log_path(ledger.tenant).open("wb") as handle:
+            os.fsync(handle.fileno())
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def commit(
+        self, ledger: TenantLedger, collection: str, records: int, journal: dict
+    ) -> None:
+        """Commit one submission batch as one fsynced journal line.
+
+        The line holds the next sequence number, ``collection``, its
+        absolute acknowledged count ``records`` and the batch's
+        ``journal`` entries (key -> ``{"digest", "response"}``).  Only
+        once it is durable does the in-memory ``ledger`` change, through
+        :meth:`TenantLedger.apply_batch`.  A failed append is cut back
+        off the log and leaves ``ledger`` unchanged.  When the log has
+        outgrown the snapshot, a :meth:`save` follows.
+        """
+        line = {
+            "seq": ledger.lines + 1,
+            "collection": collection,
+            "records": int(records),
+            "journal": journal,
+        }
+        payload = (
+            json.dumps(line, separators=(",", ":"), allow_nan=False) + "\n"
+        ).encode("utf-8")
+        with self._log_path(ledger.tenant).open("ab", buffering=0) as handle:
+            size = handle.tell()
+            try:
+                if handle.write(payload) != len(payload):
+                    raise OSError(f"short write to {handle.name}")
+                os.fsync(handle.fileno())
+            except BaseException:
+                handle.truncate(size)
+                raise
+            size += len(payload)
+        ledger.apply_batch(line)
+        if size > self._ledger_path(ledger.tenant).stat().st_size:
+            self.save(ledger)
 
     def create(self, tenant: str, budget: PrivacyRequirement) -> TenantLedger:
         """Create (and persist) a fresh ledger for ``tenant``."""
         ledger = TenantLedger(tenant=tenant, budget=budget)
         self.save(ledger)
         return ledger
+
+
+def _corrupt(tenant: str, message: str) -> ServiceError:
+    return ServiceError(
+        f"tenant {tenant!r} has a corrupt ledger: {message}",
+        code="ledger_corrupt",
+        status=500,
+    )
+
+
+def _parse_line(tenant: str, number: int, raw: bytes) -> dict:
+    """One complete journal line, validated (``ledger_corrupt`` if not)."""
+    try:
+        line = json.loads(raw)
+        if not (
+            isinstance(line["seq"], int)
+            and line["seq"] >= 1
+            and isinstance(line["collection"], str)
+            and isinstance(line["records"], int)
+            and line["records"] >= 0
+            and all(
+                isinstance(entry["digest"], str)
+                and isinstance(entry["response"], dict)
+                for entry in line["journal"].values()
+            )
+        ):
+            raise ValueError("bad field types")
+    except (ValueError, TypeError, KeyError, AttributeError) as error:
+        raise _corrupt(tenant, f"log line {number} is malformed: {error}") from None
+    return line
+

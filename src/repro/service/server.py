@@ -16,7 +16,10 @@ Two layers:
   through per-collection :class:`~repro.pipeline.SequentialPerturbStream`
   + :class:`~repro.service.batcher.MicroBatcher` pairs, durable
   :class:`~repro.data.io.FrdSpool` appends, reconstruction and mining
-  over the spooled database.
+  over running counts of the spooled database (a
+  :class:`~repro.pipeline.JointCountAccumulator`, or a
+  :class:`~repro.pipeline.BitmapAccumulator` for wide schemas, folded
+  with the rows spooled since the previous query).
 * :class:`ServiceServer` -- a dependency-free JSON-over-HTTP/1.1 front
   end on ``asyncio.start_server`` (keep-alive, Content-Length framing).
 
@@ -34,13 +37,19 @@ continuation is bit-identical too.
 
 Exactly-once and overload contract
 ----------------------------------
-Mutating requests may carry a client-generated ``idempotency_key``.
-Keyed submissions are journaled into the tenant ledger **atomically
-with** the spool acknowledgement, so a retry after any crash or network
-failure replays the original response instead of re-applying (same for
-``/v1/collections`` charges; ``/v1/tenants`` is naturally idempotent and
-``/v1/perturb`` keeps a bounded in-memory journal).  A key reused with a
+Each flushed batch commits as one fsynced journal line in the tenant's
+``ledger.log`` (see :mod:`repro.service.ledger`), appended after the
+batch's spool rows are fsynced and before anything in memory changes.
+The line carries the collection's new acknowledged count and the
+journal entries of the batch's keyed submissions, so a retry after any
+crash or network failure replays the original response instead of
+re-applying.  ``/v1/collections`` charges journal their key in the
+charge's snapshot save; ``/v1/tenants`` is naturally idempotent and
+``/v1/perturb`` keeps a bounded in-memory journal.  A key reused with a
 different payload is refused with HTTP 409 ``idempotency_conflict``.
+A batch that fails before its line is durable is rolled back: the
+spool is cut back to the acknowledged count and the stream restarts
+there, so the next batch continues the offline stream exactly.
 When more than ``max_inflight`` POSTs are executing -- or a submission
 arrives with ``max_queued_rows`` already enqueued -- the request is shed
 *before any state change* with HTTP 429 ``overloaded`` plus a
@@ -80,8 +89,9 @@ from repro.data.io import FrdSpool
 from repro.data.schema import Schema
 from repro.exceptions import FrappError, ServiceError
 from repro.mechanisms import MechanismSpec, PrivacyAccountant, from_spec
-from repro.mechanisms.base import MarginalInversionEstimator
+from repro.mechanisms.base import MAX_JOINT_ACCUMULATION, MarginalInversionEstimator
 from repro.mining.apriori import apriori
+from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
 from repro.pipeline.batch import SequentialPerturbStream
 from repro.service import wire
 from repro.service.batcher import (
@@ -183,69 +193,100 @@ class CollectionRuntime:
         self.mechanism = from_spec(
             MechanismSpec.from_dict(record.statement.spec), service.schema
         )
-        spool_path = (
+        self._service = service
+        self._spool_path = (
             service.ledgers.tenant_dir(ledger.tenant) / f"{record.name}.frd"
         )
-        # The ledger's acknowledged count caps recovery: an fsynced but
-        # never-acknowledged tail is dropped, keeping spool and stream
-        # consistent (at-most-once submission semantics).
-        self.spool = FrdSpool(
-            service.schema, spool_path, expected_records=record.records
-        )
-        record.records = self.spool.n_records
-        self.stream = SequentialPerturbStream(self.mechanism, seed=record.seed)
-        if self.spool.n_records:
-            self.stream.skip_records(self.spool.n_records)
-        self._service = service
+        self._open()
         self.batcher = MicroBatcher(
             self._process_batch,
             max_batch=service.config.max_batch,
             max_latency=service.config.max_latency,
         )
 
+    def _open(self) -> None:
+        """Open spool, stream and counts at the acknowledged count.
+
+        The ledger's acknowledged count caps spool recovery: an fsynced
+        but never-committed tail is dropped, keeping spool and stream
+        consistent (at-most-once submission semantics).  The counts
+        start empty; :meth:`estimator` folds the spool into them.
+        """
+        schema = self._service.schema
+        self.spool = FrdSpool(
+            schema, self._spool_path, expected_records=self.record.records
+        )
+        self.record.records = self.spool.n_records
+        self.stream = SequentialPerturbStream(self.mechanism, seed=self.record.seed)
+        if self.spool.n_records:
+            self.stream.skip_records(self.spool.n_records)
+        wide = schema.joint_size > MAX_JOINT_ACCUMULATION
+        self.counts = (BitmapAccumulator if wide else JointCountAccumulator)(schema)
+
     def _process_batch(self, batch, parts):
-        """Perturb one flushed batch, spool it, journal, acknowledge.
+        """Perturb one flushed batch, spool it, commit it, acknowledge.
 
         ``parts`` is the batch composition from the micro-batcher; any
         part whose context is an ``(idempotency key, digest)`` pair has
-        its response journaled into the tenant ledger **in the same
-        atomic save** that acknowledges the spooled rows, so a crash
-        leaves either both (retry replays the journaled response) or
-        neither (retry re-applies against the recovered spool).
+        its response journaled **in the batch's journal line**, the one
+        fsynced append that also acknowledges the spooled rows.  So a
+        crash leaves either both (retry replays the journaled response)
+        or neither (retry re-applies against the recovered spool).  If
+        anything raises before the line is durable, spool and stream go
+        back to the acknowledged count.
         """
-        perturbed = self.stream.perturb_batch(batch)
-        start, stop = self.spool.append(perturbed)
-        self.record.records = self.spool.n_records
-        for offset, n, context in parts:
-            if context is None:
-                continue
-            key, digest = context
-            self.ledger.journal_record(
-                key,
-                digest,
-                {
-                    "tenant": self.ledger.tenant,
-                    "collection": self.record.name,
-                    "accepted": n,
-                    "start": start + offset,
-                    "stop": start + offset + n,
-                    "spooled": self.spool.n_records,
-                },
-            )
-        self._service.ledgers.save(self.ledger)
+        try:
+            perturbed = self.stream.perturb_batch(batch)
+            start, stop = self.spool.append(perturbed)
+            faultpoints.reach(faultpoints.LEDGER_PRE_COMMIT)
+            journal = {}
+            for offset, n, context in parts:
+                if context is None:
+                    continue
+                key, digest = context
+                journal[key] = {
+                    "digest": digest,
+                    "response": {
+                        "tenant": self.ledger.tenant,
+                        "collection": self.record.name,
+                        "accepted": n,
+                        "start": start + offset,
+                        "stop": start + offset + n,
+                        "spooled": stop,
+                    },
+                }
+            self._service.ledgers.commit(self.ledger, self.record.name, stop, journal)
+        except BaseException:
+            self._rollback()
+            raise
         return {"start": start, "stop": stop, "perturbed": perturbed}
 
+    def _rollback(self) -> None:
+        """Return spool, stream and counts to the acknowledged count."""
+        try:
+            self.spool.close()
+        finally:
+            self._open()
+
     def estimator(self) -> MarginalInversionEstimator:
-        """Support estimator over everything spooled so far."""
-        if self.spool.n_records == 0:
+        """Support estimator over everything spooled so far.
+
+        Folds only the spooled rows the counts have not seen yet, so
+        the first query after an open rebuilds them and later queries
+        pay for the new rows alone.
+        """
+        n_records = self.spool.n_records
+        if n_records == 0:
             raise ServiceError(
                 f"collection {self.record.name!r} has no submissions yet",
                 code="empty_collection",
                 status=409,
             )
-        dataset = self.spool.to_dataset()
+        counted = self.counts.n_records
+        if counted < n_records:
+            self.counts.update(self.spool.records(counted, n_records))
         return MarginalInversionEstimator(
-            self.mechanism, dataset.subset_counts, dataset.n_records
+            self.mechanism, self.counts.subset_counts, n_records
         )
 
     def close(self) -> None:
@@ -279,8 +320,9 @@ class PerturbationService:
                     self, ledger, record
                 )
         # Spool recovery may have truncated acknowledged counts (an
-        # operator rolled back spool files); persist the reconciled
-        # state so ledger and spools agree from the first request on.
+        # operator rolled back spool files); snapshot the reconciled
+        # state, which also empties the logs (and any torn tail), so
+        # ledger and spools agree from the first request on.
         for ledger in self._tenants.values():
             self.ledgers.save(ledger)
 
@@ -336,9 +378,11 @@ class PerturbationService:
         """Open a collection, charging its mechanism to the tenant budget.
 
         When ``journal`` is an ``(idempotency key, digest)`` pair, the
-        response body is journaled in the same atomic ledger save that
-        persists the charge, so a retried open replays instead of
-        charging the budget twice.
+        response body is journaled in the same atomic snapshot save
+        that persists the charge, so a retried open replays instead of
+        charging the budget twice.  If the runtime or that save fails,
+        the charge and the journal entry are undone and the spool is
+        closed.
 
         Raises
         ------
@@ -359,22 +403,25 @@ class PerturbationService:
         statement = PrivacyAccountant(rho1=ledger.budget.rho1).statement(live)
         if seed is None:
             seed = derive_collection_seed(self.config.seed, tenant, collection)
-        cumulative = ledger.cumulative
+        cumulative, entries = ledger.cumulative, dict(ledger.journal)
         record = ledger.charge(collection, statement, int(seed))
+        runtime = None
         try:
             runtime = CollectionRuntime(self, ledger, record)
+            if journal is not None:
+                key, digest = journal
+                ledger.journal_record(
+                    key, digest, self._collection_response(tenant, collection, runtime)
+                )
+            self.ledgers.save(ledger)
         except BaseException:
-            # Roll the charge back: a collection that never came up
-            # must not consume budget.
+            # Roll the charge and its journal entry back: a collection
+            # that never came up must not consume budget.
             del ledger.collections[collection]
-            ledger.cumulative = cumulative
+            ledger.cumulative, ledger.journal = cumulative, entries
+            if runtime is not None:
+                runtime.close()
             raise
-        if journal is not None:
-            key, digest = journal
-            ledger.journal_record(
-                key, digest, self._collection_response(tenant, collection, runtime)
-            )
-        self.ledgers.save(ledger)
         self._runtimes[(tenant, collection)] = runtime
         return runtime
 
@@ -690,9 +737,13 @@ class PerturbationService:
             await runtime.batcher.drain()
 
     def close(self) -> None:
-        """Close every spool handle."""
-        for runtime in self._runtimes.values():
-            runtime.close()
+        """Snapshot every ledger, then close every spool handle."""
+        try:
+            for ledger in self._tenants.values():
+                self.ledgers.save(ledger)
+        finally:
+            for runtime in self._runtimes.values():
+                runtime.close()
 
 
 class ServiceServer:

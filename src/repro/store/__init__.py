@@ -27,7 +27,6 @@ from repro.store.store import (
     CacheEntry,
     ResultStore,
     atomic_write_bytes,
-    atomic_write_json,
     default_store_root,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "ResultStore",
     "STORE_VERSION",
     "atomic_write_bytes",
-    "atomic_write_json",
     "cache_key",
     "canonical_json",
     "code_fingerprint",

@@ -94,16 +94,6 @@ def atomic_write_bytes(path, data: bytes, *, fsync: bool = False) -> None:
         raise
 
 
-def atomic_write_json(path, payload, *, fsync: bool = False) -> None:
-    """Serialise ``payload`` and :func:`atomic_write_bytes` it to ``path``.
-
-    Keys are sorted and the rendering is stable, so repeated writes of
-    equal state produce byte-identical files (diffable ledgers).
-    """
-    data = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
-    atomic_write_bytes(path, data.encode("utf-8"), fsync=fsync)
-
-
 @dataclass(frozen=True)
 class CacheEntry:
     """One committed store entry, as listed by :meth:`ResultStore.entries`."""

@@ -34,6 +34,7 @@ from faultinject import (
     wait_reached,
 )
 from repro.data import census_schema, generate_census
+from repro.data.backing import column_dtypes
 from repro.data.io import FrdSpool
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import (
@@ -41,6 +42,7 @@ from repro.experiments.orchestrator import (
     Orchestrator,
     comparison_cells,
 )
+from repro.faultpoints import LEDGER_PRE_COMMIT
 from repro.store import ClaimBoard, ResultStore
 
 pytestmark = pytest.mark.faultinject
@@ -289,77 +291,98 @@ def spool_bytes(data_dir) -> dict:
     }
 
 
-class TestServiceDaemonKilledMidSpoolAppend:
-    def test_unacknowledged_batch_is_dropped_and_resubmit_converges(self, tmp_path):
-        from repro.service.client import ServiceClient
-        from repro.service.ledger import LedgerStore
+def kill_mid_batch_and_resubmit(tmp_path, barrier: str, spooled_before_kill: int):
+    """SIGKILL a daemon at ``barrier`` in batch B, after batch A committed.
 
-        data = generate_census(80, seed=9)
-        batch_a, batch_b = data.records[:48].tolist(), data.records[48:].tolist()
+    ``spooled_before_kill`` is how many of B's rows column 1 holds when
+    the daemon dies.  The ledger must acknowledge batch A alone, and a
+    restarted daemon given batch B again must leave spools
+    byte-identical to an undisturbed run.
+    """
+    from repro.service.client import ServiceClient
+    from repro.service.ledger import LedgerStore
 
-        def drive(client_port, batches, fresh=False):
-            with ServiceClient(port=client_port) as client:
-                if fresh:
-                    client.register_tenant("acme")
-                    client.open_collection("acme", "survey")
-                for batch in batches:
-                    client.submit("acme", batch, collection="survey")
+    data = generate_census(80, seed=9)
+    batch_a, batch_b = data.records[:48].tolist(), data.records[48:].tolist()
 
-        # Undisturbed reference: one daemon, both batches acknowledged.
-        ref_dir = tmp_path / "ref-data"
-        daemon, port = start_daemon(ref_dir, os.environ)
-        try:
-            drive(port, [batch_a, batch_b], fresh=True)
-        finally:
+    def drive(client_port, batches, fresh=False):
+        with ServiceClient(port=client_port) as client:
+            if fresh:
+                client.register_tenant("acme")
+                client.open_collection("acme", "survey")
+            for batch in batches:
+                client.submit("acme", batch, collection="survey")
+
+    # Undisturbed reference: one daemon, both batches acknowledged.
+    ref_dir = tmp_path / "ref-data"
+    daemon, port = start_daemon(ref_dir, os.environ)
+    try:
+        drive(port, [batch_a, batch_b], fresh=True)
+    finally:
+        daemon.kill()
+        daemon.wait()
+    reference = spool_bytes(ref_dir)
+    assert reference  # the daemon actually spooled something
+
+    # Crash run: batch A acknowledged, then the daemon dies frozen at
+    # the barrier inside batch B.
+    faults = tmp_path / "faults"
+    crash_dir = tmp_path / "crash-data"
+    daemon, port = start_daemon(crash_dir, fault_env(faults))
+    try:
+        drive(port, [batch_a], fresh=True)
+        wait_reached(faults, barrier)  # batch A crossed it
+        clear_reached(faults, barrier)
+        hold(faults, barrier)
+        failed = []
+
+        def doomed_submit():
+            try:
+                drive(port, [batch_b])
+            except Exception as error:  # noqa: BLE001 - daemon dies mid-request
+                failed.append(error)
+
+        submitter = threading.Thread(target=doomed_submit)
+        submitter.start()
+        kill_at(daemon, faults, barrier)
+        submitter.join(timeout=30)
+        assert failed, "the torn submit must not be acknowledged"
+    finally:
+        release(faults, barrier)
+        if daemon.poll() is None:
             daemon.kill()
             daemon.wait()
-        reference = spool_bytes(ref_dir)
-        assert reference  # the daemon actually spooled something
+    itemsize = column_dtypes(census_schema())[1].itemsize
+    column = crash_dir / "acme" / "survey.frd.col1.spool"
+    assert column.stat().st_size == itemsize * (len(batch_a) + spooled_before_kill)
 
-        # Crash run: batch A acknowledged, then the daemon dies frozen
-        # between column writes of batch B's spool append.
-        faults = tmp_path / "faults"
-        crash_dir = tmp_path / "crash-data"
-        daemon, port = start_daemon(crash_dir, fault_env(faults))
-        try:
-            drive(port, [batch_a], fresh=True)
-            wait_reached(faults, "spool:mid-append")  # batch A crossed it
-            clear_reached(faults, "spool:mid-append")
-            hold(faults, "spool:mid-append")
-            failed = []
+    # The ledger acknowledged only batch A; the tail of B is dropped on
+    # recovery (at-most-once submission semantics).
+    ledger = LedgerStore(crash_dir).load("acme")
+    assert ledger.collections["survey"].records == len(batch_a)
 
-            def doomed_submit():
-                try:
-                    drive(port, [batch_b])
-                except Exception as error:  # noqa: BLE001 - daemon dies mid-request
-                    failed.append(error)
+    # A restarted daemon recovers and the resubmitted batch lands on
+    # the same perturbation stream position: byte-identical spools to
+    # the never-disturbed run.
+    daemon, port = start_daemon(crash_dir, os.environ)
+    try:
+        drive(port, [batch_b])
+        time.sleep(0.05)  # let the post-ack journal line settle
+    finally:
+        daemon.send_signal(signal.SIGINT)
+        daemon.wait(timeout=30)
+    assert spool_bytes(crash_dir) == reference
+    ledger = LedgerStore(crash_dir).load("acme")
+    assert ledger.collections["survey"].records == len(data.records)
 
-            submitter = threading.Thread(target=doomed_submit)
-            submitter.start()
-            kill_at(daemon, faults, "spool:mid-append")
-            submitter.join(timeout=30)
-            assert failed, "the torn submit must not be acknowledged"
-        finally:
-            release(faults, "spool:mid-append")
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait()
 
-        # The ledger acknowledged only batch A; the torn tail of B is
-        # dropped on recovery (at-most-once submission semantics).
-        ledger = LedgerStore(crash_dir).load("acme")
-        assert ledger.collections["survey"].records == len(batch_a)
+class TestServiceDaemonKilledMidSpoolAppend:
+    def test_unacknowledged_batch_is_dropped_and_resubmit_converges(self, tmp_path):
+        # Frozen before column 1 is written: B's rows sit in column 0 only.
+        kill_mid_batch_and_resubmit(tmp_path, "spool:mid-append", 0)
 
-        # A restarted daemon recovers and the resubmitted batch lands
-        # on the same perturbation stream position: byte-identical
-        # spools to the never-disturbed run.
-        daemon, port = start_daemon(crash_dir, os.environ)
-        try:
-            drive(port, [batch_b])
-            time.sleep(0.05)  # let the post-ack ledger save settle
-        finally:
-            daemon.send_signal(signal.SIGINT)
-            daemon.wait(timeout=30)
-        assert spool_bytes(crash_dir) == reference
-        ledger = LedgerStore(crash_dir).load("acme")
-        assert ledger.collections["survey"].records == len(data.records)
+
+class TestServiceDaemonKilledBeforeCommit:
+    def test_uncommitted_batch_is_dropped_and_resubmit_converges(self, tmp_path):
+        # Every column of B is fsynced; only its journal line is missing.
+        kill_mid_batch_and_resubmit(tmp_path, LEDGER_PRE_COMMIT, 32)

@@ -7,13 +7,20 @@ The load-bearing claims under test:
 * the per-tenant ledger charges, persists atomically, refuses over
   budget with a structured error, allows exact exhaustion, and never
   silently resets corrupt state;
+* ``ledger.log`` commits one line per batch: every byte prefix loads to
+  the state after its last complete line, bad complete lines are
+  ``ledger_corrupt``, ``load`` never writes, and v1 ledgers still load
+  and continue their spools (Hypothesis);
+* a batch or a collection open that fails before it is durable leaves
+  no charge, no journal entry and no drift in the perturbation stream;
 * statement merging is order-invariant and JSON round-trips exactly
   (Hypothesis);
 * the micro-batcher coalesces submissions in arrival order and flushes
   on both thresholds;
 * the HTTP service's perturbation is bit-identical to the offline
   engine for any submission partition, across restarts, and refuses
-  budget breaches with HTTP 403;
+  budget breaches with HTTP 403; its answers equal the offline
+  estimator, also over a schema too wide for joint counts;
 * keyed requests are exactly-once: duplicates replay the journaled
   response (across restarts too), key reuse with a different payload is
   HTTP 409, and the journal is crash-atomic with the ledger ack;
@@ -25,12 +32,16 @@ The load-bearing claims under test:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import math
 import random
+import shutil
 import socket
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +50,10 @@ from hypothesis import strategies as st
 
 from repro.core.privacy import PrivacyRequirement, rho2_from_gamma
 from repro.data import census_schema, generate_census
+from repro.data.backing import column_dtypes
+from repro.data.dataset import CategoricalDataset
 from repro.data.io import FrdSpool
+from repro.data.schema import Attribute, Schema
 from repro.exceptions import (
     BudgetExceededError,
     DeadlineExceededError,
@@ -51,8 +65,10 @@ from repro.exceptions import (
 )
 from repro.mechanisms import MechanismSpec, PrivacyAccountant, from_spec
 from repro.mechanisms.accountant import PrivacyStatement
-from repro.mechanisms.base import MarginalInversionEstimator
+from repro.mechanisms.base import MAX_JOINT_ACCUMULATION, MarginalInversionEstimator
+from repro.mining.apriori import apriori
 from repro.mining.itemsets import Itemset
+from repro.pipeline.accumulator import BitmapAccumulator
 from repro.pipeline.batch import SequentialPerturbStream
 from repro.service import (
     LedgerStore,
@@ -69,6 +85,7 @@ from repro.service.ledger import JOURNAL_CAP, TenantLedger
 
 RHO1 = 0.05
 GAMMA = 19.0
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -630,6 +647,225 @@ class TestLedgerJournal:
         assert f"k{JOURNAL_CAP + 9}" in ledger.journal
 
 
+def ledger_state(ledger):
+    """Everything a ledger replay must reproduce, journal order included."""
+    return ledger.to_dict(), list(ledger.journal), ledger.lines
+
+
+def batch_journal(keys, start, stop):
+    """Journal entries of one submission batch, shaped like the server's."""
+    return {
+        key: {
+            "digest": hashlib.sha256(key.encode()).hexdigest(),
+            "response": {
+                "tenant": "t",
+                "collection": "c",
+                "accepted": stop - start,
+                "start": start,
+                "stop": stop,
+                "spooled": stop,
+            },
+        }
+        for key in keys
+    }
+
+
+class TestJournalLines:
+    """``ledger.log``: one fsynced line per batch over a snapshot."""
+
+    def open_ledger(self, root, padding=0):
+        """A tenant with collection ``c`` and ``padding`` journal entries."""
+        store = LedgerStore(root)
+        ledger = store.create(
+            "t", PrivacyRequirement(RHO1, rho2_from_gamma(RHO1, 400.0))
+        )
+        ledger.charge("c", statement_for(GAMMA), seed=1)
+        for i in range(padding):
+            ledger.journal_record(f"pad{i}", "d" * 64, {"accepted": 1})
+        store.save(ledger)
+        return store, ledger
+
+    @staticmethod
+    def paths(store):
+        directory = store.tenant_dir("t")
+        return directory / "ledger.json", directory / "ledger.log"
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=5000),
+                st.lists(st.sampled_from("abcd"), max_size=2, unique=True),
+            ),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    def test_every_log_prefix_loads_to_its_last_complete_line(self, batches):
+        with tempfile.TemporaryDirectory() as root:
+            # The padding keeps the snapshot larger than the log, so no
+            # snapshot save empties the log in between.
+            store, ledger = self.open_ledger(root, padding=16)
+            states = [ledger_state(ledger)]
+            records = 0
+            for i, (rows, keys) in enumerate(batches):
+                keys = [f"{key}{i}" for key in keys]
+                journal = batch_journal(keys, records, records + rows)
+                records += rows
+                store.commit(ledger, "c", records, journal)
+                states.append(ledger_state(ledger))
+            snapshot_path, log_path = self.paths(store)
+            snapshot, log = snapshot_path.read_bytes(), log_path.read_bytes()
+            assert log.count(b"\n") == len(batches)
+            for cut in range(len(log) + 1):
+                log_path.write_bytes(log[:cut])
+                loaded = store.load("t")
+                assert ledger_state(loaded) == states[log[:cut].count(b"\n")]
+                assert log_path.read_bytes() == log[:cut]
+            assert snapshot_path.read_bytes() == snapshot
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"{not json\n",
+            b'{"seq": 3, "collection": "c", "records": "many", "journal": {}}\n',
+            b'{"seq": 3, "collection": "c", "records": 9, "journal": []}\n',
+            b'{"seq": 3, "collection": "gone", "records": 9, "journal": {}}\n',
+            b'{"seq": 4, "collection": "c", "records": 9, "journal": {}}\n',
+            b'{"seq": 1, "collection": "c", "records": 9, "journal": {}}\n',
+        ],
+        ids=["bad-json", "bad-type", "bad-journal", "unknown-collection",
+             "gap", "out-of-order"],
+    )
+    def test_bad_complete_line_is_ledger_corrupt(self, tmp_path, line):
+        store, ledger = self.open_ledger(tmp_path)
+        store.commit(ledger, "c", 10, batch_journal(["a"], 0, 10))
+        store.commit(ledger, "c", 20, batch_journal(["b"], 10, 20))
+        _, log_path = self.paths(store)
+        with log_path.open("ab") as handle:
+            handle.write(line)
+        with pytest.raises(ServiceError) as excinfo:
+            store.load("t")
+        assert excinfo.value.code == "ledger_corrupt"
+        assert excinfo.value.status == 500
+        # Without its newline the same bytes are a torn tail: ignored.
+        log_path.write_bytes(log_path.read_bytes()[:-1])
+        assert ledger_state(store.load("t")) == ledger_state(ledger)
+
+    def test_first_line_after_the_snapshot_must_continue_it(self, tmp_path):
+        store, ledger = self.open_ledger(tmp_path)
+        _, log_path = self.paths(store)
+        log_path.write_bytes(
+            b'{"seq":2,"collection":"c","records":5,"journal":{}}\n'
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            store.load("t")
+        assert excinfo.value.code == "ledger_corrupt"
+
+    def test_crash_before_the_log_reset_applies_no_line_twice(self, tmp_path):
+        store, ledger = self.open_ledger(tmp_path)
+        store.commit(ledger, "c", 10, batch_journal(["a"], 0, 10))
+        store.commit(ledger, "c", 25, batch_journal(["b", "c"], 10, 25))
+        snapshot_path, log_path = self.paths(store)
+        stale = log_path.read_bytes()
+        assert stale.count(b"\n") == 2
+        store.save(ledger)
+        # The snapshot rename landed but the log reset did not.
+        log_path.write_bytes(stale)
+        assert ledger_state(store.load("t")) == ledger_state(ledger)
+        # A line appended behind the stale ones still applies, once.
+        store.commit(ledger, "c", 30, batch_journal(["d"], 25, 30))
+        assert log_path.read_bytes().count(b"\n") == 3
+        loaded = store.load("t")
+        assert ledger_state(loaded) == ledger_state(ledger)
+        assert loaded.lines == 3
+        assert loaded.collections["c"].records == 30
+
+    def test_load_never_writes(self, tmp_path):
+        store, ledger = self.open_ledger(tmp_path)
+        store.commit(ledger, "c", 10, batch_journal(["a"], 0, 10))
+        snapshot_path, log_path = self.paths(store)
+        with log_path.open("ab") as handle:
+            handle.write(b'{"seq":2,"collection":"c","rec')  # torn tail
+        before = {
+            path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in store.tenant_dir("t").iterdir()
+        }
+        loaded = store.load("t")
+        assert ledger_state(loaded) == ledger_state(ledger)
+        after = {
+            path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in store.tenant_dir("t").iterdir()
+        }
+        assert after == before
+
+    def test_one_key_batch_line_is_under_1kb(self, tmp_path):
+        store, ledger = self.open_ledger(tmp_path)
+        journal = batch_journal(["0b5a2c66-52a4-4f6e-9a0e-5c1f0b7a9d11"], 0, 1000)
+        store.commit(ledger, "c", 1000, journal)
+        line = self.paths(store)[1].read_bytes()
+        assert line.count(b"\n") == 1
+        assert len(line) < 1024
+
+    def test_snapshot_saves_keep_the_log_no_larger_than_the_snapshot(
+        self, tmp_path
+    ):
+        store, ledger = self.open_ledger(tmp_path)
+        snapshot_path, log_path = self.paths(store)
+        for i in range(40):
+            start, stop = 10 * i, 10 * (i + 1)
+            store.commit(ledger, "c", stop, batch_journal([f"k{i}"], start, stop))
+            assert log_path.stat().st_size <= snapshot_path.stat().st_size
+        # The log was emptied along the way, and what survives on disk
+        # is still the whole state.
+        assert log_path.read_bytes().count(b"\n") < 40
+        assert ledger.lines == 40
+        assert ledger_state(store.load("t")) == ledger_state(ledger)
+
+    def test_v1_ledger_loads_and_the_daemon_continues_its_spool(
+        self, schema, tmp_path
+    ):
+        """A v1 ``ledger.json`` plus spool, as an older daemon left them."""
+        state = tmp_path / "state"
+        shutil.copytree(DATA / "ledger_v1", state)
+        tenant_dir = state / "acme"
+        assert json.loads((tenant_dir / "ledger.json").read_text())["version"] == 1
+        v1_columns = [
+            path.read_bytes() for path in sorted(tenant_dir.glob("*.spool"))
+        ]
+        ledger = LedgerStore(state).load("acme")
+        record = ledger.collections["survey"]
+        assert record.records == 36
+        assert set(ledger.journal) == {"v1-a", "v1-open"}
+        data = generate_census(60, seed=11)
+
+        def drive(port):
+            client = ServiceClient(port=port)
+            replay = client.submit(
+                "acme", data.records[:24], collection="survey",
+                idempotency_key="v1-a",
+            )
+            fresh = client.submit("acme", data.records[36:], collection="survey")
+            client.close()
+            return replay, fresh
+
+        replay, fresh = run_service(make_config(schema, tmp_path), drive)
+        assert replay["replayed"] is True
+        assert (replay["start"], replay["stop"]) == (0, 24)
+        assert (fresh["start"], fresh["stop"]) == (36, 60)
+        mechanism = from_spec(MechanismSpec.from_dict(record.statement.spec), schema)
+        offline = mechanism.perturb(data, seed=record.seed)
+        for j, (path, dtype) in enumerate(
+            zip(sorted(tenant_dir.glob("*.spool")), column_dtypes(schema))
+        ):
+            spooled = path.read_bytes()
+            assert spooled[: len(v1_columns[j])] == v1_columns[j]
+            assert spooled == offline.records[:, j].astype(dtype).tobytes()
+        upgraded = LedgerStore(state).load("acme")
+        assert upgraded.collections["survey"].records == 60
+        assert json.loads((tenant_dir / "ledger.json").read_text())["version"] == 2
+
+
 # ----------------------------------------------------------------------
 # the HTTP service end to end
 # ----------------------------------------------------------------------
@@ -741,6 +977,204 @@ class TestFailedOpensChargeNothing:
             assert reply["cumulative_amplification"] == pytest.approx(GAMMA)
         finally:
             service.close()
+
+
+    def test_failed_snapshot_save_rolls_back_the_charge(
+        self, schema, data, tmp_path, monkeypatch
+    ):
+        """The charge's snapshot save fails: no charge, no journal entry."""
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        service.register_tenant("acme")
+
+        def broken_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(LedgerStore, "save", broken_save)
+                status, _ = dispatch(
+                    server,
+                    "/v1/collections",
+                    {"tenant": "acme", "idempotency_key": "open-1"},
+                )
+            assert status == 500
+            ledger = service.ledger_summary("acme")["ledger"]
+            assert ledger["collections"] == {}
+            assert ledger["cumulative"] is None
+            assert ledger["journal"] == {}
+            [summary] = service.ledger_summary()["tenants"]
+            assert summary["cumulative_amplification"] == 1.0
+            status, reply = dispatch(server, "/v1/collections", {"tenant": "acme"})
+            assert status == 200, reply
+            assert reply["cumulative_amplification"] == pytest.approx(GAMMA)
+            status, reply = dispatch(
+                server,
+                "/v1/submit",
+                {"tenant": "acme", "records": wire.encode_records(data.records[:5])},
+            )
+            assert status == 200, reply
+        finally:
+            service.close()
+
+
+class _FailOnce:
+    """A spool column handle whose next write raises ``OSError``."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._failed = False
+
+    def write(self, data):
+        if not self._failed:
+            self._failed = True
+            raise OSError("injected column write failure")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+class TestFailedBatchesRollBack:
+    """A batch that fails before its journal line is durable leaves nothing."""
+
+    @staticmethod
+    def submit(server, rows, key=None):
+        body = {"tenant": "acme", "records": wire.encode_records(rows)}
+        if key is not None:
+            body["idempotency_key"] = key
+        return dispatch(server, "/v1/submit", body)
+
+    def test_failed_commit_answers_500_and_the_retry_applies(
+        self, schema, data, tmp_path, monkeypatch
+    ):
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        rows = data.records[:20]
+
+        def broken_commit(*args, **kwargs):
+            raise OSError("disk full")
+
+        try:
+            status, _ = dispatch(server, "/v1/collections", {"tenant": "acme"})
+            assert status == 200
+            with monkeypatch.context() as patch:
+                patch.setattr(LedgerStore, "commit", broken_commit)
+                status, reply = self.submit(server, rows, key="k1")
+            assert status == 500, reply
+            durable = LedgerStore(tmp_path / "state").load("acme")
+            assert durable.collections["default"].records == 0
+            assert "k1" not in durable.journal
+            status, reply = self.submit(server, rows, key="k1")
+            assert status == 200, reply
+            assert "replayed" not in reply
+            assert (reply["accepted"], reply["start"], reply["stop"]) == (20, 0, 20)
+        finally:
+            service.close()
+        seed = derive_collection_seed(1234, "acme", "default")
+        with FrdSpool(schema, tmp_path / "state" / "acme" / "default.frd") as spool:
+            assert spool.n_records == 20
+            np.testing.assert_array_equal(
+                spool.records(0, 20),
+                offline_perturb(schema, CategoricalDataset(schema, rows), seed).records,
+            )
+
+    def test_failed_column_write_keeps_the_stream_exact(
+        self, schema, data, tmp_path
+    ):
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        rows = data.records[:60]
+        try:
+            status, _ = self.submit(server, rows[:20])
+            assert status == 200
+            spool = service._runtimes[("acme", "default")].spool
+            spool._handles[2] = _FailOnce(spool._handles[2])
+            status, reply = self.submit(server, rows[20:40])
+            assert status == 500, reply
+            for lo, hi in [(20, 40), (40, 60)]:
+                status, reply = self.submit(server, rows[lo:hi])
+                assert status == 200, reply
+                assert (reply["start"], reply["stop"]) == (lo, hi)
+        finally:
+            service.close()
+        seed = derive_collection_seed(1234, "acme", "default")
+        offline = offline_perturb(schema, CategoricalDataset(schema, rows), seed)
+        with FrdSpool(schema, tmp_path / "state" / "acme" / "default.frd") as spool:
+            assert spool.n_records == 60
+            np.testing.assert_array_equal(spool.records(0, 60), offline.records)
+
+
+class TestWideSchemaService:
+    def test_answers_equal_offline_marginal_inversion(self, tmp_path):
+        """12 four-valued attributes: a joint domain too wide to count."""
+        wide = Schema(
+            [Attribute(f"a{i}", [f"v{j}" for j in range(4)]) for i in range(12)]
+        )
+        assert wide.joint_size > MAX_JOINT_ACCUMULATION
+        rng = np.random.default_rng(3)
+        records = rng.integers(0, 4, size=(300, 12))
+        records[:200, 0] = 1
+        records[:200, 5] = 2
+        itemsets = [
+            {"attributes": [0], "values": [1]},
+            {"attributes": [0, 5], "values": [1, 2]},
+            {"attributes": [3, 7, 11], "values": [0, 1, 2]},
+        ]
+        service = PerturbationService(make_config(wide, tmp_path))
+        server = ServiceServer(service)
+        answers = []
+        try:
+            for lo, hi in [(0, 120), (120, 300)]:
+                status, reply = dispatch(
+                    server,
+                    "/v1/submit",
+                    {"tenant": "acme", "records": wire.encode_records(records[lo:hi])},
+                )
+                assert status == 200, reply
+                status, reply = dispatch(
+                    server,
+                    "/v1/reconstruct",
+                    {"tenant": "acme", "itemsets": itemsets},
+                )
+                assert status == 200, reply
+                answers.append(reply)
+            status, mined = dispatch(
+                server,
+                "/v1/mine",
+                {"tenant": "acme", "min_support": 0.3, "max_length": 2},
+            )
+            assert status == 200, mined
+            runtime = service._runtimes[("acme", "default")]
+            assert isinstance(runtime.counts, BitmapAccumulator)
+        finally:
+            service.close()
+        mechanism = from_spec(MechanismSpec("det-gd", {"gamma": GAMMA}), wide)
+        seed = derive_collection_seed(1234, "acme", "default")
+        offline = mechanism.perturb(CategoricalDataset(wide, records), seed=seed)
+        decoded = wire.decode_itemsets(wide, itemsets)
+
+        def estimator(n):
+            prefix = CategoricalDataset(wide, offline.records[:n])
+            return MarginalInversionEstimator(mechanism, prefix.subset_counts, n)
+
+        for n, answer in zip([120, 300], answers):
+            assert answer["n_records"] == n
+            assert answer["supports"] == [
+                float(s) for s in estimator(n).supports(decoded)
+            ]
+        result = apriori(estimator(300), wide, 0.3, 2)
+        assert mined["itemsets"] == [
+            {
+                "length": length,
+                "itemsets": [
+                    dict(wire.encode_itemset(its), support=float(support))
+                    for its, support in sorted(level.items())
+                ],
+            }
+            for length, level in sorted(result.by_length.items())
+        ]
+        assert mined["itemsets"][-1]["length"] == 2
 
 
 class TestServiceEndToEnd:
