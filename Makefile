@@ -31,8 +31,13 @@ docstrings:
 docs:
 	$(PYTHON) -W error::UserWarning -m pdoc repro -o docs/api --docformat numpy
 
+# A short pass over the repository benchmark's three workloads (see
+# perfbench/README.md); each command exits non-zero on any failed
+# output check.  `service` needs >= 5 s for the analyst to run.
 bench:
-	REPRO_SCALE=0.1 $(PYTHON) -m pytest benchmarks/bench_miners.py benchmarks/bench_kernels.py benchmarks/bench_pipeline.py benchmarks/bench_orchestrator.py -q
+	$(PYTHON) perfbench/run.py --workload paper --seed 1 --seconds 2 --trace 1
+	$(PYTHON) perfbench/run.py --workload stream --seed 1 --seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload service --seed 1 --seconds 5 --trace 0
 
 clean:
 	rm -rf docs/api .pytest_cache .hypothesis

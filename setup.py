@@ -84,7 +84,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
         "cov": ["pytest-cov"],
         "docs": ["pdoc"],
     },

@@ -81,7 +81,6 @@ from repro.mining import (
     TransactionBitmaps,
     apriori,
     association_rules,
-    fpgrowth,
     make_miner,
     mine_exact,
     mine_per_level,
@@ -133,7 +132,6 @@ __all__ = [
     "connect",
     "design_mechanism",
     "evaluate_mining",
-    "fpgrowth",
     "gamma_from_rho",
     "generate_census",
     "generate_health",

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import CategoricalDataset
+from repro.data.io import FrdDataset
 from repro.data.schema import Schema
 from repro.exceptions import ExperimentError
 from repro.mechanisms import MechanismSpec, from_spec
@@ -87,18 +88,23 @@ def _resolve_mechanism(schema: Schema, mechanism, params):
 
 
 def _as_dataset(schema: Schema, data) -> CategoricalDataset:
-    """Accept a dataset or a raw ``(N, M)`` record array."""
+    """Accept a dataset, an open ``.frd`` file or a raw ``(N, M)`` record
+    array; anything else raises :class:`ExperimentError`."""
+    if isinstance(data, FrdDataset):
+        data = data.to_dataset()
     if isinstance(data, CategoricalDataset):
         if data.schema != schema:
             raise ExperimentError(
                 "the dataset's schema does not match the session schema"
             )
         return data
-    if hasattr(data, "schema") and hasattr(data, "records"):
-        # Other dataset-shaped objects (e.g. FrdDataset) pass through
-        # on their records.
-        return CategoricalDataset(schema, np.asarray(data.records))
-    return CategoricalDataset(schema, np.asarray(data))
+    records = np.asarray(data)
+    if records.dtype.kind not in "biuf":
+        raise ExperimentError(
+            "expected a dataset, an open .frd file or an (N, M) record "
+            f"array, got {type(data).__name__}"
+        )
+    return CategoricalDataset(schema, records)
 
 
 def _as_itemsets(itemsets) -> list[Itemset]:

@@ -20,7 +20,6 @@ from repro.mining.counting import (
     GammaDiagonalSupportEstimator,
     MaskSupportEstimator,
 )
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.itemsets import Itemset, all_items
 from repro.mining.kernels import BitmapSupportCounter, TransactionBitmaps
 from repro.mining.reconstructing import (
@@ -44,7 +43,6 @@ __all__ = [
     "all_items",
     "apriori",
     "association_rules",
-    "fpgrowth",
     "generate_candidates",
     "make_miner",
     "mine_exact",

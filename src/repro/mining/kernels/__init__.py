@@ -15,8 +15,7 @@ itemset bitmaps so a level-``k`` candidate costs a single AND.
 * :mod:`repro.mining.kernels.counting` -- the batched
   :class:`BitmapSupportCounter` (an Apriori ``SupportSource``), the
   memoised superset counts behind the MASK and C&P estimators' pattern
-  counts (:class:`~repro.mining.kernels.counting.SupersetCounts`) and
-  the vectorized transaction compressor used by FP-Growth;
+  counts (:class:`~repro.mining.kernels.counting.SupersetCounts`);
 * :mod:`repro.mining.kernels.native` -- typed wrappers around the
   optional compiled extension (``repro._native_kernels``): threaded
   hardware-popcount AND reductions and the fused sample-and-encode
@@ -38,14 +37,12 @@ from repro.mining.kernels.bitmap import (
 )
 from repro.mining.kernels.counting import (
     BitmapSupportCounter,
-    compress_transactions,
     pattern_counts,
 )
 
 __all__ = [
     "BitmapSupportCounter",
     "TransactionBitmaps",
-    "compress_transactions",
     "native",
     "pack_bit_rows",
     "pattern_counts",

@@ -9,15 +9,10 @@ cached prefix (the first level, or ad-hoc queries) are reduced from
 their item rows directly, grouped by length so the reduction is still
 batched.
 
-Also here:
-
-* :class:`SupersetCounts` -- memoised superset popcounts over bitmap
-  rows and their Möbius transform into exact ``2^k`` pattern counts,
-  which is how the MASK and C&P estimators' observed side runs on
-  bitmaps (:func:`pattern_counts` is its one-shot form);
-* :func:`compress_transactions` -- vectorized transaction weighting for
-  FP-Growth (one ``np.unique`` pass instead of a per-record Python
-  loop).
+Also here: :class:`SupersetCounts` -- memoised superset popcounts over
+bitmap rows and their Möbius transform into exact ``2^k`` pattern
+counts, which is how the MASK and C&P estimators' observed side runs on
+bitmaps (:func:`pattern_counts` is its one-shot form).
 """
 
 from __future__ import annotations
@@ -253,24 +248,3 @@ def pattern_counts(bitmaps: TransactionBitmaps, positions) -> np.ndarray:
     if k > MAX_PATTERN_BITS:
         raise DataError(f"pattern space 2^{k} too large for the bitmap kernel")
     return SupersetCounts(bitmaps).patterns(positions)
-
-
-def compress_transactions(dataset: CategoricalDataset):
-    """Distinct records as ``((items, weight), ...)`` -- vectorized.
-
-    FP-Growth inserts one weighted path per *distinct* record; this
-    replaces its per-record Python accumulation with a single
-    ``np.unique`` over joint indices plus one batched decode.  Item
-    tuples are ``(attribute, value)`` in attribute order, matching
-    :class:`repro.mining.itemsets.Itemset`.
-    """
-    joint = dataset.joint_indices()
-    values, counts = np.unique(joint, return_counts=True)
-    rows = dataset.schema.decode(values)
-    return [
-        (
-            tuple((attr, int(value)) for attr, value in enumerate(row)),
-            int(weight),
-        )
-        for row, weight in zip(rows, counts)
-    ]

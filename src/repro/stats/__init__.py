@@ -2,9 +2,6 @@
 
 Public contents:
 
-* :mod:`repro.stats.poisson_binomial` -- the Poisson-Binomial
-  distribution (sum of independent, non-identical Bernoulli trials),
-  which governs the perturbed counts ``Y_v`` in the paper's Section 2.2.
 * :mod:`repro.stats.linalg` -- helpers for the ``a*I + b*J`` matrix
   family (the gamma-diagonal matrix and its marginals), Markov-matrix
   validation and condition numbers.
@@ -22,12 +19,10 @@ from repro.stats.linalg import (
     is_symmetric,
     markov_violation,
 )
-from repro.stats.poisson_binomial import PoissonBinomial
 from repro.stats.rng import as_generator, as_seed_sequence, spawn_generators
 
 __all__ = [
     "KroneckerOperator",
-    "PoissonBinomial",
     "UniformOffDiagonalMatrix",
     "as_generator",
     "as_seed_sequence",

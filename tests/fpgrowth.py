@@ -1,12 +1,10 @@
 """FP-Growth frequent-itemset mining (Han, Pei & Yin, SIGMOD 2000).
 
-A second, independent miner over the same categorical-itemset model as
-:mod:`repro.mining.apriori`.  It exists for two reasons: as a
-cross-check oracle (tests assert both miners return identical results
-on exact counts) and as the faster option on dense low-supmin
-workloads.  It mines *exact* datasets; the privacy-preserving drivers
-keep using Apriori because per-pass support reconstruction needs
-candidate-by-candidate estimation, which is Apriori-shaped.
+Apriori's exact-mining test oracle: a second, independent miner over
+the same categorical-itemset model as :mod:`repro.mining.apriori`, built
+on a prefix tree instead of candidate generation and support counting.
+``tests/test_fpgrowth.py`` asserts both miners return identical results
+on exact counts, up to paper-scale CENSUS.
 """
 
 from __future__ import annotations
@@ -14,11 +12,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import MiningError
 from repro.mining.apriori import AprioriResult
 from repro.mining.itemsets import Itemset
-from repro.mining.kernels import compress_transactions
 
 
 @dataclass
@@ -29,6 +28,22 @@ class _Node:
     count: int = 0
     parent: "_Node | None" = None
     children: dict = field(default_factory=dict)
+
+
+def compress_transactions(dataset: CategoricalDataset):
+    """Distinct records as ``((items, weight), ...)``.
+
+    One ``np.unique`` over joint indices plus one batched decode, so
+    FP-Growth inserts one weighted path per *distinct* record.  Item
+    tuples are ``(attribute, value)`` in attribute order, matching
+    :class:`repro.mining.itemsets.Itemset`.
+    """
+    values, counts = np.unique(dataset.joint_indices(), return_counts=True)
+    rows = dataset.schema.decode(values)
+    return [
+        (tuple((attr, int(value)) for attr, value in enumerate(row)), int(weight))
+        for row, weight in zip(rows, counts)
+    ]
 
 
 class _FPTree:
@@ -116,8 +131,6 @@ def fpgrowth(
         max_length = dataset.schema.n_attributes
 
     # Records as item lists; identical records share one weighted entry.
-    # The compression runs on the vectorized kernel (one np.unique pass
-    # plus a batched decode) rather than a per-record Python loop.
     transactions = compress_transactions(dataset)
 
     # Same frequency predicate as Apriori (count/n >= min_support), so

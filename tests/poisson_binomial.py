@@ -18,7 +18,8 @@ Wang 1993):
 
 This module provides an exact implementation (pmf via the standard
 O(N^2) dynamic program, closed-form moments) plus the variance
-comparison used by the paper's argument.
+comparison used by the paper's argument.  Nothing in the library needs
+it: it is the test oracle for RAN-GD's perturbed-count variance.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ class PoissonBinomial:
 
         Uses the standard dynamic program: fold trials in one at a time,
         convolving each Bernoulli into the running distribution.  Cost
-        is ``O(N^2)``, which is fine for the library's analytical uses
-        (``N`` here is a number of *trials under study*, not a dataset
-        size).
+        is ``O(N^2)``, which is fine for the checks it serves (``N``
+        here is a number of *trials under study*, not a dataset size).
         """
         dist = np.zeros(self.n_trials + 1)
         dist[0] = 1.0

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.data.io import open_frd, save_frd
 from repro.exceptions import ExperimentError
 from repro.mechanisms import MechanismSpec, create
 
@@ -117,6 +118,35 @@ class TestModuleFunctions:
         assert supports.shape == (1,)
         result = api.mine(data, 0.3, seed=7, max_length=1)
         assert result.n_frequent > 0
+
+
+class TestDatasetInputs:
+    def test_open_frd_is_bit_identical_to_the_in_ram_dataset(
+        self, data, offline, tmp_path
+    ):
+        save_frd(data, tmp_path / "raw.frd")
+        save_frd(offline, tmp_path / "released.frd")
+        raw = open_frd(tmp_path / "raw.frd")
+        released = open_frd(tmp_path / "released.frd")
+
+        np.testing.assert_array_equal(
+            repro.perturb(raw, seed=3).records, repro.perturb(data, seed=3).records
+        )
+        assert (
+            repro.mine(raw, 0.05, seed=3).frequent()
+            == repro.mine(data, 0.05, seed=3).frequent()
+        )
+        session = api.Session(data.schema, mechanism="det-gd", seed=7)
+        itemsets = [[(0, 1)], [(1, 2), (2, 0)]]
+        np.testing.assert_array_equal(
+            session.reconstruct(released, itemsets),
+            session.reconstruct(offline, itemsets),
+        )
+
+    @pytest.mark.parametrize("bad", [None, "records", object(), {"a": 1}])
+    def test_non_dataset_input_raises_experiment_error(self, data, bad):
+        with pytest.raises(ExperimentError):
+            api.Session(data.schema, seed=7).perturb(bad)
 
 
 class TestConnect:

@@ -16,7 +16,7 @@ REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = REPO / "examples"
 
 DOCTEST_MODULES = [
-    "repro.stats.poisson_binomial",
+    "poisson_binomial",
     "repro.core.gamma_diagonal",
     "repro.data.schema",
     "repro.mining.itemsets",

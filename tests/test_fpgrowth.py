@@ -1,14 +1,14 @@
-"""Tests for repro.mining.fpgrowth (cross-check against Apriori)."""
+"""FP-Growth (tests/fpgrowth.py) as Apriori's exact-mining oracle."""
 
 import numpy as np
 import pytest
+from fpgrowth import fpgrowth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import MiningError
-from repro.mining.fpgrowth import fpgrowth
 from repro.mining.reconstructing import mine_exact
 
 
@@ -45,6 +45,16 @@ class TestAgainstApriori:
             fpgrowth(data, 0.02).counts_by_length()
             == mine_exact(data, 0.02).counts_by_length()
         )
+
+    @pytest.mark.slow
+    def test_identical_at_paper_scale(self):
+        from repro.data.census import generate_census
+
+        data = generate_census()
+        via_apriori = mine_exact(data, 0.02).frequent()
+        via_fp = fpgrowth(data, 0.02).frequent()
+        assert set(via_fp) == set(via_apriori)
+        assert all(abs(via_fp[k] - via_apriori[k]) < 1e-12 for k in via_apriori)
 
 
 class TestBehaviour:

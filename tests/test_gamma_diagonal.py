@@ -117,28 +117,38 @@ class TestOptimality:
     @given(
         st.integers(min_value=2, max_value=8),
         st.floats(min_value=1.5, max_value=50.0),
+        st.floats(min_value=0.0, max_value=0.99),
         st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60)
-    def test_no_random_markov_matrix_beats_the_bound(self, n, gamma, seed):
-        """Random symmetric Markov matrices satisfying the gamma
-        constraint never have smaller condition number than Eq. 18."""
+    def test_no_random_markov_matrix_beats_the_bound(self, n, gamma, fraction, seed):
+        """Symmetric positive-definite Markov matrices inside the gamma
+        bound never beat Eq. 18's condition number or Eq. 17's diagonal.
+
+        Each draw mixes the optimum with a random symmetric circulant
+        ``C`` whose raw entries lie in ``[1, gamma]``:
+        ``(1 - t) A_GD + t C`` stays symmetric, Markov and inside the
+        bound, and it is positive definite for
+        ``t < (gamma-1)x / (1 + (gamma-1)x)`` because ``A_GD``'s smallest
+        eigenvalue is ``(gamma-1)x`` and ``C``'s is at least -1.
+        """
+        optimum = GammaDiagonalMatrix(n, gamma)
+        keep = (gamma - 1.0) * optimum.x
+        t = fraction * keep / (1.0 + keep)
         rng = np.random.default_rng(seed)
-        # Build a random symmetric Markov-ish matrix within the ratio
-        # constraint, then project to column-stochastic symmetry by
-        # averaging rounds of row/column normalisation (Sinkhorn).
-        raw = rng.uniform(1.0, gamma, size=(n, n))
-        raw = (raw + raw.T) / 2.0
-        for _ in range(200):
-            raw /= raw.sum(axis=0, keepdims=True)
-            raw = (raw + raw.T) / 2.0
-        if not satisfies_amplification(raw, gamma, rtol=1e-6):
-            return  # Sinkhorn pushed it outside the constraint; skip.
-        eigs = np.linalg.eigvalsh(raw)
-        if eigs.min() <= 1e-9:
-            return  # not positive definite; the theorem doesn't apply.
-        cond = eigs.max() / eigs.min()
-        assert cond >= minimum_condition_number(n, gamma) * (1 - 1e-6)
+        half = rng.uniform(1.0, gamma, size=n // 2 + 1)
+        first_row = half[np.minimum(np.arange(n), n - np.arange(n))]
+        circulant = first_row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+        circulant /= first_row.sum()
+        matrix = (1.0 - t) * optimum.to_dense() + t * circulant
+
+        assert is_symmetric(matrix) and is_markov_matrix(matrix)
+        assert satisfies_amplification(matrix, gamma, rtol=1e-9)
+        eigs = np.linalg.eigvalsh(matrix)
+        assert eigs.min() > 0.0
+        bound = minimum_condition_number(n, gamma)
+        assert eigs.max() / eigs.min() >= bound * (1 - 1e-9)
+        assert np.diag(matrix).max() <= maximum_diagonal_entry(n, gamma) * (1 + 1e-12)
 
     def test_bound_validation(self):
         with pytest.raises(PrivacyError):

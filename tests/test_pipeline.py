@@ -9,10 +9,18 @@ The load-bearing guarantees:
   oracle (:mod:`spawn_reference`), whatever the worker count and
   whether chunks travel pickled or as ``.frd`` row spans;
 * the accumulated-count support estimator matches the dataset-backed
-  estimator exactly, so streaming mining equals one-shot mining.
+  estimator exactly, so streaming mining equals one-shot mining;
+* an ``.frd`` source streams under an anonymous-memory budget that its
+  records as int64 exceed, with bit-identical counts.
 """
 
 from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +51,7 @@ from repro.pipeline import (
 )
 
 GAMMA = 19.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +464,91 @@ class TestMemmapSource:
         assert direct.by_length.keys() == mapped.by_length.keys()
         for length, level in direct.by_length.items():
             assert level == mapped.by_length[length]
+
+
+# ----------------------------------------------------------------------
+# out-of-core: an .frd streams under a RAM budget its records exceed
+# ----------------------------------------------------------------------
+_BUDGET_CHILD = r"""
+import hashlib
+import resource
+import sys
+
+import numpy as np
+
+from repro.core.engine import GammaDiagonalPerturbation
+from repro.data.io import open_frd
+from repro.pipeline import PerturbationPipeline
+
+path, chunk, budget, gamma, seed = sys.argv[1:]
+source = open_frd(path)
+
+# Everything allocated from here on counts against the budget.
+vm_data = 0
+for line in open("/proc/self/status"):
+    if line.startswith("VmData:"):
+        vm_data = int(line.split()[1]) * 1024
+limit = vm_data + int(budget)
+resource.setrlimit(resource.RLIMIT_DATA, (limit, limit))
+
+try:
+    dense = np.empty((source.n_records, source.schema.n_attributes), np.int64)
+    dense[:] = 1
+    print("materialise:ok")
+except MemoryError:
+    print("materialise:MemoryError")
+
+engine = GammaDiagonalPerturbation(source.schema, float(gamma))
+pipeline = PerturbationPipeline(engine, chunk_size=int(chunk))
+counts = pipeline.accumulate(source, seed=int(seed)).counts
+print(f"n:{counts.sum()}")
+print(f"sha:{hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest()}")
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux", reason="RLIMIT_DATA semantics are Linux-specific"
+)
+def test_frd_accumulates_under_a_budget_its_int64_records_exceed(tmp_path):
+    """A child process whose anonymous-memory budget (``RLIMIT_DATA``,
+    32 MiB) cannot hold the 1e6 records as int64 (48 MB) still streams
+    the memory-mapped ``.frd``: file-backed maps stay outside the limit.
+    Its counts are bit-identical to the unconstrained in-RAM run."""
+    from repro.data.census import census_mixture
+    from repro.data.io import FrdWriter, open_frd
+
+    n_records, chunk, budget, seed = 1_000_000, 131_072, 32 * 1024 * 1024, 7
+    path = tmp_path / "census.frd"
+    mixture = census_mixture()
+    root = np.random.SeedSequence(77)
+    with FrdWriter(mixture.schema, path) as writer:
+        for start in range(0, n_records, chunk):
+            rng = np.random.default_rng(root.spawn(1)[0])
+            writer.write(mixture.sample(min(chunk, n_records - start), seed=rng))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [path, chunk, budget, GAMMA, seed]
+    child = subprocess.run(
+        [sys.executable, "-c", _BUDGET_CHILD, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    lines = dict(line.split(":", 1) for line in child.stdout.split())
+    if lines["materialise"] == "ok":
+        pytest.skip("RLIMIT_DATA is not enforced on this kernel/container")
+    assert lines["materialise"] == "MemoryError"
+    assert int(lines["n"]) == n_records
+
+    source = open_frd(path)
+    engine = GammaDiagonalPerturbation(source.schema, GAMMA)
+    pipeline = PerturbationPipeline(engine, chunk_size=chunk)
+    counts = pipeline.accumulate(source.to_dataset(), seed=seed).counts
+    expected = hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest()
+    assert lines["sha"] == expected
 
 
 # ----------------------------------------------------------------------

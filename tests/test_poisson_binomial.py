@@ -1,13 +1,13 @@
-"""Tests for repro.stats.poisson_binomial."""
+"""Tests for the Poisson-Binomial oracle (tests/poisson_binomial.py)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from poisson_binomial import PoissonBinomial, variance_reduction_vs_identical
 from scipy import stats as scipy_stats
 
 from repro.exceptions import DataError
-from repro.stats.poisson_binomial import PoissonBinomial, variance_reduction_vs_identical
 
 probability_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=40

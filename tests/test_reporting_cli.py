@@ -1,7 +1,13 @@
 """Tests for repro.experiments.reporting and the frapp CLI."""
 
+import contextlib
 import hashlib
+import io
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +20,7 @@ from repro.experiments.reporting import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: sha256 of ``frapp all``'s stdout at paper scale, copied from
 #: ``PAPER_STDOUT_SHA256`` in perfbench/run.py (the benchmark's check).
@@ -165,6 +172,77 @@ class TestCliCache:
     def test_jobs_flag_parses(self, capsys):
         assert main(["table3", "--jobs", "2"]) == 0
         assert "2 computed" in capsys.readouterr().err
+
+
+def _frapp(*argv):
+    """Run the CLI in-process; returns ``(stdout, stderr)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(list(argv)) == 0
+    return out.getvalue(), err.getvalue()
+
+
+class TestFrappAllLayouts:
+    """``frapp all`` (at ``REPRO_SCALE=0.1``) prints the same bytes warm,
+    over a pool of jobs, and from each of two claim-coordinated hosts."""
+
+    @pytest.fixture(scope="class")
+    def serial(self, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("serial") / "cache"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_SCALE", "0.1")
+            stdout, summary = _frapp("all", "--cache-dir", str(cache))
+            assert "0 hit(s)" in summary
+            yield cache, stdout
+
+    def test_warm_run_computes_nothing(self, serial):
+        cache, cold = serial
+        warm, summary = _frapp("all", "--cache-dir", str(cache))
+        assert warm == cold
+        pattern = r"(\d+) hit\(s\), 0 computed \(0 mechanism run\(s\)\)"
+        hits = re.search(pattern, summary)
+        assert hits and int(hits.group(1)) > 0, summary
+
+    def test_jobs_print_the_serial_stdout(self, serial, tmp_path):
+        pooled, summary = _frapp(
+            "all", "--jobs", "4", "--cache-dir", str(tmp_path)
+        )
+        assert "0 hit(s)" in summary
+        assert pooled == serial[1]
+
+    def test_two_claimed_hosts_print_the_serial_stdout(self, serial, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        argv = [
+            sys.executable,
+            "-m",
+            "repro.experiments",
+            "all",
+            "--cache-dir",
+            str(tmp_path / "store"),
+            "--claim-dir",
+            str(tmp_path / "claims"),
+        ]
+        hosts = [
+            subprocess.Popen(
+                argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for _ in range(2)
+        ]
+        try:
+            for host in hosts:
+                stdout, stderr = host.communicate(timeout=600)
+                assert host.returncode == 0, stderr
+                assert stdout == serial[1]
+        finally:
+            for host in hosts:
+                if host.poll() is None:
+                    host.kill()
+                    host.wait()
 
 
 class TestGoldenStdout:

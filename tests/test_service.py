@@ -1639,6 +1639,56 @@ class TestAdmissionControl:
         # submission's rows exist.
         assert first["spooled"] == 5
 
+    def test_retrying_clients_under_overload_land_every_row_once(
+        self, schema, data, tmp_path
+    ):
+        """Sixteen retrying clients against ``max_inflight=4``: the
+        daemon sheds with 429s, yet every keyed submission is charged
+        exactly once."""
+        config = make_config(schema, tmp_path, max_inflight=4, max_latency=0.02)
+        n_clients, n_requests = 16, 6
+
+        def drive(port):
+            accepted, errors = [], []
+
+            def client_loop(index):
+                retry = RetryPolicy(
+                    max_attempts=20,
+                    base_delay=0.01,
+                    max_delay=0.25,
+                    jitter=0.5,
+                    deadline=120.0,
+                    seed=index,
+                )
+                try:
+                    with ServiceClient(port=port, retry=retry) as client:
+                        for _ in range(n_requests):
+                            accepted.append(
+                                client.submit("acme", data.records)["accepted"]
+                            )
+                except Exception as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=client_loop, args=(index,))
+                for index in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180)
+                assert not thread.is_alive(), "a client never finished"
+            with ServiceClient(port=port) as client:
+                return accepted, errors, client.health()["admission"]
+
+        accepted, errors, admission = run_service(config, drive)
+        total = n_clients * n_requests * data.n_records
+        assert not errors, errors[:3]
+        assert sum(accepted) == total
+        assert admission["shed_total"] > 0
+        ledger = LedgerStore(config.data_dir).load("acme")
+        assert ledger.collections["default"].records == total
+
 
 # ----------------------------------------------------------------------
 # client retry policy and typed transport errors

@@ -79,6 +79,36 @@ class TestRescueLanes:
         assert "lstsq: residual" in message
 
 
+def mixed_systems():
+    """Eight 96-dimensional ``(matrix, observed)`` systems of each of
+    three kinds: well-conditioned, ill-conditioned (heavy uniform
+    mixing) and singular but consistent."""
+    n = 96
+    rng = np.random.default_rng(20050405)
+    systems = []
+    for index in range(8):
+        matrix = rng.uniform(0.0, 1.0, size=(n, n)) + np.eye(n) * n
+        matrix /= matrix.sum(axis=0)
+        systems.append((matrix, matrix @ rng.uniform(10.0, 100.0, size=n)))
+        eps = 0.02 + 0.001 * index
+        mixing = np.full((n, n), (1.0 - eps) / n) + eps * np.eye(n)
+        systems.append((mixing, mixing @ rng.uniform(10.0, 100.0, size=n)))
+        rank1 = np.outer(np.full(n, 1.0 / n), np.ones(n))
+        systems.append((rank1, rank1 @ rng.uniform(10.0, 100.0, size=n)))
+    return systems
+
+
+def test_mixed_systems_answer_with_the_closed_form_or_lstsq_floats():
+    for matrix, observed in mixed_systems():
+        singular = np.linalg.matrix_rank(matrix) < matrix.shape[0]
+        np.testing.assert_array_equal(
+            fallback(matrix, observed),
+            reconstruct_counts(
+                matrix, observed, method="lstsq" if singular else "solve"
+            ),
+        )
+
+
 class TestValidationAndPlumbing:
     def test_rejects_non_vector_observations(self):
         with pytest.raises(ReconstructionError):
