@@ -4,12 +4,12 @@ PYTHON ?= python
 
 .PHONY: test native lint docstrings docs bench clean
 
-# The second line is CI's traced-run wrapper smoke: perfbench/spans.py
-# wraps library names, so a rename or removal fails here, not in a
-# later `perfbench/run.py --trace 1`.
+# Tier-1 includes the traced-run wrapper smoke
+# (tests/test_docs_and_examples.py): perfbench/spans.py wraps library
+# names, so a rename or removal fails here, not in a later
+# `perfbench/run.py --trace 1`.
 test:
 	$(PYTHON) -m pytest -x -q
-	PYTHONPATH=src:perfbench $(PYTHON) -c "from spans import Tracer, install; install(Tracer())"
 
 # Build the optional native kernel extension next to its wrapper
 # (src/repro/_native_kernels*.so); `pip install -e .` does the same.

@@ -10,14 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.randomized import RandomizedGammaDiagonal
-from repro.data.census import CENSUS_N_RECORDS, census_schema, generate_census
-from repro.data.health import HEALTH_N_RECORDS, generate_health, health_schema
-from repro.experiments.config import (
-    ExperimentConfig,
-    PAPER_GAMMA,
-    PAPER_RHO1,
-    dataset_scale,
-)
+from repro.experiments.config import ExperimentConfig, PAPER_GAMMA, PAPER_RHO1
 from repro.experiments.orchestrator import (
     DatasetSpec,
     comparison_cells,
@@ -36,15 +29,6 @@ from repro.mining.reconstructing import mine_exact
 #: metadata, not from string literals scattered per figure).
 _DET = display_name("det-gd")
 _RAN = display_name("ran-gd")
-
-
-def _dataset(name: str, n_records=None):
-    scale = dataset_scale()
-    if name.upper() == "CENSUS":
-        return generate_census(n_records or int(CENSUS_N_RECORDS * scale))
-    if name.upper() == "HEALTH":
-        return generate_health(n_records or int(HEALTH_N_RECORDS * scale))
-    raise ValueError(f"unknown dataset {name!r}")
 
 
 def comparison_figure_cells(
@@ -98,7 +82,7 @@ def _comparison_series(
             "sigma_minus": {name: run["sigma_minus"] for name, run in runs.items()},
             "sigma_plus": {name: run["sigma_plus"] for name, run in runs.items()},
         }
-    dataset = _dataset(dataset_name, n_records)
+    dataset = DatasetSpec.from_name(dataset_name, n_records).build()
     runs = run_comparison(dataset, config)
     return {
         "rho": {name: run.errors.rho for name, run in runs.items()},
@@ -191,7 +175,7 @@ def figure3_support_error(
             series[_RAN][rel] = results[cell.name]["rho"].get(length, float("nan"))
             series[_DET][rel] = det_rho
         return series
-    dataset = _dataset(dataset_name, n_records)
+    dataset = DatasetSpec.from_name(dataset_name, n_records).build()
     true_result = mine_exact(dataset, config.min_support)
     det = run_mechanism(dataset, _DET, config, true_result=true_result)
     det_rho = det.errors.rho.get(length, float("nan"))
@@ -214,10 +198,5 @@ def figure4(
     Purely analytic (no data pass); returns
     ``{mechanism: {length: condition_number}}``.
     """
-    if dataset_name.upper() == "CENSUS":
-        schema = census_schema()
-    elif dataset_name.upper() == "HEALTH":
-        schema = health_schema()
-    else:
-        raise ValueError(f"unknown dataset {dataset_name!r}")
+    schema = DatasetSpec.from_name(dataset_name).schema()
     return condition_numbers_by_length(schema, gamma, max_cut=max_cut)

@@ -43,6 +43,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -103,9 +104,13 @@ class DatasetSpec:
         return cls(key, int(n_records), default_seed if seed is None else int(seed))
 
     def build(self):
-        """Generate the dataset this spec describes."""
-        _, _, generate, _ = _DATASET_DEFAULTS[self.name]
-        return generate(self.n_records, seed=self.seed)
+        """The dataset this spec describes, memoised per process.
+
+        The cells of one run share a few specs, so each gets the same
+        dataset object from an LRU memo of the last four built; its
+        records are read-only, so no cell can change what another sees.
+        """
+        return _generate(self.name, self.n_records, self.seed)
 
     def schema(self):
         """The dataset's schema (no data generation)."""
@@ -115,6 +120,12 @@ class DatasetSpec:
     def spec(self) -> dict:
         """JSON-able form embedded in cell params."""
         return {"name": self.name, "n_records": self.n_records, "seed": self.seed}
+
+
+@functools.lru_cache(maxsize=4)
+def _generate(name: str, n_records: int, seed: int):
+    _, _, generate, _ = _DATASET_DEFAULTS[name]
+    return generate(n_records, seed=seed)
 
 
 def int_seed(value: int) -> dict:

@@ -9,9 +9,9 @@
 
 from __future__ import annotations
 
-from repro.data.census import CENSUS_N_RECORDS, census_schema, generate_census
-from repro.data.health import HEALTH_N_RECORDS, generate_health, health_schema
-from repro.experiments.config import PAPER_MIN_SUPPORT, dataset_scale
+from repro.data.census import census_schema
+from repro.data.health import health_schema
+from repro.experiments.config import PAPER_MIN_SUPPORT
 from repro.experiments.orchestrator import DatasetSpec, exact_cell
 from repro.mining.reconstructing import mine_exact
 
@@ -59,12 +59,8 @@ def table3(
         return {
             name: results[cell.name].counts_by_length() for name, cell in cells.items()
         }
-    scale = dataset_scale()
-    n_census = n_census or int(CENSUS_N_RECORDS * scale)
-    n_health = n_health or int(HEALTH_N_RECORDS * scale)
-    census = generate_census(n_census)
-    health = generate_health(n_health)
-    return {
-        "CENSUS": mine_exact(census, min_support).counts_by_length(),
-        "HEALTH": mine_exact(health, min_support).counts_by_length(),
-    }
+    counts = {}
+    for name, n_records in (("CENSUS", n_census), ("HEALTH", n_health)):
+        dataset = DatasetSpec.from_name(name, n_records).build()
+        counts[name] = mine_exact(dataset, min_support).counts_by_length()
+    return counts

@@ -84,13 +84,11 @@ def reconstruct_gamma_diagonal_supports(
     Shared by the dataset-backed estimator and the streaming
     accumulated-count estimators; one vectorized pass over the whole
     candidate batch (estimates may be negative for rare itemsets).
+    ``schema.subset_size`` runs once per distinct attribute set.
     """
-    itemsets = list(itemsets)
-    subset_sizes = np.fromiter(
-        (schema.subset_size(itemset.attributes) for itemset in itemsets),
-        dtype=np.int64,
-        count=len(itemsets),
-    )
+    attributes = [itemset.attributes for itemset in itemsets]
+    sizes = {attrs: schema.subset_size(attrs) for attrs in dict.fromkeys(attributes)}
+    subset_sizes = np.array([sizes[attrs] for attrs in attributes], dtype=np.int64)
     return estimate_subset_supports_batch(
         observed, gamma, schema.joint_size, subset_sizes
     )

@@ -14,12 +14,15 @@ RAN-GD, MASK and C&P among them -- through the mechanism registry
 
 from __future__ import annotations
 
+import functools
+
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.mechanisms import registry as mechanism_registry
 from repro.mechanisms.base import Mechanism
-from repro.mining.apriori import AprioriResult, apriori
+from repro.mining.apriori import AprioriResult, apriori, generate_candidates
 from repro.mining.counting import ExactSupportCounter
+from repro.mining.itemsets import Itemset, all_items
 
 
 def mine_exact(
@@ -29,6 +32,21 @@ def mine_exact(
     return apriori(
         ExactSupportCounter(dataset), dataset.schema, min_support, max_length
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _level_candidates(previous: tuple, level: tuple) -> tuple:
+    """Per-level candidates from the item tuples of true levels k-1, k.
+
+    The join over level ``k-1``, then any true level-``k`` itemset it
+    missed (it cannot for exact supports, but stay robust to capped
+    references).  Memoised by value, because every cell scored against
+    one reference derives the same candidates.
+    """
+    candidates = generate_candidates([Itemset._trusted(items) for items in previous])
+    seen = {its.items for its in candidates}
+    missed = (Itemset._trusted(items) for items in level if items not in seen)
+    return (*candidates, *missed)
 
 
 def mine_per_level(
@@ -46,22 +64,15 @@ def mine_per_level(
     deployed miner would do, is each driver's ``mine``; EXPERIMENTS.md
     discusses how the two differ at high perturbation levels.)
     """
-    from repro.mining.apriori import generate_candidates
-    from repro.mining.itemsets import all_items
-
     result = AprioriResult(min_support=min_support)
     for length in sorted(true_result.by_length):
         if length == 1:
             candidates = all_items(schema)
         else:
-            previous = list(true_result.by_length.get(length - 1, {}))
-            candidates = generate_candidates(previous)
-            # Also score the true frequent itemsets themselves in case
-            # pruning over the true lattice dropped any (it cannot for
-            # exact supports, but stay robust to capped references).
-            seen = set(candidates)
-            candidates.extend(
-                its for its in true_result.by_length[length] if its not in seen
+            levels = true_result.by_length
+            candidates = _level_candidates(
+                tuple(its.items for its in levels.get(length - 1, {})),
+                tuple(its.items for its in levels[length]),
             )
         if not candidates:
             continue

@@ -6,6 +6,7 @@
 """
 
 import doctest
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,23 @@ def test_docstring_coverage_gate():
         timeout=60,
     )
     assert result.returncode == 0, result.stdout[-2000:]
+
+
+def test_traced_run_wrappers_resolve():
+    """Every library name perfbench/spans.py wraps still exists.
+
+    ``install`` patches modules process-wide, so it runs in a child.
+    """
+    paths = os.pathsep.join([str(REPO / "src"), str(REPO / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": paths}
+    result = subprocess.run(
+        [sys.executable, "-c", "from spans import Tracer, install; install(Tracer())"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def test_pdoc_builds_cleanly(tmp_path):

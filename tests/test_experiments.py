@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.data.census import generate_census
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, FrappError
 from repro.experiments.config import (
     ExperimentConfig,
     PAPER_GAMMA,
@@ -18,6 +18,7 @@ from repro.experiments.figures import (
     figure3_support_error,
     figure4,
 )
+from repro.experiments.orchestrator import Orchestrator
 from repro.experiments.runner import run_comparison, run_mechanism
 from repro.experiments.tables import PAPER_TABLE3, table1, table2, table3
 from repro.mining.reconstructing import mine_exact
@@ -163,5 +164,21 @@ class TestFigures:
         assert max(series_h["MASK"]) == 7
 
     def test_figure4_unknown_dataset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExperimentError):
             figure4("MNIST")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: figure3_support_error("MNIST", n_records=1000),
+            lambda: figure3_support_error(
+                "MNIST", n_records=1000, orchestrator=Orchestrator()
+            ),
+            # A 0-record spec is mined as given, not replaced by the default.
+            lambda: table3(n_census=0, n_health=1000),
+        ],
+        ids=["figure3", "figure3-orchestrated", "table3-zero-records"],
+    )
+    def test_bad_dataset_requests_raise_typed_errors(self, call):
+        with pytest.raises(FrappError):
+            call()
