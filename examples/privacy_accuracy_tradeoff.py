@@ -39,8 +39,10 @@ def main() -> None:
     )
 
     print("accuracy: RAN-GD support error at itemset length 4 on CENSUS")
-    config = ExperimentConfig(seed=7, n_records=n_records)
-    series = figure3_support_error("CENSUS", length=4, alphas=alphas, config=config)
+    config = ExperimentConfig(seed=7)
+    series = figure3_support_error(
+        "CENSUS", length=4, alphas=alphas, config=config, n_records=n_records
+    )
     print(f"{'alpha/(gamma x)':>16} {'RAN-GD rho':>11} {'DET-GD rho':>11}")
     for rel in alphas:
         print(

@@ -14,22 +14,23 @@ Run:  python examples/private_classifier.py [n_train]
 
 import sys
 
-from repro import generate_health
 from repro.core.privacy import rho2_from_gamma
-from repro.experiments import classification_sweep
+from repro.experiments import DatasetSpec, classification_sweep
 
 
 def main() -> None:
     n_train = int(sys.argv[1]) if len(sys.argv) > 1 else 60_000
-    train = generate_health(n_train, seed=21)
-    test = generate_health(15_000, seed=22)
+    train = DatasetSpec.from_name("HEALTH", n_train, seed=21)
+    test = DatasetSpec.from_name("HEALTH", 15_000, seed=22)
 
     gammas = (9.0, 19.0, 49.0, 99.0, 499.0)
     series = classification_sweep(train, test, "HEALTH", gammas=gammas, seed=23)
 
     exact = next(iter(series["exact"].values()))
     majority = next(iter(series["majority"].values()))
-    print(f"predicting HEALTH status from {train.schema.n_attributes - 1} attributes")
+    print(
+        f"predicting HEALTH status from {train.schema().n_attributes - 1} attributes"
+    )
     print(f"exact naive Bayes accuracy:    {exact:.1%}")
     print(f"majority-class baseline:       {majority:.1%}\n")
 

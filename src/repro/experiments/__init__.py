@@ -3,15 +3,18 @@
 * :mod:`repro.experiments.config` -- experiment configuration and the
   paper's default parameter values;
 * :mod:`repro.experiments.runner` -- perturb-mine-evaluate pipeline for
-  one mechanism on one dataset;
+  one mechanism on any in-memory dataset;
 * :mod:`repro.experiments.tables` -- Tables 1-3;
 * :mod:`repro.experiments.figures` -- Figures 1-4;
+* :mod:`repro.experiments.sweeps` -- ablations beyond the paper;
 * :mod:`repro.experiments.reporting` -- plain-text rendering of the
   result series (the repo has no plotting dependency; figures are
   emitted as the number series behind each curve);
 * :mod:`repro.experiments.orchestrator` -- the cell decomposition of
   the evaluation grid, run DAG-aware against the content-addressed
   result store (:mod:`repro.store`), optionally across processes;
+  Figures 1-3, Table 3 and the sweeps run as cells, on an in-memory
+  orchestrator when the caller passes none;
 * :mod:`repro.experiments.cli` -- the ``frapp`` command /
   ``python -m repro.experiments``.
 """

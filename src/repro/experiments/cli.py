@@ -94,7 +94,6 @@ def _config_from_args(args) -> ExperimentConfig:
         gamma=args.gamma,
         min_support=args.min_support,
         seed=args.seed,
-        n_records=args.records,
         workers=args.workers,
         chunk_size=args.chunk_size,
     )
@@ -186,9 +185,8 @@ def _run_sweep_gamma(args, orchestrator) -> str:
 
     records = args.records or 20_000
     config = ExperimentConfig(seed=args.seed, min_support=args.min_support)
-    spec = DatasetSpec.from_name("CENSUS", n_records=records)
     series = gamma_sweep(
-        spec if orchestrator is not None else spec.build(),
+        DatasetSpec.from_name("CENSUS", n_records=records),
         config=config,
         orchestrator=orchestrator,
     )

@@ -8,7 +8,7 @@ MASK / C&P, RAN-GD shown at ``alpha = gamma*x/2``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.privacy import gamma_from_rho
 from repro.exceptions import ExperimentError
@@ -52,7 +52,8 @@ def dataset_scale() -> float:
 class ExperimentConfig:
     """Knobs for one comparison experiment.
 
-    Defaults reproduce the paper's Section-7 setup exactly.
+    Defaults reproduce the paper's Section-7 setup exactly.  Dataset
+    sizes are not a knob here: each artefact takes ``n_records=``.
     """
 
     gamma: float = PAPER_GAMMA
@@ -61,7 +62,6 @@ class ExperimentConfig:
     max_cut: int = 3
     mechanisms: tuple[str, ...] = PAPER_MECHANISMS
     seed: int = 20050405
-    n_records: int | None = None  # None = dataset default, scaled
     #: ``"per-level"`` scores each itemset length against candidates
     #: derived from the true previous level (what the paper's per-length
     #: figures plot); ``"apriori"`` runs the deployable cascade where
@@ -74,7 +74,6 @@ class ExperimentConfig:
     #: (MASK and C&P always run direct).
     workers: int = 1
     chunk_size: int | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.gamma <= 1.0:
@@ -97,8 +96,3 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"chunk_size must be >= 1 (or None), got {self.chunk_size}"
             )
-
-    def records_for(self, dataset_default: int) -> int:
-        """Effective dataset size given config override and $REPRO_SCALE."""
-        base = self.n_records if self.n_records is not None else dataset_default
-        return max(1000, int(base * dataset_scale()))

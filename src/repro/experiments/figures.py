@@ -3,9 +3,17 @@
 The repo carries no plotting dependency; each ``figureN`` function
 returns the exact series a plotting script would draw (and
 :mod:`repro.experiments.reporting` renders them as text).
+
+Figures 1-3(b, c) are grids of experiment cells
+(:mod:`repro.experiments.orchestrator`): each builder runs its cells on
+the caller's :class:`~repro.experiments.orchestrator.Orchestrator`
+(cached, parallel, multi-host) or, given none, on an in-memory
+``Orchestrator()``.  Figure 3(a) and Figure 4 are analytic.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,16 +21,15 @@ from repro.core.randomized import RandomizedGammaDiagonal
 from repro.experiments.config import ExperimentConfig, PAPER_GAMMA, PAPER_RHO1
 from repro.experiments.orchestrator import (
     DatasetSpec,
+    Orchestrator,
     comparison_cells,
     config_env,
     exact_cell,
     int_seed,
     mechanism_cell,
 )
-from repro.experiments.runner import run_comparison, run_mechanism
 from repro.mechanisms.registry import display_name
 from repro.metrics.conditioning import condition_numbers_by_length
-from repro.mining.reconstructing import mine_exact
 
 #: Registry display names of the two gamma-diagonal engines -- the
 #: mechanisms Figure 3(b, c) sweeps (plot labels come from the registry
@@ -46,7 +53,12 @@ def figure3_error_cells(
     config: ExperimentConfig | None = None,
     n_records=None,
 ):
-    """The cells behind Figure 3(b, c): ``(exact, det, {alpha: cell})``."""
+    """The cells behind Figure 3(b, c): ``(exact, det, {alpha: cell})``.
+
+    Each RAN-GD cell runs ``config`` with only ``relative_alpha``
+    replaced, so it follows the same protocol and pipeline knobs as
+    the DET-GD reference line.
+    """
     config = config or ExperimentConfig()
     if alphas is None:
         alphas = np.linspace(0.0, 1.0, 6)
@@ -57,7 +69,7 @@ def figure3_error_cells(
         float(rel): mechanism_cell(
             spec,
             _RAN,
-            _ran_gd_config(config, float(rel)),
+            replace(config, relative_alpha=float(rel)),
             int_seed(config.seed),
             exact,
         )
@@ -70,24 +82,15 @@ def _comparison_series(
     dataset_name: str, config: ExperimentConfig, n_records=None, orchestrator=None
 ):
     """``{metric: {mechanism: {length: value}}}`` for one dataset."""
-    if orchestrator is not None:
-        cells = comparison_figure_cells(dataset_name, config, n_records)
-        results = orchestrator.run(cells)
-        runs = {
-            mechanism: results[cell.name]
-            for mechanism, cell in zip(config.mechanisms, cells[1:])
-        }
-        return {
-            "rho": {name: run["rho"] for name, run in runs.items()},
-            "sigma_minus": {name: run["sigma_minus"] for name, run in runs.items()},
-            "sigma_plus": {name: run["sigma_plus"] for name, run in runs.items()},
-        }
-    dataset = DatasetSpec.from_name(dataset_name, n_records).build()
-    runs = run_comparison(dataset, config)
+    cells = comparison_figure_cells(dataset_name, config, n_records)
+    results = (orchestrator or Orchestrator()).run(cells)
+    runs = {
+        mechanism: results[cell.name]
+        for mechanism, cell in zip(config.mechanisms, cells[1:])
+    }
     return {
-        "rho": {name: run.errors.rho for name, run in runs.items()},
-        "sigma_minus": {name: run.errors.sigma_minus for name, run in runs.items()},
-        "sigma_plus": {name: run.errors.sigma_plus for name, run in runs.items()},
+        metric: {name: run[metric] for name, run in runs.items()}
+        for metric in ("rho", "sigma_minus", "sigma_plus")
     }
 
 
@@ -95,9 +98,8 @@ def figure1(config: ExperimentConfig | None = None, n_records=None, orchestrator
     """Fig. 1: support error and identity errors on CENSUS.
 
     Returns ``{"rho" | "sigma_minus" | "sigma_plus":
-    {mechanism: {length: value}}}`` -- panels (a), (b), (c).  With an
-    :class:`~repro.experiments.orchestrator.Orchestrator`, each
-    mechanism is a cached cell (same numbers, memoised and parallel).
+    {mechanism: {length: value}}}`` -- panels (a), (b), (c), one cached
+    cell per mechanism.
     """
     return _comparison_series(
         "CENSUS", config or ExperimentConfig(), n_records, orchestrator
@@ -135,18 +137,6 @@ def figure3_posterior(
     return series
 
 
-def _ran_gd_config(config: ExperimentConfig, rel: float) -> ExperimentConfig:
-    """The per-alpha RAN-GD configuration of Figure 3(b, c)."""
-    return ExperimentConfig(
-        gamma=config.gamma,
-        min_support=config.min_support,
-        relative_alpha=rel,
-        max_cut=config.max_cut,
-        mechanisms=config.mechanisms,
-        seed=config.seed,
-    )
-
-
 def figure3_support_error(
     dataset_name: str,
     length: int = 4,
@@ -161,33 +151,16 @@ def figure3_support_error(
     the DET-GD value repeated as the flat reference line, exactly like
     the paper's panels.
     """
-    config = config or ExperimentConfig()
-    if alphas is None:
-        alphas = np.linspace(0.0, 1.0, 6)
-    if orchestrator is not None:
-        exact, det, ran_cells = figure3_error_cells(
-            dataset_name, alphas, config, n_records
-        )
-        results = orchestrator.run([exact, det, *ran_cells.values()])
-        det_rho = results[det.name]["rho"].get(length, float("nan"))
-        series = {_RAN: {}, _DET: {}}
-        for rel, cell in ran_cells.items():
-            series[_RAN][rel] = results[cell.name]["rho"].get(length, float("nan"))
-            series[_DET][rel] = det_rho
-        return series
-    dataset = DatasetSpec.from_name(dataset_name, n_records).build()
-    true_result = mine_exact(dataset, config.min_support)
-    det = run_mechanism(dataset, _DET, config, true_result=true_result)
-    det_rho = det.errors.rho.get(length, float("nan"))
-    series = {_RAN: {}, _DET: {}}
-    for rel in alphas:
-        rel = float(rel)
-        run = run_mechanism(
-            dataset, _RAN, _ran_gd_config(config, rel), true_result=true_result
-        )
-        series[_RAN][rel] = run.errors.rho.get(length, float("nan"))
-        series[_DET][rel] = det_rho
-    return series
+    exact, det, ran_cells = figure3_error_cells(dataset_name, alphas, config, n_records)
+    results = (orchestrator or Orchestrator()).run([exact, det, *ran_cells.values()])
+    det_rho = results[det.name]["rho"].get(length, float("nan"))
+    return {
+        _RAN: {
+            rel: results[cell.name]["rho"].get(length, float("nan"))
+            for rel, cell in ran_cells.items()
+        },
+        _DET: dict.fromkeys(ran_cells, det_rho),
+    }
 
 
 def figure4(

@@ -3,11 +3,17 @@
 The paper's evaluation is a grid of *cells* -- one mechanism on one
 dataset under one parameterisation (plus the exact-mining reference
 each cell is scored against).  This module decomposes every experiment
-(``frapp all``, the figures, and the sweep ablations) into such cells,
-runs the ones that are missing from the content-addressed
+(``frapp all``, the figures, Table 3 and the sweep ablations) into such
+cells, runs the ones that are missing from the content-addressed
 :class:`~repro.store.ResultStore` -- concurrently across worker
-processes when ``jobs > 1`` -- and lets the figure/table builders
-materialise their output purely from cell payloads.
+processes when ``jobs > 1``, in one scheduling loop that also serves
+claim-coordinated hosts -- and lets the figure/table builders
+materialise their output purely from cell payloads.  Cells are the only
+way those builders run: given no orchestrator, they use an in-memory
+``Orchestrator()`` (no store, one job).  Arbitrary in-memory datasets,
+which cannot be cache-keyed, go through
+:func:`~repro.experiments.runner.run_mechanism` and
+:func:`~repro.experiments.runner.run_comparison` instead.
 
 Determinism contract
 --------------------
@@ -267,10 +273,6 @@ def _compute_exact(params, deps, env):
     return encode_apriori(result)
 
 
-def _decode_exact(payload, arrays):
-    return decode_apriori(payload, arrays)
-
-
 def _compute_mechanism(params, deps, env):
     from repro.experiments.runner import run_mechanism
 
@@ -334,7 +336,7 @@ def _compute_classify_ref(params, deps, env):
     return payload, {}
 
 
-def _decode_classify_ref(payload, arrays):
+def _decode_dict(payload, arrays):
     return dict(payload)
 
 
@@ -354,15 +356,11 @@ def _compute_classify_private(params, deps, env):
     return {"accuracy": float(private.accuracy(test))}, {}
 
 
-def _decode_classify_private(payload, arrays):
-    return dict(payload)
-
-
 _CELL_FUNCS = {
-    "exact": (_compute_exact, _decode_exact),
+    "exact": (_compute_exact, decode_apriori),
     "mechanism": (_compute_mechanism, _decode_mechanism),
-    "classify-ref": (_compute_classify_ref, _decode_classify_ref),
-    "classify-private": (_compute_classify_private, _decode_classify_private),
+    "classify-ref": (_compute_classify_ref, _decode_dict),
+    "classify-private": (_compute_classify_private, _decode_dict),
 }
 
 
@@ -430,9 +428,11 @@ def mechanism_cell(
     """One mechanism × dataset × parameterisation grid cell.
 
     ``mechanism`` is a registered name or a
-    :class:`~repro.mechanisms.MechanismSpec`.  Named mechanisms key on
-    the config knobs that can move their numbers -- ``relative_alpha``
-    is RAN-GD-only, ``max_cut`` C&P-only -- exactly as before the
+    :class:`~repro.mechanisms.MechanismSpec`.  Named mechanisms are
+    labelled by their registry display name (so an alias such as
+    ``"rangd"`` builds the ``"RAN-GD"`` cell) and key on the config
+    knobs that can move their numbers -- ``relative_alpha`` is
+    RAN-GD-only, ``max_cut`` C&P-only -- exactly as before the
     registry existed, so the four paper mechanisms' cache keys are
     stable.  Spec mechanisms key on their *canonical spec*: every
     parameter (e.g. one per-attribute gamma of a composite) is in the
@@ -448,7 +448,7 @@ def mechanism_cell(
             "seed": seed_spec,
         }
     else:
-        label = mechanism.upper()
+        label = mechanism_registry.display_name(mechanism)
         params = {
             "dataset": dataset.spec(),
             "mechanism": label,
@@ -536,11 +536,10 @@ def classify_private_cell(
 
 
 def require_int_seed(seed, what: str) -> int:
-    """Reject non-reproducible seeds on the cacheable path."""
+    """Reject seeds a cell cannot key on (cells seed themselves)."""
     if seed is None or isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         raise ExperimentError(
-            f"{what} needs a literal integer seed to be cacheable; "
-            "pass seed=<int> (or run without an orchestrator)"
+            f"{what} needs a literal integer seed to be cacheable; pass seed=<int>"
         )
     return int(seed)
 
@@ -726,22 +725,12 @@ class Orchestrator:
         independent of ``jobs`` and of scheduling order by the seeding
         contract above.
         """
-        cells = list(cells)
-        by_name = self._check_dag(cells)
-
-        pending: dict[str, Cell] = {}
-        for name, cell in by_name.items():
-            if name in self._memo:
-                continue
-            if self.store is not None and not self.force:
-                cached = self.store.get(self.key_for(cell))
-                if cached is not None:
-                    payload, arrays = cached
-                    self._memo[name] = self._decode(cell, payload, arrays)
-                    self.stats.hits += 1
-                    continue
-            pending[name] = cell
-
+        by_name = self._check_dag(list(cells))
+        pending = {
+            name: cell
+            for name, cell in by_name.items()
+            if name not in self._memo and not self._adopt(cell)
+        }
         if pending:
             self._run_pending(pending)
             if self.store is not None:
@@ -756,31 +745,74 @@ class Orchestrator:
             if all(dep in self._memo for dep in cell.deps)
         ]
 
-    def _adopt(self, cell: Cell, key: str) -> bool:
-        """Serve a ready cell from a peer's store commit, if one landed."""
+    def _adopt(self, cell: Cell, remote: bool = False) -> bool:
+        """Serve ``cell`` from the store, if a result is committed there.
+
+        ``remote`` marks a peer's commit that landed after this run's
+        initial store scan (see :meth:`CacheStats.record_remote`).
+        """
         if self.force or self.store is None:
             return False
-        cached = self.store.get(key)
+        cached = self.store.get(self.key_for(cell))
         if cached is None:
             return False
-        payload, arrays = cached
-        self._memo[cell.name] = self._decode(cell, payload, arrays)
-        self.stats.record_remote()
+        self._memo[cell.name] = self._decode(cell, *cached)
+        if remote:
+            self.stats.record_remote()
+        else:
+            self.stats.hits += 1
         return True
 
-    def _run_claimed(self, pending: dict[str, Cell]) -> None:
-        """Claim-coordinated scheduling (the multi-host ``frapp all``).
+    def _claim(self, cell: Cell) -> bool:
+        """Whether this process should compute the ready ``cell`` now.
 
-        Each ready cell goes through adopt -> claim -> compute:
-        a peer's committed result is adopted outright; otherwise the
-        cell is claimed (stealing expired/poisoned claims) and computed
-        here -- inline for ``jobs == 1``, on the pool otherwise --
-        with the store commit strictly *before* the claim release, so
-        a released claim always implies an adoptable result.  Claims
-        still held on exit (success or error) are released so a failing
-        host never blocks its peers for a full lease.
+        Always, without a claim board.  With one, a peer's committed
+        result is adopted outright; otherwise the cell is claimed
+        (stealing expired/poisoned claims), and ``False`` while a live
+        peer holds it leaves the cell to be polled again.
         """
+        if self.claims is None:
+            return True
+        key = self.key_for(cell)
+        if self._adopt(cell, remote=True) or not self.claims.acquire(key):
+            return False
+        if self._adopt(cell, remote=True):
+            # A peer committed and released between the store check and
+            # our claim: adopt, don't redo.
+            self.claims.release(key)
+            return False
+        return True
+
+    def _settle(self, cell: Cell, result) -> None:
+        """Commit ``result()``, and only then release the cell's claim.
+
+        A released claim therefore always implies an adoptable result;
+        the claim is released even when the computation raised.
+        """
+        try:
+            self._commit(cell, *result())
+        finally:
+            if self.claims is not None:
+                self.claims.release(self.key_for(cell))
+
+    def _run_pending(self, pending: dict[str, Cell]) -> None:
+        """Compute the pending cells, each once its dependency landed.
+
+        One loop serves every layout.  Each ready cell that
+        :meth:`_claim` hands to this process is computed inline when
+        ``jobs == 1`` and on a worker pool otherwise, whose results are
+        harvested as they land so dependants become ready at once.
+        With a claim board, cells held by a live peer are polled every
+        ``poll_interval`` until adopted or stolen, and claims still held
+        on exit (success or error) are released so a failing host never
+        blocks its peers for a full lease.
+        """
+        # ProcessPoolExecutor workers are non-daemonic, so a cell may
+        # itself fan out (a DET-GD/RAN-GD run with config.workers > 1
+        # opens a nested PerturbationPipeline pool).
         pool = ProcessPoolExecutor(self.jobs) if self.jobs > 1 else None
+        # Without claims nothing needs re-checking: block until a cell lands.
+        poll = None if self.claims is None else self.poll_interval
         in_flight: dict[object, str] = {}
         try:
             while pending or in_flight:
@@ -796,88 +828,27 @@ class Orchestrator:
                 for cell in ready:
                     if cell.name in submitted:
                         continue
-                    key = self.key_for(cell)
-                    if self._adopt(cell, key):
-                        del pending[cell.name]
-                        progressed = True
+                    if not self._claim(cell):
+                        if cell.name in self._memo:  # adopted from a peer
+                            del pending[cell.name]
+                            progressed = True
                         continue
-                    if not self.claims.acquire(key):
-                        continue  # live peer claim: poll again later
-                    if self._adopt(cell, key):
-                        # A peer committed and released between the
-                        # store check and our claim: adopt, don't redo.
-                        self.claims.release(key)
-                        del pending[cell.name]
-                        progressed = True
-                        continue
+                    progressed = True
+                    task = self._task(cell)
                     if pool is None:
-                        try:
-                            payload, arrays = _execute_cell(self._task(cell))
-                            self._commit(cell, payload, arrays)
-                        finally:
-                            self.claims.release(key)
+                        self._settle(cell, functools.partial(_execute_cell, task))
                         del pending[cell.name]
                     else:
-                        future = pool.submit(_execute_cell, self._task(cell))
-                        in_flight[future] = cell.name
-                    progressed = True
+                        in_flight[pool.submit(_execute_cell, task)] = cell.name
                 if in_flight:
-                    done, _ = wait(
-                        in_flight,
-                        timeout=self.poll_interval,
-                        return_when=FIRST_COMPLETED,
-                    )
+                    # .result() re-raises worker exceptions in the parent.
+                    done, _ = wait(in_flight, timeout=poll, return_when=FIRST_COMPLETED)
                     for future in done:
-                        cell = pending.pop(in_flight.pop(future))
-                        try:
-                            payload, arrays = future.result()
-                            self._commit(cell, payload, arrays)
-                        finally:
-                            self.claims.release(self.key_for(cell))
-                    continue
-                if not progressed:
+                        self._settle(pending.pop(in_flight.pop(future)), future.result)
+                elif not progressed:
                     time.sleep(self.poll_interval)
         finally:
             if pool is not None:
                 pool.shutdown()
-            self.claims.release_all()
-
-    def _run_pending(self, pending: dict[str, Cell]) -> None:
-        if self.claims is not None:
-            self._run_claimed(pending)
-            return
-        if self.jobs == 1:
-            while pending:
-                ready = self._ready(pending)
-                if not ready:
-                    raise ExperimentError(
-                        f"dependency cycle among cells {sorted(pending)}"
-                    )
-                for cell in ready:
-                    payload, arrays = _execute_cell(self._task(cell))
-                    self._commit(cell, payload, arrays)
-                    del pending[cell.name]
-            return
-
-        # ProcessPoolExecutor workers are non-daemonic, so a cell may
-        # itself fan out (a DET-GD/RAN-GD run with config.workers > 1
-        # opens a nested PerturbationPipeline pool).
-        with ProcessPoolExecutor(self.jobs) as pool:
-            in_flight: dict[object, str] = {}
-            while pending or in_flight:
-                submitted = set(in_flight.values())
-                for cell in self._ready(pending):
-                    if cell.name not in submitted:
-                        future = pool.submit(_execute_cell, self._task(cell))
-                        in_flight[future] = cell.name
-                if not in_flight:
-                    raise ExperimentError(
-                        f"dependency cycle among cells {sorted(pending)}"
-                    )
-                # Harvest whatever lands first (dependants become
-                # schedulable immediately); .result() re-raises worker
-                # exceptions in the parent.
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in done:
-                    payload, arrays = future.result()
-                    self._commit(pending.pop(in_flight.pop(future)), payload, arrays)
+            if self.claims is not None:
+                self.claims.release_all()

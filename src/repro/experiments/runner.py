@@ -1,9 +1,11 @@
 """Perturb-mine-evaluate pipelines.
 
 :func:`run_mechanism` executes one mechanism end to end on one dataset
-and scores it against exact mining; :func:`run_comparison` does so for a
-whole mechanism line-up, sharing the exact-mining reference -- this is
-the engine behind Figures 1-3.
+and scores it against exact mining -- what every mechanism cell of
+:mod:`repro.experiments.orchestrator` computes; :func:`run_comparison`
+does so for a whole mechanism line-up, sharing the exact-mining
+reference.  Both take any in-memory dataset, whereas the figure, table
+and sweep builders take cache-keyable dataset specs or names.
 """
 
 from __future__ import annotations

@@ -11,28 +11,28 @@ quantify the design space around that operating point:
 * :func:`classification_sweep` -- the future-work task: naive-Bayes
   accuracy trained on reconstructed statistics versus ``gamma``.
 
-Each sweep point is an independent experiment cell: pass an
-:class:`~repro.experiments.orchestrator.Orchestrator` (and describe
-datasets by :class:`~repro.experiments.orchestrator.DatasetSpec`) to
-run the points concurrently and memoise them in the result store.
-Every point seeds itself -- an integer seed or a
-``SeedSequence``-spawned child stream -- so cached, fresh, serial and
-parallel runs all produce the same numbers.
+Each sweep point is an independent experiment cell, so datasets are
+given as a :class:`~repro.experiments.orchestrator.DatasetSpec` or a
+canonical dataset name, and seeds as integers.  The cells run on the
+caller's :class:`~repro.experiments.orchestrator.Orchestrator`
+(concurrent and memoised in the result store) or, given none, on an
+in-memory ``Orchestrator()``.  Every point seeds itself -- an integer
+seed or a ``SeedSequence``-spawned child stream -- so cached, fresh,
+serial and parallel runs all produce the same numbers.  An arbitrary
+in-memory dataset cannot be cache-keyed: sweep it with
+:func:`~repro.experiments.runner.run_mechanism`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
 
-from repro.core.engine import GammaDiagonalPerturbation
-from repro.data.census import generate_census
-from repro.data.dataset import CategoricalDataset
-from repro.data.health import generate_health
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import (
     Cell,
     DatasetSpec,
+    Orchestrator,
     classify_private_cell,
     classify_ref_cell,
     exact_cell,
@@ -41,10 +41,6 @@ from repro.experiments.orchestrator import (
     require_int_seed,
     spawn_seed,
 )
-from repro.experiments.runner import run_mechanism
-from repro.mining.classify import NaiveBayesClassifier
-from repro.mining.reconstructing import mine_exact
-from repro.stats.rng import spawn_generators
 
 #: Default privacy levels for the gamma sweeps.
 DEFAULT_GAMMAS = (5.0, 9.0, 19.0, 49.0, 99.0)
@@ -53,32 +49,28 @@ DEFAULT_GAMMAS = (5.0, 9.0, 19.0, 49.0, 99.0)
 def _as_spec(dataset, what: str) -> DatasetSpec:
     if isinstance(dataset, DatasetSpec):
         return dataset
+    if isinstance(dataset, str):
+        return DatasetSpec.from_name(dataset)
     raise ExperimentError(
-        f"{what} needs a DatasetSpec to run through an orchestrator "
-        "(in-memory datasets cannot be cache-keyed)"
+        f"{what} needs a DatasetSpec or a dataset name: its points are "
+        "cache-keyed cells, and in-memory datasets cannot be keyed "
+        "(use run_mechanism for those)"
     )
 
 
-def _materialise(dataset):
-    return dataset.build() if isinstance(dataset, DatasetSpec) else dataset
-
-
-def _gamma_config(base: ExperimentConfig, gamma: float) -> ExperimentConfig:
-    if gamma <= 1.0:
-        raise ExperimentError(f"gamma must exceed 1, got {gamma}")
-    return ExperimentConfig(
-        gamma=float(gamma),
-        min_support=base.min_support,
-        relative_alpha=base.relative_alpha,
-        max_cut=base.max_cut,
-        mechanisms=base.mechanisms,
-        seed=base.seed,
-        protocol=base.protocol,
-    )
+def _error_series(results: dict, cells: dict, length: int) -> dict:
+    """``{"rho" | "sigma_minus": {x: value}}`` from mechanism cells by x."""
+    return {
+        metric: {
+            x: results[cell.name][metric].get(length, float("nan"))
+            for x, cell in cells.items()
+        }
+        for metric in ("rho", "sigma_minus")
+    }
 
 
 def gamma_sweep(
-    dataset: CategoricalDataset | DatasetSpec,
+    dataset: DatasetSpec | str,
     gammas=DEFAULT_GAMMAS,
     mechanism: str = "DET-GD",
     length: int = 4,
@@ -87,53 +79,28 @@ def gamma_sweep(
 ) -> dict[str, dict[float, float]]:
     """Support and identity error at one itemset length versus gamma.
 
-    Returns ``{"rho" | "sigma_minus": {gamma: value}}``.
+    Returns ``{"rho" | "sigma_minus": {gamma: value}}``.  Each point
+    runs ``config`` with only ``gamma`` replaced.
     """
     base = config or ExperimentConfig()
-    if orchestrator is not None:
-        spec = _as_spec(dataset, "gamma_sweep")
-        exact = exact_cell(spec, base.min_support)
-        cells: dict[float, Cell] = {
-            float(gamma): mechanism_cell(
-                spec,
-                mechanism,
-                _gamma_config(base, gamma),
-                int_seed(base.seed),
-                exact,
-            )
-            for gamma in gammas
-        }
-        results = orchestrator.run([exact, *cells.values()])
-        series = {"rho": {}, "sigma_minus": {}}
-        for gamma, cell in cells.items():
-            run = results[cell.name]
-            series["rho"][gamma] = run["rho"].get(length, float("nan"))
-            series["sigma_minus"][gamma] = run["sigma_minus"].get(length, float("nan"))
-        return series
-    dataset = _materialise(dataset)
-    true_result = mine_exact(dataset, base.min_support)
-    series = {"rho": {}, "sigma_minus": {}}
-    for gamma in gammas:
-        config_g = _gamma_config(base, gamma)
-        run = run_mechanism(dataset, mechanism, config_g, true_result=true_result)
-        series["rho"][float(gamma)] = run.errors.rho.get(length, float("nan"))
-        series["sigma_minus"][float(gamma)] = run.errors.sigma_minus.get(
-            length, float("nan")
+    spec = _as_spec(dataset, "gamma_sweep")
+    exact = exact_cell(spec, base.min_support)
+    cells: dict[float, Cell] = {
+        float(gamma): mechanism_cell(
+            spec,
+            mechanism,
+            replace(base, gamma=float(gamma)),
+            int_seed(base.seed),
+            exact,
         )
-    return series
-
-
-def _generator_for(name: str):
-    key = name.upper()
-    if key == "CENSUS":
-        return generate_census
-    if key == "HEALTH":
-        return generate_health
-    raise ExperimentError(f"unknown dataset {name!r}")
+        for gamma in gammas
+    }
+    results = (orchestrator or Orchestrator()).run([exact, *cells.values()])
+    return _error_series(results, cells, length)
 
 
 def sample_size_sweep(
-    generator,
+    generator: DatasetSpec | str,
     sizes,
     length: int = 4,
     config: ExperimentConfig | None = None,
@@ -141,55 +108,36 @@ def sample_size_sweep(
 ) -> dict[str, dict[int, float]]:
     """DET-GD error at one itemset length versus dataset size.
 
-    ``generator`` is a callable ``n -> CategoricalDataset`` (e.g.
-    :func:`repro.data.census.generate_census`) or a canonical dataset
-    name (``"CENSUS"`` / ``"HEALTH"`` -- required with an
-    orchestrator, where every size is a pair of cached cells).
+    ``generator`` names the dataset: a canonical name (``"CENSUS"`` /
+    ``"HEALTH"``, default generator seed) or a ``DatasetSpec`` whose
+    size each of ``sizes`` replaces.  Every size is a pair of cells:
+    its exact-mining reference and the DET-GD run.
     """
     config = config or ExperimentConfig()
     sizes = [int(size) for size in sizes]
     for size in sizes:
         if size < 100:
             raise ExperimentError(f"sample size {size} too small to mine")
-    if orchestrator is not None:
-        if not isinstance(generator, str):
-            raise ExperimentError(
-                'sample_size_sweep needs a dataset name ("CENSUS"/"HEALTH") '
-                "to run through an orchestrator"
-            )
-        cells: dict[int, tuple[Cell, Cell]] = {}
-        dag: list[Cell] = []
-        for size in sizes:
-            spec = DatasetSpec.from_name(generator, n_records=size)
-            exact = exact_cell(spec, config.min_support)
-            mech = mechanism_cell(spec, "DET-GD", config, int_seed(config.seed), exact)
-            cells[size] = (exact, mech)
-            dag += [exact, mech]
-        results = orchestrator.run(dag)
-        series = {"rho": {}, "sigma_minus": {}}
-        for size, (_, mech) in cells.items():
-            run = results[mech.name]
-            series["rho"][size] = run["rho"].get(length, float("nan"))
-            series["sigma_minus"][size] = run["sigma_minus"].get(length, float("nan"))
-        return series
-    if isinstance(generator, str):
-        generator = _generator_for(generator)
-    series = {"rho": {}, "sigma_minus": {}}
+    base = _as_spec(generator, "sample_size_sweep")
+    cells: dict[int, Cell] = {}
+    dag: list[Cell] = []
     for size in sizes:
-        dataset = generator(size)
-        true_result = mine_exact(dataset, config.min_support)
-        run = run_mechanism(dataset, "DET-GD", config, true_result=true_result)
-        series["rho"][size] = run.errors.rho.get(length, float("nan"))
-        series["sigma_minus"][size] = run.errors.sigma_minus.get(length, float("nan"))
-    return series
+        spec = replace(base, n_records=size)
+        exact = exact_cell(spec, config.min_support)
+        cells[size] = mechanism_cell(
+            spec, "DET-GD", config, int_seed(config.seed), exact
+        )
+        dag += [exact, cells[size]]
+    results = (orchestrator or Orchestrator()).run(dag)
+    return _error_series(results, cells, length)
 
 
 def classification_sweep(
-    train: CategoricalDataset | DatasetSpec,
-    test: CategoricalDataset | DatasetSpec,
+    train: DatasetSpec | str,
+    test: DatasetSpec | str,
     class_attribute,
     gammas=DEFAULT_GAMMAS,
-    seed=None,
+    seed: int = ExperimentConfig.seed,
     orchestrator=None,
 ) -> dict[str, dict[float, float]]:
     """Naive-Bayes accuracy trained on reconstructed statistics vs gamma.
@@ -203,53 +151,31 @@ def classification_sweep(
     and reproducible regardless of evaluation order.
     """
     gammas = [float(gamma) for gamma in gammas]
-    if orchestrator is not None:
-        train_spec = _as_spec(train, "classification_sweep")
-        test_spec = _as_spec(test, "classification_sweep")
-        root = require_int_seed(seed, "classification_sweep")
-        schema = train_spec.schema()
-        position = (
-            schema.position_of(class_attribute)
-            if isinstance(class_attribute, str)
-            else int(class_attribute)
+    train_spec = _as_spec(train, "classification_sweep")
+    test_spec = _as_spec(test, "classification_sweep")
+    root = require_int_seed(seed, "classification_sweep")
+    position = (
+        train_spec.schema().position_of(class_attribute)
+        if isinstance(class_attribute, str)
+        else int(class_attribute)
+    )
+    reference = classify_ref_cell(train_spec, test_spec, position)
+    cells: dict[float, Cell] = {
+        gamma: classify_private_cell(
+            train_spec,
+            test_spec,
+            position,
+            gamma,
+            spawn_seed(root, index, len(gammas)),
         )
-        reference = classify_ref_cell(train_spec, test_spec, position)
-        cells: dict[float, Cell] = {
-            gamma: classify_private_cell(
-                train_spec,
-                test_spec,
-                position,
-                gamma,
-                spawn_seed(root, index, len(gammas)),
-            )
-            for index, gamma in enumerate(gammas)
-        }
-        results = orchestrator.run([reference, *cells.values()])
-        ref = results[reference.name]
-        series = {"private": {}, "exact": {}, "majority": {}}
-        for gamma, cell in cells.items():
-            series["private"][gamma] = results[cell.name]["accuracy"]
-            series["exact"][gamma] = ref["exact"]
-            series["majority"][gamma] = ref["majority"]
-        return series
-    train = _materialise(train)
-    test = _materialise(test)
-    exact = NaiveBayesClassifier(train.schema, class_attribute).fit(train)
-    exact_accuracy = exact.accuracy(test)
-    class_pos = exact.class_attribute
-    majority = int(np.bincount(train.column(class_pos)).argmax())
-    majority_accuracy = float(np.mean(test.column(class_pos) == majority))
-
-    streams = spawn_generators(seed, len(gammas))
-    series = {"private": {}, "exact": {}, "majority": {}}
-    for gamma, stream in zip(gammas, streams):
-        perturbed = GammaDiagonalPerturbation(train.schema, gamma).perturb(
-            train, seed=stream
-        )
-        private = NaiveBayesClassifier(train.schema, class_attribute).fit_reconstructed(
-            perturbed, gamma
-        )
-        series["private"][gamma] = private.accuracy(test)
-        series["exact"][gamma] = exact_accuracy
-        series["majority"][gamma] = majority_accuracy
-    return series
+        for index, gamma in enumerate(gammas)
+    }
+    results = (orchestrator or Orchestrator()).run([reference, *cells.values()])
+    ref = results[reference.name]
+    return {
+        "private": {
+            gamma: results[cell.name]["accuracy"] for gamma, cell in cells.items()
+        },
+        "exact": dict.fromkeys(cells, ref["exact"]),
+        "majority": dict.fromkeys(cells, ref["majority"]),
+    }

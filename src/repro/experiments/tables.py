@@ -4,7 +4,8 @@
   reproduced directly from the schema definitions (which are verbatim
   paper transcriptions).
 * Table 3: the number of frequent itemsets per length at
-  ``supmin = 2%`` on each dataset.
+  ``supmin = 2%`` on each dataset -- two exact-mining cells
+  (:mod:`repro.experiments.orchestrator`), shared with the figure runs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from repro.data.census import census_schema
 from repro.data.health import health_schema
 from repro.experiments.config import PAPER_MIN_SUPPORT
-from repro.experiments.orchestrator import DatasetSpec, exact_cell
-from repro.mining.reconstructing import mine_exact
+from repro.experiments.orchestrator import DatasetSpec, Orchestrator, exact_cell
 
 #: Paper Table 3, for side-by-side reporting.
 PAPER_TABLE3 = {
@@ -50,17 +50,10 @@ def table3(
 ) -> dict[str, dict[int, int]]:
     """Frequent itemsets per length for both datasets (paper Table 3).
 
-    With an :class:`~repro.experiments.orchestrator.Orchestrator`, both
-    exact-mining passes are cached cells shared with the figure runs.
+    Runs both exact-mining cells on ``orchestrator`` -- where they are
+    cached and shared with the figure runs -- or, given none, on an
+    in-memory ``Orchestrator()``.
     """
-    if orchestrator is not None:
-        cells = table3_cells(min_support, n_census, n_health)
-        results = orchestrator.run(cells.values())
-        return {
-            name: results[cell.name].counts_by_length() for name, cell in cells.items()
-        }
-    counts = {}
-    for name, n_records in (("CENSUS", n_census), ("HEALTH", n_health)):
-        dataset = DatasetSpec.from_name(name, n_records).build()
-        counts[name] = mine_exact(dataset, min_support).counts_by_length()
-    return counts
+    cells = table3_cells(min_support, n_census, n_health)
+    results = (orchestrator or Orchestrator()).run(cells.values())
+    return {name: results[cell.name].counts_by_length() for name, cell in cells.items()}

@@ -44,12 +44,6 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             ExperimentConfig(relative_alpha=2.0)
 
-    def test_records_for(self):
-        config = ExperimentConfig(n_records=5000)
-        assert config.records_for(50_000) == 5000
-        default = ExperimentConfig()
-        assert default.records_for(50_000) == 50_000
-
     def test_dataset_scale_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.5")
         assert dataset_scale() == 0.5

@@ -2,6 +2,7 @@
 
 import math
 
+import direct_reference as direct
 import numpy as np
 import pytest
 from kernel_sides import KERNELS, kernel_side
@@ -9,7 +10,11 @@ from kernel_sides import KERNELS, kernel_side
 from repro.data.census import generate_census
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import figure1, figure3_support_error
+from repro.experiments.figures import (
+    figure1,
+    figure3_error_cells,
+    figure3_support_error,
+)
 from repro.experiments.orchestrator import (
     Cell,
     DatasetSpec,
@@ -23,8 +28,11 @@ from repro.experiments.orchestrator import (
     resolve_seed,
     spawn_seed,
 )
-from repro.experiments.runner import run_comparison
-from repro.experiments.sweeps import classification_sweep, gamma_sweep
+from repro.experiments.sweeps import (
+    classification_sweep,
+    gamma_sweep,
+    sample_size_sweep,
+)
 from repro.experiments.tables import table3
 from repro.mining.reconstructing import mine_exact
 from repro.stats.rng import spawn_generators
@@ -35,12 +43,11 @@ SPEC = DatasetSpec.from_name("CENSUS", n_records=4000)
 
 
 def _series_equal(a, b):
+    """Bit-for-bit equal series (NaN gaps at the same keys)."""
     assert a.keys() == b.keys()
     for key in a:
         left, right = a[key], b[key]
-        assert (math.isnan(left) and math.isnan(right)) or left == pytest.approx(
-            right, rel=1e-9
-        )
+        assert (math.isnan(left) and math.isnan(right)) or left == right
 
 
 class TestDatasetSpec:
@@ -158,6 +165,41 @@ class TestCellKeys:
         b = mechanism_cell(SPEC, "DET-GD", high, int_seed(1), exact)
         assert orch.key_for(a) == orch.key_for(b)
 
+    @pytest.mark.parametrize(
+        "alias, name, knob, values",
+        [
+            ("rangd", "RAN-GD", "relative_alpha", (0.0, 1.0)),
+            ("cp", "C&P", "max_cut", (2, 4)),
+            ("cut-and-paste", "C&P", "max_cut", (2, 4)),
+        ],
+    )
+    def test_alias_cells_key_like_their_mechanism(self, alias, name, knob, values):
+        """An alias builds its mechanism's cell, knob included."""
+        exact = exact_cell(SPEC, 0.02)
+
+        def key_spec(mechanism, value):
+            config = ExperimentConfig(seed=3, **{knob: value})
+            return mechanism_cell(
+                SPEC, mechanism, config, int_seed(1), exact
+            ).key_spec()
+
+        low, high = values
+        assert key_spec(alias, low) == key_spec(name, low)
+        assert key_spec(alias, high) == key_spec(name, high)
+        assert key_spec(alias, low) != key_spec(alias, high)
+
+    def test_figure3_cells_follow_the_config(self):
+        """Every Figure-3 cell carries the config's protocol and pipeline."""
+        config = ExperimentConfig(
+            seed=3, protocol="apriori", workers=2, chunk_size=1000
+        )
+        _, det, ran = figure3_error_cells("CENSUS", [0.0, 1.0], config, 4000)
+        for cell in (det, *ran.values()):
+            assert cell.params["protocol"] == "apriori"
+            assert cell.params["pipeline"] == {"seeding": "spawn", "chunk_size": 1000}
+            assert cell.env == {"workers": 2, "chunk_size": 1000}
+        assert [cell.params["relative_alpha"] for cell in ran.values()] == [0.0, 1.0]
+
     def test_multiworker_pipeline_is_keyed(self):
         orch = Orchestrator(store=None, fingerprint="fp")
         exact = exact_cell(SPEC, 0.02)
@@ -200,13 +242,10 @@ class TestOrchestratorRuns:
     def test_matches_legacy_run_comparison(self, store):
         _, cells = comparison_cells(SPEC, CONFIG)
         results = Orchestrator(store=store).run(cells)
-        legacy = run_comparison(SPEC.build(), CONFIG)
+        legacy = direct.comparison_series(SPEC.name, CONFIG, SPEC.n_records)
         for mechanism, cell in zip(CONFIG.mechanisms, cells[1:]):
-            _series_equal(legacy[mechanism].errors.rho, results[cell.name]["rho"])
-            _series_equal(
-                legacy[mechanism].errors.sigma_minus,
-                results[cell.name]["sigma_minus"],
-            )
+            for metric in legacy:
+                _series_equal(legacy[metric][mechanism], results[cell.name][metric])
 
     def test_force_recomputes(self, store):
         cells = [exact_cell(SPEC, 0.02)]
@@ -311,64 +350,104 @@ class TestOrchestratorRuns:
 
 
 class TestHighLevelIntegration:
+    """Every builder against the direct oracle
+    (``tests/direct_reference.py``), bit for bit: without an
+    orchestrator (an in-memory one) and on a store-backed one."""
+
     @pytest.fixture()
-    def orchestrator(self, tmp_path):
-        return Orchestrator(store=ResultStore(tmp_path / "store"))
+    def orchestrators(self, tmp_path):
+        return (None, Orchestrator(store=ResultStore(tmp_path / "store")))
 
-    def test_figure1_parity(self, orchestrator):
+    def test_figure1_parity(self, orchestrators):
         config = ExperimentConfig(seed=5, mechanisms=("DET-GD",))
-        legacy = figure1(config, n_records=3000)
-        cells = figure1(config, n_records=3000, orchestrator=orchestrator)
-        assert legacy.keys() == cells.keys()
-        for panel in legacy:
-            _series_equal(legacy[panel]["DET-GD"], cells[panel]["DET-GD"])
+        legacy = direct.comparison_series("CENSUS", config, n_records=3000)
+        for orchestrator in orchestrators:
+            cells = figure1(config, n_records=3000, orchestrator=orchestrator)
+            assert legacy.keys() == cells.keys()
+            for panel in legacy:
+                _series_equal(legacy[panel]["DET-GD"], cells[panel]["DET-GD"])
 
-    def test_figure3_parity(self, orchestrator):
+    def test_figure3_parity(self, orchestrators):
         config = ExperimentConfig(seed=6)
         kwargs = dict(length=3, alphas=[0.0, 1.0], config=config, n_records=3000)
-        legacy = figure3_support_error("CENSUS", **kwargs)
-        cells = figure3_support_error("CENSUS", **kwargs, orchestrator=orchestrator)
+        legacy = direct.figure3_support_error("CENSUS", **kwargs)
+        for orchestrator in orchestrators:
+            cells = figure3_support_error("CENSUS", **kwargs, orchestrator=orchestrator)
+            assert list(legacy) == list(cells)
+            for series in legacy:
+                _series_equal(legacy[series], cells[series])
+
+    def test_figure3_ran_gd_follows_the_protocol(self):
+        """Under the Apriori cascade, RAN-GD runs the cascade too."""
+        config = ExperimentConfig(seed=6, protocol="apriori")
+        kwargs = dict(length=3, alphas=[0.5], config=config, n_records=3000)
+        legacy = direct.figure3_support_error("CENSUS", **kwargs)
+        cells = figure3_support_error("CENSUS", **kwargs)
         for series in legacy:
             _series_equal(legacy[series], cells[series])
 
-    def test_table3_parity(self, orchestrator, monkeypatch):
+    def test_table3_parity(self, orchestrators, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.05")
-        assert table3(orchestrator=orchestrator) == table3()
+        legacy = direct.table3()
+        for orchestrator in orchestrators:
+            assert table3(orchestrator=orchestrator) == legacy
 
-    def test_gamma_sweep_parity(self, orchestrator):
+    def test_gamma_sweep_parity(self, orchestrators):
         config = ExperimentConfig(seed=7)
         spec = DatasetSpec.from_name("CENSUS", n_records=3000)
-        legacy = gamma_sweep(spec.build(), gammas=(9.0, 99.0), config=config, length=3)
-        cells = gamma_sweep(
-            spec, gammas=(9.0, 99.0), config=config, length=3, orchestrator=orchestrator
-        )
-        for series in legacy:
-            _series_equal(legacy[series], cells[series])
-
-    def test_gamma_sweep_needs_spec_with_orchestrator(self, orchestrator):
-        with pytest.raises(ExperimentError):
-            gamma_sweep(generate_census(1000), orchestrator=orchestrator)
-
-    def test_classification_sweep_parity(self, orchestrator):
-        train = DatasetSpec.from_name("HEALTH", n_records=4000)
-        test = DatasetSpec.from_name("HEALTH", n_records=1500, seed=99)
-        legacy = classification_sweep(train, test, "HEALTH", gammas=(19.0,), seed=8)
-        cells = classification_sweep(
-            train, test, "HEALTH", gammas=(19.0,), seed=8, orchestrator=orchestrator
-        )
-        assert legacy == cells
-
-    def test_classification_sweep_needs_int_seed(self, orchestrator):
-        train = DatasetSpec.from_name("HEALTH", n_records=2000)
-        with pytest.raises(ExperimentError):
-            classification_sweep(
-                train,
-                train,
-                "HEALTH",
-                gammas=(19.0,),
-                seed=None,
+        legacy = direct.gamma_sweep(spec.build(), (9.0, 99.0), config=config, length=3)
+        for orchestrator in orchestrators:
+            cells = gamma_sweep(
+                spec,
+                gammas=(9.0, 99.0),
+                config=config,
+                length=3,
                 orchestrator=orchestrator,
             )
+            for series in legacy:
+                _series_equal(legacy[series], cells[series])
+
+    def test_sample_size_sweep_parity(self, orchestrators):
+        config = ExperimentConfig(seed=8)
+        sizes = (2000, 3000)
+        legacy = direct.sample_size_sweep(generate_census, sizes, 3, config)
+        for orchestrator in orchestrators:
+            cells = sample_size_sweep(
+                "CENSUS", sizes, length=3, config=config, orchestrator=orchestrator
+            )
+            for series in legacy:
+                _series_equal(legacy[series], cells[series])
+
+    def test_gamma_sweep_needs_spec_with_orchestrator(self, orchestrators):
+        """In-memory datasets cannot be cache-keyed, with or without one."""
+        for orchestrator in orchestrators:
+            with pytest.raises(ExperimentError):
+                gamma_sweep(generate_census(1000), orchestrator=orchestrator)
+
+    def test_classification_sweep_parity(self, orchestrators):
+        train = DatasetSpec.from_name("HEALTH", n_records=4000)
+        test = DatasetSpec.from_name("HEALTH", n_records=1500, seed=99)
+        legacy = direct.classification_sweep(
+            train.build(), test.build(), "HEALTH", gammas=(19.0,), seed=8
+        )
+        for orchestrator in orchestrators:
+            cells = classification_sweep(
+                train, test, "HEALTH", gammas=(19.0,), seed=8, orchestrator=orchestrator
+            )
+            assert legacy == cells
+
+    def test_classification_sweep_needs_int_seed(self, orchestrators):
+        train = DatasetSpec.from_name("HEALTH", n_records=2000)
+        for orchestrator in orchestrators:
+            with pytest.raises(ExperimentError):
+                classification_sweep(
+                    train,
+                    train,
+                    "HEALTH",
+                    gammas=(19.0,),
+                    seed=None,
+                    orchestrator=orchestrator,
+                )
 
 
 class TestMechanismSpecCells:

@@ -26,6 +26,7 @@ from repro.data.census import CENSUS_N_RECORDS, generate_census
 from repro.data.health import HEALTH_N_RECORDS, generate_health
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import figure3_support_error, figure4
+from repro.experiments.orchestrator import DatasetSpec
 from repro.experiments.runner import run_mechanism
 from repro.experiments.sweeps import (
     classification_sweep,
@@ -80,7 +81,7 @@ def test_figure3_ran_gd_error_tracks_det_gd(dataset_name, n_records):
         dataset_name,
         length=4,
         alphas=[0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0],
-        config=ExperimentConfig(seed=20050407, n_records=n_records),
+        config=ExperimentConfig(seed=20050407),
         n_records=n_records,
     )
     det = next(iter(series["DET-GD"].values()))
@@ -102,22 +103,24 @@ def test_figure4_condition_numbers(dataset_name, flat):
 
 
 def test_gamma_sweep_strictest_privacy_is_least_accurate():
-    series = gamma_sweep(generate_census(25_000), length=4, config=SWEEP_CONFIG)
+    series = gamma_sweep(
+        DatasetSpec.from_name("CENSUS", 25_000), length=4, config=SWEEP_CONFIG
+    )
     valid = {g: v for g, v in series["rho"].items() if not math.isnan(v)}
     assert valid[min(valid)] > valid[max(valid)]
 
 
 def test_sample_size_sweep_error_shrinks_with_n():
     series = sample_size_sweep(
-        generate_census, sizes=(5_000, 20_000, 50_000), config=SWEEP_CONFIG
+        "CENSUS", sizes=(5_000, 20_000, 50_000), config=SWEEP_CONFIG
     )
     assert series["rho"][50_000] < series["rho"][5_000]
 
 
 def test_classification_sweep_improves_with_gamma():
     series = classification_sweep(
-        generate_health(40_000, seed=11),
-        generate_health(10_000, seed=12),
+        DatasetSpec.from_name("HEALTH", 40_000, seed=11),
+        DatasetSpec.from_name("HEALTH", 10_000, seed=12),
         "HEALTH",
         gammas=(9.0, 19.0, 49.0, 199.0),
         seed=13,

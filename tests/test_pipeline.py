@@ -379,7 +379,7 @@ class TestMinerIntegration:
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import run_mechanism
 
-        config = ExperimentConfig(workers=2, chunk_size=2_048, n_records=None)
+        config = ExperimentConfig(workers=2, chunk_size=2_048)
         run = run_mechanism(census, "DET-GD", config)
         assert run.mechanism == "DET-GD"
         assert run.errors is not None

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.data.census import generate_census
-from repro.data.health import generate_health
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.orchestrator import DatasetSpec
 from repro.experiments.sweeps import (
     classification_sweep,
     gamma_sweep,
@@ -15,7 +14,7 @@ from repro.experiments.sweeps import (
 
 @pytest.fixture(scope="module")
 def small_census():
-    return generate_census(8000, seed=5)
+    return DatasetSpec.from_name("CENSUS", 8000, seed=5)
 
 
 class TestGammaSweep:
@@ -43,20 +42,20 @@ class TestGammaSweep:
 class TestSampleSizeSweep:
     def test_structure_and_trend(self):
         series = sample_size_sweep(
-            generate_census, sizes=(4000, 30_000), config=ExperimentConfig(seed=3)
+            "CENSUS", sizes=(4000, 30_000), config=ExperimentConfig(seed=3)
         )
         assert set(series["rho"]) == {4000, 30_000}
         assert series["rho"][30_000] < series["rho"][4000]
 
     def test_too_small_rejected(self):
         with pytest.raises(ExperimentError):
-            sample_size_sweep(generate_census, sizes=(10,))
+            sample_size_sweep("CENSUS", sizes=(10,))
 
 
 class TestClassificationSweep:
     def test_structure(self):
-        train = generate_health(6000, seed=6)
-        test = generate_health(2000, seed=7)
+        train = DatasetSpec.from_name("HEALTH", 6000, seed=6)
+        test = DatasetSpec.from_name("HEALTH", 2000, seed=7)
         series = classification_sweep(
             train, test, "HEALTH", gammas=(19.0, 99.0), seed=8
         )
@@ -67,8 +66,8 @@ class TestClassificationSweep:
             assert 0.0 <= acc <= 1.0
 
     def test_reference_lines_sensible(self):
-        train = generate_health(6000, seed=9)
-        test = generate_health(2000, seed=10)
+        train = DatasetSpec.from_name("HEALTH", 6000, seed=9)
+        test = DatasetSpec.from_name("HEALTH", 2000, seed=10)
         series = classification_sweep(train, test, "HEALTH", gammas=(49.0,), seed=11)
         exact = next(iter(series["exact"].values()))
         majority = next(iter(series["majority"].values()))
