@@ -81,7 +81,6 @@ from repro.mining import (
     TransactionBitmaps,
     apriori,
     association_rules,
-    make_miner,
     mine_exact,
     mine_per_level,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "generate_census",
     "generate_health",
     "health_schema",
-    "make_miner",
     "mine",
     "mine_exact",
     "mine_per_level",

@@ -17,7 +17,7 @@ public name appears or disappears without ``api_surface.txt`` changing
 in the same commit.
 
 The facade only composes public pieces -- the mechanism registry
-(:func:`repro.mechanisms.create`), the chunked pipeline, the Apriori
+(:func:`repro.mechanisms.resolve`), the chunked pipeline, the Apriori
 miner -- so everything it does remains available unbundled to code
 that needs lower-level control.
 
@@ -40,51 +40,15 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.io import FrdDataset
 from repro.data.schema import Schema
 from repro.exceptions import ExperimentError
-from repro.mechanisms import MechanismSpec, from_spec
+from repro.mechanisms import resolve
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.itemsets import Itemset
 
 __all__ = ["Session", "connect", "mine", "perturb", "reconstruct"]
 
-_DEFAULT_MECHANISM = "det-gd"
-_DEFAULT_PARAMS = {"gamma": 19.0}
-
-
-def _resolve_mechanism(schema: Schema, mechanism, params):
-    """Turn any accepted mechanism designator into a live mechanism.
-
-    Accepts a registry name, a ``{"name", "params"}`` dict, a
-    :class:`~repro.mechanisms.MechanismSpec`, or an already-built
-    mechanism object (returned as-is; ``params`` must then be unset).
-    """
-    if hasattr(mechanism, "perturb_chunk") and hasattr(mechanism, "schema"):
-        if params:
-            raise ExperimentError(
-                "params cannot be combined with an already-built mechanism; "
-                "pass a registry name or spec instead"
-            )
-        if mechanism.schema != schema:
-            raise ExperimentError(
-                "the mechanism's schema does not match the session schema"
-            )
-        return mechanism
-    if isinstance(mechanism, MechanismSpec):
-        spec = mechanism
-    elif isinstance(mechanism, dict):
-        spec = MechanismSpec.from_dict(mechanism)
-    elif isinstance(mechanism, str):
-        spec = MechanismSpec(
-            mechanism, _DEFAULT_PARAMS if mechanism == _DEFAULT_MECHANISM else {}
-        )
-    else:
-        raise ExperimentError(
-            f"mechanism must be a name, spec dict, MechanismSpec or mechanism "
-            f"object, got {type(mechanism).__name__}"
-        )
-    merged = spec.as_params()
-    if params:
-        merged.update(params)
-    return from_spec(MechanismSpec(spec.name, merged), schema)
+#: What a mechanism named by string takes when its factory accepts it:
+#: the paper's ``gamma = 19``.
+_DEFAULTS = {"gamma": 19.0}
 
 
 def _as_dataset(schema: Schema, data) -> CategoricalDataset:
@@ -126,14 +90,15 @@ class Session:
     schema:
         The categorical schema all datasets of this session share.
     mechanism:
-        Registry name (``"det-gd"``, ``"ran-gd"``, ``"mask"``, ...),
-        ``{"name", "params"}`` spec dict,
-        :class:`~repro.mechanisms.MechanismSpec`, or an already-built
-        mechanism object.  The bare name ``"det-gd"`` defaults to the
-        paper's ``gamma = 19``.
+        Registry name, alias or display name (``"det-gd"``,
+        ``"RAN-GD"``, ``"cp"``, ...), ``{"name", "params"}`` spec dict,
+        :class:`~repro.mechanisms.MechanismSpec`, or a built
+        :class:`~repro.mechanisms.Mechanism` over ``schema``
+        (resolved by :func:`repro.mechanisms.resolve`).  A name gets
+        the paper's ``gamma = 19`` when its factory takes ``gamma``.
     params:
-        Extra mechanism parameters merged over the spec's (e.g.
-        ``{"gamma": 9.0}``).
+        Extra mechanism parameters merged over the name's defaults or
+        the spec's own (e.g. ``{"gamma": 9.0}``).
     seed:
         Default perturbation seed; each verb accepts an overriding
         ``seed=`` keyword.
@@ -154,7 +119,9 @@ class Session:
         chunk_size: int | None = None,
     ):
         self.schema = schema
-        self.mechanism = _resolve_mechanism(schema, mechanism, params)
+        self.mechanism = resolve(
+            mechanism, schema, defaults=_DEFAULTS, params=params
+        )
         self.seed = seed
         self.workers = int(workers)
         self.chunk_size = chunk_size
@@ -192,10 +159,17 @@ class Session:
         ``perturbed`` is a dataset this session's mechanism released
         (from :meth:`perturb`, the service spool, or disk); supports
         come from the mechanism's marginal inversion and may be
-        slightly negative for rare itemsets.
+        slightly negative for rare itemsets.  Only columnar mechanisms
+        release categorical records; MASK and C&P raise
+        :class:`~repro.exceptions.ExperimentError` (use :meth:`mine`).
         """
-        from repro.mechanisms.base import MarginalInversionEstimator
+        from repro.mechanisms.base import ColumnarMechanism, MarginalInversionEstimator
 
+        if not isinstance(self.mechanism, ColumnarMechanism):
+            raise ExperimentError(
+                f"{self.mechanism.display} releases no categorical records "
+                "to reconstruct from; mine() the original data instead"
+            )
         dataset = _as_dataset(self.schema, perturbed)
         estimator = MarginalInversionEstimator(
             self.mechanism, dataset.subset_counts, dataset.n_records

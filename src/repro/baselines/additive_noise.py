@@ -80,9 +80,11 @@ class AdditiveNoisePerturbation:
             raise DataError(f"confidence must lie in (0, 1), got {confidence}")
         if self.kind == "uniform":
             return 2.0 * self.scale * confidence
-        from scipy import stats
+        # Imported here: ``statistics`` loads ``decimal`` and ``fractions``,
+        # which every other import of the package would pay for.
+        from statistics import NormalDist
 
-        return 2.0 * self.scale * float(stats.norm.ppf(0.5 + confidence / 2.0))
+        return 2.0 * self.scale * NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
     # ------------------------------------------------------------------
     # reconstruction (the AS algorithm)

@@ -246,8 +246,7 @@ def _run_privacy(args) -> str:
         PAPER_RHO2,
     )
     from repro.experiments.reporting import render_privacy_table
-    from repro.experiments.runner import _build_miner
-    from repro.mechanisms import MechanismSpec, PrivacyAccountant, from_spec
+    from repro.mechanisms import MechanismSpec, PrivacyAccountant, resolve
 
     import math
 
@@ -277,13 +276,15 @@ def _run_privacy(args) -> str:
     ]
     for name, schema in (("CENSUS", census_schema()), ("HEALTH", health_schema())):
         statements = [
-            accountant.statement(_build_miner(mech, schema, config).mechanism)
+            accountant.statement(
+                resolve(mech, schema, defaults=config.mechanism_defaults())
+            )
             for mech in PAPER_MECHANISMS
         ]
         if name == "CENSUS":
             for spec in extra_specs:
                 try:
-                    statements.append(accountant.statement(from_spec(spec, schema)))
+                    statements.append(accountant.statement(resolve(spec, schema)))
                 except FrappError as error:
                     raise SystemExit(
                         f"frapp privacy: cannot build {spec.name!r} over the "
@@ -508,48 +509,32 @@ def _run_serve(args) -> int:
     import asyncio
 
     from repro.data.health import health_schema
-    from repro.mechanisms.registry import factory_accepts, get
+    from repro.mechanisms import resolve
     from repro.service import ServiceConfig, run_server
-    from repro.service.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_LATENCY
-    from repro.service.server import (
-        DEFAULT_DRAIN_DEADLINE,
-        DEFAULT_MAX_INFLIGHT,
-        DEFAULT_MAX_QUEUED_ROWS,
-    )
 
     schema = census_schema() if args.schema == "census" else health_schema()
-    params = {}
-    if factory_accepts(get(args.mechanism).factory, "gamma"):
-        params["gamma"] = args.gamma
+    mechanism = resolve(args.mechanism, schema, defaults={"gamma": args.gamma})
+    # Flags left unset keep ServiceConfig's own defaults.
+    limits = {
+        name: getattr(args, name)
+        for name in (
+            "max_batch",
+            "max_latency",
+            "max_inflight",
+            "max_queued_rows",
+            "drain_deadline",
+        )
+        if getattr(args, name) is not None
+    }
     config = ServiceConfig(
         schema=schema,
         data_dir=args.data_dir,
         rho1=args.rho1,
         rho2=args.rho2,
-        mechanism={"name": args.mechanism, "params": params},
+        mechanism=mechanism.spec().canonical(),
         seed=args.seed,
-        max_batch=(
-            DEFAULT_MAX_BATCH if args.max_batch is None else args.max_batch
-        ),
-        max_latency=(
-            DEFAULT_MAX_LATENCY if args.max_latency is None else args.max_latency
-        ),
         auto_register=not args.no_auto_register,
-        max_inflight=(
-            DEFAULT_MAX_INFLIGHT
-            if args.max_inflight is None
-            else args.max_inflight
-        ),
-        max_queued_rows=(
-            DEFAULT_MAX_QUEUED_ROWS
-            if args.max_queued_rows is None
-            else args.max_queued_rows
-        ),
-        drain_deadline=(
-            DEFAULT_DRAIN_DEADLINE
-            if args.drain_deadline is None
-            else args.drain_deadline
-        ),
+        **limits,
     )
 
     def announce(port):

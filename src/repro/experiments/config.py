@@ -25,6 +25,10 @@ PAPER_MIN_SUPPORT = 0.02
 #: RAN-GD randomization used in Figures 1-2: ``alpha = gamma*x/2``.
 PAPER_RELATIVE_ALPHA = 0.5
 
+#: The config knobs a mechanism named by string may take; each gets
+#: the ones its factory accepts (:func:`repro.mechanisms.resolve`).
+MECHANISM_KNOBS = ("gamma", "relative_alpha", "max_cut")
+
 #: The four mechanisms of the paper's comparison, in plot order --
 #: sourced from the mechanism registry's metadata, the single place
 #: display names and plot order live.
@@ -96,3 +100,11 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"chunk_size must be >= 1 (or None), got {self.chunk_size}"
             )
+
+    def mechanism_defaults(self) -> dict:
+        """This config's :data:`MECHANISM_KNOBS`, by name.
+
+        A mechanism named by string is built with the ones its factory
+        accepts, and its cells key on them.
+        """
+        return {knob: getattr(self, knob) for knob in MECHANISM_KNOBS}

@@ -60,7 +60,7 @@ import numpy as np
 from repro.data.census import CENSUS_N_RECORDS, census_schema, generate_census
 from repro.data.health import HEALTH_N_RECORDS, generate_health, health_schema
 from repro.exceptions import ExperimentError
-from repro.experiments.config import PAPER_GAMMA, ExperimentConfig, dataset_scale
+from repro.experiments.config import MECHANISM_KNOBS, ExperimentConfig, dataset_scale
 from repro.faultpoints import reach
 from repro.mechanisms import MechanismSpec
 from repro.mechanisms import registry as mechanism_registry
@@ -283,15 +283,13 @@ def _compute_mechanism(params, deps, env):
         # carries the protocol and execution knobs.
         mechanism = MechanismSpec.from_dict(mechanism)
     config = ExperimentConfig(
-        # Spec-built mechanisms carry their own gammas and ignore this;
-        # the config-level default only exists for name-keyed cells.
-        gamma=params.get("gamma", PAPER_GAMMA),
         min_support=params["min_support"],
-        relative_alpha=params.get("relative_alpha", 0.5),
-        max_cut=params.get("max_cut", 3),
         protocol=params["protocol"],
         workers=env.get("workers", 1),
         chunk_size=env.get("chunk_size"),
+        # A name-keyed cell holds the knobs its mechanism is built with;
+        # a spec cell holds none.
+        **{knob: params[knob] for knob in MECHANISM_KNOBS if knob in params},
     )
     run = run_mechanism(
         dataset,
@@ -430,37 +428,29 @@ def mechanism_cell(
     ``mechanism`` is a registered name or a
     :class:`~repro.mechanisms.MechanismSpec`.  Named mechanisms are
     labelled by their registry display name (so an alias such as
-    ``"rangd"`` builds the ``"RAN-GD"`` cell) and key on the config
-    knobs that can move their numbers -- ``relative_alpha`` is
-    RAN-GD-only, ``max_cut`` C&P-only -- exactly as before the
-    registry existed, so the four paper mechanisms' cache keys are
-    stable.  Spec mechanisms key on their *canonical spec*: every
-    parameter (e.g. one per-attribute gamma of a composite) is in the
-    key, so changing it invalidates exactly the affected cells.
+    ``"rangd"`` builds the ``"RAN-GD"`` cell) and key on exactly the
+    config knobs their factory accepts -- the ones
+    :func:`~repro.experiments.runner.run_mechanism` builds them with
+    -- so the four paper mechanisms' cache keys are stable.  Spec
+    mechanisms key on their *canonical spec*: every parameter (e.g. one
+    per-attribute gamma of a composite) is in the key, so changing it
+    invalidates exactly the affected cells.
     """
+    params = {
+        "dataset": dataset.spec(),
+        "min_support": config.min_support,
+        "protocol": config.protocol,
+        "seed": seed_spec,
+    }
     if isinstance(mechanism, MechanismSpec):
         label = mechanism_registry.display_name(mechanism.name)
-        params = {
-            "dataset": dataset.spec(),
-            "mechanism": mechanism.canonical(),
-            "min_support": config.min_support,
-            "protocol": config.protocol,
-            "seed": seed_spec,
-        }
+        params["mechanism"] = mechanism.canonical()
     else:
         label = mechanism_registry.display_name(mechanism)
-        params = {
-            "dataset": dataset.spec(),
-            "mechanism": label,
-            "gamma": config.gamma,
-            "min_support": config.min_support,
-            "protocol": config.protocol,
-            "seed": seed_spec,
-        }
-        if label == "RAN-GD":
-            params["relative_alpha"] = config.relative_alpha
-        if label == "C&P":
-            params["max_cut"] = config.max_cut
+        params["mechanism"] = label
+        params.update(
+            mechanism_registry.accepted(mechanism, config.mechanism_defaults())
+        )
     pipeline = _pipeline_signature(mechanism, config)
     if pipeline is not None:
         params["pipeline"] = pipeline

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 from repro.data.dataset import CategoricalDataset
 from repro.experiments.config import ExperimentConfig
-from repro.mechanisms import MechanismSpec, from_spec
-from repro.mechanisms import registry as mechanism_registry
-from repro.mechanisms.base import Mechanism
+from repro.mechanisms import resolve
 from repro.metrics.accuracy import MiningErrors, evaluate_mining
-from repro.mining.apriori import AprioriResult
-from repro.mining.reconstructing import MechanismMiner, make_miner, mine_exact
+from repro.mining.apriori import AprioriResult, apriori
+from repro.mining.reconstructing import mine_exact, mine_per_level
 from repro.stats.rng import spawn_generators
 
 
@@ -46,33 +44,6 @@ class MechanismRun:
     seconds: float
 
 
-#: Per-mechanism config knobs forwarded when a mechanism is named by
-#: string (spec-built mechanisms carry their parameters themselves).
-_CONFIG_KWARGS = {
-    "ran-gd": lambda config: {"relative_alpha": config.relative_alpha},
-    "c&p": lambda config: {"max_cut": config.max_cut},
-}
-
-
-def _build_miner(mechanism, schema, config: ExperimentConfig) -> MechanismMiner:
-    """Resolve a mechanism reference into a driver.
-
-    ``mechanism`` may be a registered name (resolved through the
-    mechanism registry; unknown names raise
-    :class:`~repro.exceptions.UnknownMechanismError` listing what is
-    registered), a :class:`~repro.mechanisms.MechanismSpec` (or its
-    ``{"name", "params"}`` dict form), or a live
-    :class:`~repro.mechanisms.Mechanism`.
-    """
-    if isinstance(mechanism, Mechanism):
-        return MechanismMiner(mechanism)
-    if isinstance(mechanism, (MechanismSpec, dict)):
-        return MechanismMiner(from_spec(mechanism, schema))
-    entry = mechanism_registry.get(mechanism)
-    extra = _CONFIG_KWARGS.get(entry.key, lambda config: {})(config)
-    return make_miner(entry.key, schema, config.gamma, **extra)
-
-
 def run_mechanism(
     dataset: CategoricalDataset,
     mechanism,
@@ -82,43 +53,43 @@ def run_mechanism(
 ) -> MechanismRun:
     """Perturb ``dataset`` with one mechanism, mine, and score.
 
-    ``mechanism`` is a registered name, a
+    ``mechanism`` is any designator :func:`repro.mechanisms.resolve`
+    takes: a registered name (built with the config's ``gamma``,
+    ``relative_alpha`` and ``max_cut`` where its factory takes them), a
     :class:`~repro.mechanisms.MechanismSpec` (self-describing
     parameters, e.g. a per-attribute composite), or a live
     :class:`~repro.mechanisms.Mechanism`.
     """
     if true_result is None:
         true_result = mine_exact(dataset, config.min_support)
-    miner = _build_miner(mechanism, dataset.schema, config)
-    effective_seed = seed if seed is not None else config.seed
+    mechanism = resolve(
+        mechanism, dataset.schema, defaults=config.mechanism_defaults()
+    )
     # Only pipeline-capable mechanisms (the gamma-diagonal engines and
     # columnar composites) have a chunked/multi-worker execution path;
     # MASK and C&P always run direct.
     pipeline_kwargs = {}
-    if miner.supports_pipeline and (
-        config.workers != 1 or config.chunk_size is not None
-    ):
+    if mechanism.supports_pipeline:
         pipeline_kwargs = {
             "workers": config.workers,
             "chunk_size": config.chunk_size,
         }
     start = time.perf_counter()
+    estimator = mechanism.build_estimator(
+        dataset,
+        seed=seed if seed is not None else config.seed,
+        **pipeline_kwargs,
+    )
     if config.protocol == "per-level":
-        result = miner.mine_per_level(
-            dataset,
-            config.min_support,
-            true_result,
-            seed=effective_seed,
-            **pipeline_kwargs,
+        result = mine_per_level(
+            estimator, dataset.schema, config.min_support, true_result
         )
     else:
-        result = miner.mine(
-            dataset, config.min_support, seed=effective_seed, **pipeline_kwargs
-        )
+        result = apriori(estimator, dataset.schema, config.min_support)
     elapsed = time.perf_counter() - start
     errors = evaluate_mining(true_result, result)
     return MechanismRun(
-        mechanism=miner.name, result=result, errors=errors, seconds=elapsed
+        mechanism=mechanism.display, result=result, errors=errors, seconds=elapsed
     )
 
 

@@ -3,14 +3,16 @@
 This package is the executable form of FRAPP's framework claim: a
 *mechanism* is anything bundling a chunk-splittable sampler, a
 perturbation-matrix description and a support estimator behind one
-declarative spec.  Everything that names mechanisms -- the driver
-factory, the experiment runner, the orchestrator's cache keys, the CLI
--- resolves them through the registry here instead of private tables.
+declarative spec.  Everything that names mechanisms -- the facade,
+the experiment runner, the orchestrator's cache keys, the CLI, the
+service -- resolves them through the registry here, by one rule
+(:func:`~repro.mechanisms.registry.resolve`).
 
 * :mod:`repro.mechanisms.base` -- the :class:`Mechanism` /
   :class:`ColumnarMechanism` protocol and :class:`MechanismSpec`;
 * :mod:`repro.mechanisms.registry` -- ``register`` / ``get`` /
-  ``available`` plus display-name and plot-order metadata;
+  ``available`` / ``resolve`` plus display-name and plot-order
+  metadata;
 * :mod:`repro.mechanisms.builtin` -- DET-GD, RAN-GD, MASK, C&P,
   Warner and additive noise on the protocol;
 * :mod:`repro.mechanisms.composite` -- per-attribute composition with
@@ -35,6 +37,7 @@ from repro.mechanisms.registry import (
     get,
     paper_mechanisms,
     register,
+    resolve,
     unregister,
 )
 from repro.mechanisms.builtin import (
@@ -76,5 +79,6 @@ __all__ = [
     "get",
     "paper_mechanisms",
     "register",
+    "resolve",
     "unregister",
 ]

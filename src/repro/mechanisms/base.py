@@ -145,8 +145,8 @@ class Mechanism(abc.ABC):
     implement the three bundle members.  ``supports_pipeline`` declares
     whether the mechanism's sampler satisfies the chunk protocol of
     :class:`repro.pipeline.PerturbationPipeline` (fixed-width uniform
-    blocks per record, in record order) -- drivers route ``workers`` /
-    ``chunk_size`` only to mechanisms that do.
+    blocks per record, in record order) -- the experiment runner routes
+    ``workers`` / ``chunk_size`` only to mechanisms that do.
     """
 
     #: Registry key (set per subclass, e.g. ``"det-gd"``).

@@ -1,11 +1,12 @@
 """The mechanism registry: one name table for the whole system.
 
-Every component that used to keep a private mechanism table -- the
-driver factory in :mod:`repro.mining.reconstructing`, the experiment
-runner, the orchestrator's cache-key builders, the CLI -- resolves
-names through this registry instead.  An entry bundles the factory with
-its *metadata*: the paper-style display name, aliases, the position in
-the paper's plot order, and whether the sampler is pipeline-capable.
+Every component that names mechanisms -- the facade, the experiment
+runner, the orchestrator's cache-key builders, the CLI, the service --
+resolves them through this registry, and every designator (a name, a
+spec, a built mechanism) becomes a live mechanism through one rule,
+:func:`resolve`.  An entry bundles the factory with its *metadata*:
+the paper-style display name, aliases, the position in the paper's
+plot order, and whether the sampler is pipeline-capable.
 
 Registering a custom mechanism makes it available everywhere at once::
 
@@ -18,8 +19,8 @@ Registering a custom mechanism makes it available everywhere at once::
     # registering the class directly lets the registry inherit its
     # pipeline capability; lambda factories must pass pipeline=.
 
-    # now `make_miner("my-mech", ...)`, `run_mechanism(...)`, composite
-    # parts and `frapp privacy` all resolve it.
+    # now `repro.mine(..., mechanism="my-mech")`, `run_mechanism(...)`,
+    # composite parts and `frapp privacy` all resolve it.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def get(name: str) -> MechanismEntry:
     ------
     UnknownMechanismError
         Listing the registered names -- the single error every caller
-        (driver factory, runner, CLI) now surfaces.
+        (facade, runner, CLI) surfaces.
     """
     canonical = normalise(name)
     entry = _REGISTRY.get(_ALIASES.get(canonical, canonical))
@@ -199,9 +200,10 @@ def create(name: str, schema: Schema, **params) -> Mechanism:
 def factory_accepts(factory, name: str) -> bool:
     """Whether ``factory`` takes a keyword argument called ``name``.
 
-    A named parameter or a ``**kwargs`` catch-all both count.  Used to
-    forward ``gamma`` only to factories that declare it, and by
-    :func:`create` to refuse parameters a factory does not take.
+    A named parameter or a ``**kwargs`` catch-all both count.  Used by
+    :func:`accepted` to hand a named mechanism only the defaults it
+    declares, and by :func:`create` to refuse parameters a factory
+    does not take.
     """
     import inspect
 
@@ -211,13 +213,76 @@ def factory_accepts(factory, name: str) -> bool:
     )
 
 
+def accepted(name: str, defaults: dict) -> dict:
+    """The entries of ``defaults`` that ``name``'s factory takes.
+
+    A mechanism named by string builds with exactly these (see
+    :func:`resolve`), so the orchestrator keys its cells on them too.
+    """
+    factory = get(name).factory
+    return {
+        key: value
+        for key, value in defaults.items()
+        if factory_accepts(factory, key)
+    }
+
+
+def resolve(mechanism, schema: Schema, *, defaults=None, params=None) -> Mechanism:
+    """Turn any mechanism designator into a live mechanism over ``schema``.
+
+    The one designator rule of the system:
+
+    * a registered name, alias or display name is built with each
+      ``defaults`` entry its factory accepts (:func:`accepted`), then
+      ``params``;
+    * a :class:`MechanismSpec` or its ``{"name", "params"}`` dict is
+      built with its own parameters, then ``params``;
+    * a built :class:`Mechanism` is returned as is once its schema
+      matches; ``params`` is refused for it.
+
+    Raises
+    ------
+    ExperimentError
+        For any other designator, a schema mismatch, ``params`` with a
+        built mechanism, or parameters the factory refuses
+        (:func:`create`); an unregistered name raises its subclass
+        :class:`~repro.exceptions.UnknownMechanismError`.
+    """
+    if isinstance(mechanism, Mechanism):
+        if params:
+            raise ExperimentError(
+                "params cannot be combined with an already-built mechanism; "
+                "pass a registry name or spec instead"
+            )
+        if mechanism.schema != schema:
+            raise ExperimentError(
+                "the mechanism's schema does not match the schema it is used with"
+            )
+        return mechanism
+    if isinstance(mechanism, dict):
+        mechanism = MechanismSpec.from_dict(mechanism)
+    if isinstance(mechanism, MechanismSpec):
+        name, merged = mechanism.name, mechanism.as_params()
+    elif isinstance(mechanism, str):
+        name, merged = mechanism, accepted(mechanism, defaults or {})
+    else:
+        raise ExperimentError(
+            "mechanism must be a registry name, spec dict, MechanismSpec or "
+            f"Mechanism, got {type(mechanism).__name__}"
+        )
+    merged.update(params or {})
+    return create(name, schema, **merged)
+
+
 def from_spec(spec, schema: Schema) -> Mechanism:
-    """Build a mechanism from a :class:`MechanismSpec` (or its dict form)."""
-    if isinstance(spec, dict):
-        spec = MechanismSpec.from_dict(spec)
-    if not isinstance(spec, MechanismSpec):
+    """Build a mechanism from a :class:`MechanismSpec` (or its dict form).
+
+    :func:`resolve` restricted to specs: anything else raises
+    :class:`~repro.exceptions.ExperimentError`.
+    """
+    if not isinstance(spec, (MechanismSpec, dict)):
         raise ExperimentError(f"not a mechanism spec: {spec!r}")
-    return create(spec.name, schema, **spec.as_params())
+    return resolve(spec, schema)
 
 
 def display_name(name: str) -> str:

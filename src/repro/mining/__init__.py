@@ -1,4 +1,4 @@
-"""Frequent-itemset mining substrate and privacy-preserving drivers.
+"""Frequent-itemset mining substrate and its evaluation protocols.
 
 * :mod:`repro.mining.itemsets` -- categorical items and itemsets;
 * :mod:`repro.mining.apriori` -- the Apriori miner (from scratch);
@@ -6,9 +6,9 @@
   support sources;
 * :mod:`repro.mining.kernels` -- the bit-packed vectorized
   support-counting kernels they count with;
-* :mod:`repro.mining.reconstructing` -- the driver that perturbs and
-  mines with any registered mechanism (DET-GD / RAN-GD / MASK / C&P
-  as evaluated in paper Section 7, and the rest);
+* :mod:`repro.mining.reconstructing` -- exact reference mining and
+  the paper's per-level evaluation protocol over a mechanism's
+  reconstructed supports (paper Section 7);
 * :mod:`repro.mining.rules` -- association-rule post-processing.
 """
 
@@ -22,11 +22,7 @@ from repro.mining.counting import (
 )
 from repro.mining.itemsets import Itemset, all_items
 from repro.mining.kernels import BitmapSupportCounter, TransactionBitmaps
-from repro.mining.reconstructing import (
-    make_miner,
-    mine_exact,
-    mine_per_level,
-)
+from repro.mining.reconstructing import mine_exact, mine_per_level
 from repro.mining.rules import AssociationRule, association_rules
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "apriori",
     "association_rules",
     "generate_candidates",
-    "make_miner",
     "mine_exact",
     "mine_per_level",
 ]

@@ -251,11 +251,6 @@ class TransactionBitmaps:
             rows.append(offsets[attr] + value)
         return rows
 
-    def itemset_words(self, itemset) -> np.ndarray:
-        """AND of the itemset's item rows -- its transaction bitmap."""
-        rows = self.itemset_rows(itemset)
-        return np.bitwise_and.reduce(self.words[rows], axis=0)
-
     def itemset_count(self, itemset) -> int:
         """Number of records supporting ``itemset`` (exact).
 

@@ -906,9 +906,10 @@ class ServiceServer:
                 try:
                     request = await self._read_request(reader)
                 except ServiceError as error:
-                    # Protocol-level refusal (oversized Content-Length,
-                    # malformed request line): answer it and close --
-                    # the framing downstream of the error is suspect.
+                    # Protocol-level refusal (bad or oversized
+                    # Content-Length, malformed request line): answer it
+                    # and close -- the framing downstream of the error
+                    # is suspect.
                     await self._write_response(
                         writer, error.status, wire.error_body(error), True
                     )
@@ -976,7 +977,10 @@ class ServiceServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not raw_length.isdecimal():
+            raise ServiceError(f"bad Content-Length header: {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 f"request body of {length} bytes exceeds the "

@@ -224,13 +224,18 @@ def decode_records(schema: Schema, rows) -> np.ndarray:
             f"got {len(rows)}"
         )
     try:
-        records = np.asarray(rows, dtype=np.int64)
+        records = np.asarray(rows)
     except (TypeError, ValueError):
         raise ServiceError("records must be rows of integers") from None
     if records.ndim != 2 or records.shape[1] != schema.n_attributes:
         raise ServiceError(
             f"records must have {schema.n_attributes} attributes per row, "
             f"got shape {tuple(records.shape)}"
+        )
+    # No cast: a cast would turn 0.5 into category 0 and "1" into 1.
+    if records.dtype.kind not in "iu":
+        raise ServiceError(
+            f"records must be rows of integers, got {records.dtype} cells"
         )
     try:
         validate_in_domain(schema, records)
@@ -248,6 +253,7 @@ def decode_itemsets(schema: Schema, payload) -> list[Itemset]:
     """Decode a JSON ``itemsets`` payload into :class:`Itemset` objects."""
     if not isinstance(payload, list) or not payload:
         raise ServiceError("field 'itemsets' must be a non-empty array")
+    cards = schema.cardinalities
     itemsets = []
     for entry in payload:
         if not isinstance(entry, dict):
@@ -264,16 +270,29 @@ def decode_itemsets(schema: Schema, payload) -> list[Itemset]:
             raise ServiceError(
                 f"itemset attributes/values length mismatch in {entry!r}"
             )
+        if any(
+            isinstance(x, bool) or not isinstance(x, int)
+            for x in attributes + values
+        ):
+            raise ServiceError(
+                f"itemset attributes and values must be integers in {entry!r}"
+            )
         try:
-            itemsets.append(Itemset(zip(attributes, values)))
-        except (TypeError, ValueError, FrappError) as error:
+            itemset = Itemset(zip(attributes, values))
+        except FrappError as error:
             raise ServiceError(f"invalid itemset {entry!r}: {error}") from None
-        attrs = itemsets[-1].attributes
+        attrs = itemset.attributes
         if any(a < 0 or a >= schema.n_attributes for a in attrs):
             raise ServiceError(
                 f"itemset attributes {attrs} out of range for "
                 f"{schema.n_attributes} attributes"
             )
+        if any(not 0 <= v < cards[a] for a, v in itemset.items):
+            raise ServiceError(
+                f"itemset values {itemset.values} out of the domain of "
+                f"attributes {attrs}"
+            )
+        itemsets.append(itemset)
     return itemsets
 
 

@@ -68,6 +68,8 @@ class TestIntervalPrivacy:
         u = AdditiveNoisePerturbation(scale=1.0, kind="uniform")
         g = AdditiveNoisePerturbation(scale=1.0, kind="gaussian")
         assert g.interval_privacy(0.99) > u.interval_privacy(0.99)
+        # Two-sided 95% normal quantile: 1.959963984540054.
+        assert g.interval_privacy(0.95) == pytest.approx(2 * 1.959963984540054)
 
     def test_validation(self):
         with pytest.raises(DataError):

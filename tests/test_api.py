@@ -105,6 +105,59 @@ class TestSession:
             )
 
 
+#: Every name, alias and display name of the paper's four mechanisms,
+#: with the registry key it resolves to.
+PAPER_SPELLINGS = [
+    ("detgd", "det-gd"),
+    ("DET-GD", "det-gd"),
+    ("ran-gd", "ran-gd"),
+    ("rangd", "ran-gd"),
+    ("mask", "mask"),
+    ("c&p", "c&p"),
+    ("cp", "c&p"),
+]
+
+
+class TestDesignatorRule:
+    """``Session``, ``repro.mine`` and ``run_mechanism`` share one rule."""
+
+    @pytest.mark.parametrize("spelling, key", PAPER_SPELLINGS)
+    def test_every_spelling_builds_the_same_mechanism(self, data, spelling, key):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_mechanism
+
+        expected = create(key, data.schema, gamma=19.0).spec()
+        session = api.Session(data.schema, mechanism=spelling, seed=7)
+        assert session.mechanism.spec() == expected
+        assert repro.mine(
+            data, 0.3, mechanism=spelling, seed=7, max_length=2
+        ) == repro.mine(data, 0.3, mechanism=expected, seed=7, max_length=2)
+        config = ExperimentConfig(gamma=19.0, min_support=0.3, protocol="apriori")
+        named = run_mechanism(data, spelling, config, seed=7)
+        built = run_mechanism(data, expected, config, seed=7)
+        assert named.mechanism == built.mechanism
+        assert named.result == built.result
+
+    @pytest.mark.parametrize("key", ["mask", "c&p"])
+    def test_built_boolean_mechanisms_are_accepted(self, data, key):
+        built = create(key, data.schema, gamma=19.0)
+        session = api.Session(data.schema, mechanism=built, seed=7)
+        assert session.mechanism is built
+        assert session.mine(data, 0.3, max_length=2) == repro.mine(
+            data, 0.3, mechanism=key, seed=7, max_length=2
+        )
+        assert key in repr(session)
+        with pytest.raises(ExperimentError, match="mine"):
+            session.reconstruct(data, [[(0, 1)]])
+
+    def test_a_raw_engine_is_refused(self, data):
+        from repro.core.engine import GammaDiagonalPerturbation
+
+        engine = GammaDiagonalPerturbation(data.schema, 19.0)
+        with pytest.raises(ExperimentError, match="GammaDiagonalPerturbation"):
+            api.Session(data.schema, mechanism=engine)
+
+
 class TestModuleFunctions:
     def test_one_shot_perturb(self, data, offline):
         released = api.perturb(data, seed=7)

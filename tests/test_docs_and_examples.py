@@ -62,6 +62,31 @@ def test_example_runs(script):
     assert result.stdout.strip(), "examples must narrate their output"
 
 
+def _readme_block(heading):
+    """The first ``python`` code block after ``heading`` in README.md."""
+    text = (REPO / "README.md").read_text()
+    section = text[text.index(heading) :]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "heading",
+    ["## Quickstart", "## Mechanisms: registry, composition, privacy accountant"],
+)
+def test_readme_block_runs(heading):
+    paths = os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _readme_block(heading)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": paths},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
 def test_docstring_coverage_gate():
     """The lint-job gate: every public definition carries a docstring."""
     result = subprocess.run(
@@ -139,6 +164,6 @@ class TestRepoDocuments:
         import repro
 
         text = (REPO / "README.md").read_text()
-        for symbol in ("PrivacyRequirement", "make_miner", "design_mechanism"):
+        for symbol in ("PrivacyRequirement", "Session", "design_mechanism"):
             assert symbol in text
             assert hasattr(repro, symbol)

@@ -488,8 +488,8 @@ def test_bitmap_stream_estimator_rejects_empty(survey_schema):
 
 
 def test_miner_drivers_agree_across_backends(survey_dataset):
-    """make_miner's DET-GD mines the same itemsets as the oracle-fed form."""
-    from repro.mining.reconstructing import make_miner
+    """The facade's DET-GD mines the same itemsets as the oracle-fed form."""
+    import repro
 
     schema = survey_dataset.schema
     perturbed = GammaDiagonalPerturbation(schema, 19.0).perturb(survey_dataset, seed=33)
@@ -503,9 +503,7 @@ def test_miner_drivers_agree_across_backends(survey_dataset):
     expected = apriori(OracleEstimator(), schema, 0.05).frequent()
     for side in KERNELS:
         with kernel_side(side):
-            mined = make_miner("det-gd", schema, 19.0).mine(
-                survey_dataset, 0.05, seed=33
-            )
+            mined = repro.mine(survey_dataset, 0.05, seed=33)
         assert mined.frequent() == expected
 
 

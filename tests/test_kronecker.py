@@ -374,12 +374,13 @@ class TestWideSchema:
 
     def test_wide_end_to_end_mining(self, wide_composite, wide_dataset):
         """Perturb -> reconstruct -> mine without the joint ever existing."""
-        from repro.mining.reconstructing import MechanismMiner
+        from repro.api import Session
 
-        miner = MechanismMiner(wide_composite)
-        result = miner.mine(
-            wide_dataset, min_support=0.3, seed=5, workers=2, chunk_size=1024
+        session = Session(
+            wide_dataset.schema, mechanism=wide_composite, seed=5, workers=2,
+            chunk_size=1024,
         )
+        result = session.mine(wide_dataset, min_support=0.3)
         frequent_1 = result.by_length.get(1, {})
         assert Itemset.of((0, 0)) in frequent_1
         assert Itemset.of((17, 1)) in frequent_1

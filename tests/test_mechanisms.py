@@ -27,6 +27,7 @@ from repro.mechanisms import (
     get,
     paper_mechanisms,
     register,
+    resolve,
     unregister,
 )
 from repro.mining.itemsets import Itemset, all_items
@@ -440,26 +441,28 @@ class TestEndToEnd:
         for run in runs:
             assert run.result.n_frequent > 0
 
-    def test_mechanism_miner_via_make_miner(self, survey_schema, survey_dataset):
-        from repro.mining.reconstructing import make_miner
+    def test_named_mechanisms_take_the_defaults_they_accept(self, survey_schema):
+        warner = resolve("warner", _schema(2), defaults={"gamma": 4.0})
+        assert warner.display == "WARNER"
+        assert warner.p == pytest.approx(0.8)
+        noise = resolve(
+            "additive-noise", survey_schema, defaults={"gamma": 2.0},
+            params={"scale": 99},
+        )
+        assert noise.spec() == MechanismSpec("additive-noise", {"scale": 99})
 
-        miner = make_miner("warner", _schema(2), 4.0)
-        assert miner.name == "WARNER"
-        noise_miner = make_miner("additive-noise", survey_schema, 2.0, scale=99)
-
-    def test_make_miner_kwargs_override(self, survey_schema):
-        """Mechanisms receive gamma and kwargs; unknown ones fail closed."""
-        from repro.mining.reconstructing import make_miner
-
+    def test_resolve_refuses_unknown_params(self, survey_schema):
+        """Mechanisms receive defaults and params; unknown params fail closed."""
         with pytest.raises(ExperimentError, match="'bogus'"):
-            make_miner("additive-noise", survey_schema, 2.0, scale=1.0, bogus=1)
+            resolve(
+                "additive-noise", survey_schema, defaults={"gamma": 2.0},
+                params={"scale": 1.0, "bogus": 1},
+            )
 
     def test_pipeline_rejected_for_boolean_mechanisms(self, survey_schema, survey_dataset):
-        from repro.mining.reconstructing import make_miner
-
-        miner = make_miner("mask", survey_schema, 19.0)
+        mask = resolve("mask", survey_schema, defaults={"gamma": 19.0})
         with pytest.raises(ExperimentError):
-            miner.mine(survey_dataset, 0.1, seed=0, workers=4)
+            mask.build_estimator(survey_dataset, seed=0, workers=4)
 
 
 class TestAccountant:
@@ -528,11 +531,9 @@ class TestAccountant:
 
 
 class TestUnifiedErrors:
-    def test_make_miner_unknown(self, survey_schema):
-        from repro.mining.reconstructing import make_miner
-
+    def test_resolve_unknown(self, survey_schema):
         with pytest.raises(UnknownMechanismError) as excinfo:
-            make_miner("dp", survey_schema, 19.0)
+            resolve("dp", survey_schema, defaults={"gamma": 19.0})
         assert "registered mechanisms" in str(excinfo.value)
 
     def test_runner_unknown(self, survey_dataset):

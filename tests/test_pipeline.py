@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from spawn_reference import perturb_spawned
 
+from repro import api
 from repro.core.engine import (
     GammaDiagonalPerturbation,
     MatrixPerturbation,
@@ -40,7 +41,6 @@ from repro.data.io import iter_csv_chunks, save_csv_chunks
 from repro.exceptions import DataError, ExperimentError, MiningError
 from repro.mining.counting import GammaDiagonalSupportEstimator
 from repro.mining.itemsets import all_items
-from repro.mining.reconstructing import make_miner
 from repro.pipeline import (
     AccumulatedSupportEstimator,
     JointCountAccumulator,
@@ -317,8 +317,7 @@ class TestStreamingFrontEnd:
 
     def test_mine_stream_equals_one_shot_mining(self, census, det_engine):
         """workers=1 streaming preserves the one-shot mining result."""
-        miner = make_miner("det-gd", census.schema, GAMMA)
-        one_shot = miner.mine(census, 0.02, seed=4)
+        one_shot = api.mine(census, 0.02, params={"gamma": GAMMA}, seed=4)
         streamed = mine_stream(
             census.iter_chunks(1_500),
             census.schema,
@@ -368,9 +367,10 @@ class TestStreamingFrontEnd:
 # ----------------------------------------------------------------------
 class TestMinerIntegration:
     def test_chunked_miner_matches_direct_miner(self, census):
-        miner = make_miner("det-gd", census.schema, GAMMA)
-        direct = miner.mine(census, 0.02, seed=8)
-        chunked = miner.mine(census, 0.02, seed=8, chunk_size=1_000)
+        direct = api.mine(census, 0.02, params={"gamma": GAMMA}, seed=8)
+        chunked = api.Session(
+            census.schema, params={"gamma": GAMMA}, seed=8, chunk_size=1_000
+        ).mine(census, 0.02)
         assert direct.by_length.keys() == chunked.by_length.keys()
         for length, level in direct.by_length.items():
             assert level.keys() == chunked.by_length[length].keys()

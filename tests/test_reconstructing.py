@@ -1,7 +1,9 @@
-"""Tests for repro.mining.reconstructing (mechanism drivers)."""
+"""Tests for repro.mining.reconstructing and mining with named mechanisms."""
 
 import pytest
 
+import repro
+from repro.mechanisms import resolve
 from repro.mechanisms.builtin import (
     CutAndPasteMechanism,
     GammaDiagonalMechanism,
@@ -9,7 +11,11 @@ from repro.mechanisms.builtin import (
     RandomizedGammaDiagonalMechanism,
 )
 from repro.mining.apriori import AprioriResult
-from repro.mining.reconstructing import MechanismMiner, make_miner, mine_exact
+from repro.mining.reconstructing import mine_exact
+
+
+def _named(name, schema, gamma=19.0, **params):
+    return resolve(name, schema, defaults={"gamma": gamma}, params=params)
 
 
 class TestFactory:
@@ -21,62 +27,53 @@ class TestFactory:
             ("C&P", CutAndPasteMechanism, "C&P"),
             ("cut-and-paste", CutAndPasteMechanism, "C&P"),
         ):
-            miner = make_miner(name, survey_schema, 19.0)
-            assert type(miner) is MechanismMiner
-            assert type(miner.mechanism) is mechanism
-            assert miner.name == display
+            built = _named(name, survey_schema)
+            assert type(built) is mechanism
+            assert built.display == display
 
     def test_unknown_name(self, survey_schema):
         with pytest.raises(ValueError):
-            make_miner("dp", survey_schema, 19.0)
+            _named("dp", survey_schema)
 
     def test_kwargs_forwarded(self, survey_schema):
-        miner = make_miner("ran-gd", survey_schema, 19.0, relative_alpha=0.25)
-        assert miner.mechanism.alpha == pytest.approx(
+        built = _named("ran-gd", survey_schema, relative_alpha=0.25)
+        assert built.alpha == pytest.approx(
             0.25 * 19.0 / (19.0 + survey_schema.joint_size - 1)
         )
 
 
 class TestDrivers:
     @pytest.mark.parametrize("name", ["det-gd", "ran-gd", "mask", "c&p"])
-    def test_mine_returns_result(self, name, survey_schema, survey_dataset):
-        miner = make_miner(name, survey_schema, 19.0)
-        result = miner.mine(survey_dataset, min_support=0.10, seed=0)
+    def test_mine_returns_result(self, name, survey_dataset):
+        result = repro.mine(survey_dataset, 0.10, mechanism=name, seed=0)
         assert isinstance(result, AprioriResult)
         assert result.min_support == 0.10
 
-    def test_deterministic_with_seed(self, survey_schema, survey_dataset):
-        miner = make_miner("det-gd", survey_schema, 19.0)
-        a = miner.mine(survey_dataset, 0.10, seed=5)
-        b = miner.mine(survey_dataset, 0.10, seed=5)
+    def test_deterministic_with_seed(self, survey_dataset):
+        a = repro.mine(survey_dataset, 0.10, seed=5)
+        b = repro.mine(survey_dataset, 0.10, seed=5)
         assert a.frequent() == b.frequent()
 
-    def test_high_gamma_recovers_exact_mining(self, survey_schema, survey_dataset):
+    def test_high_gamma_recovers_exact_mining(self, survey_dataset):
         """With a huge gamma (nearly no perturbation), DET-GD mining
         converges to exact mining."""
-        miner = make_miner("det-gd", survey_schema, 1e6)
-        mined = miner.mine(survey_dataset, 0.10, seed=1)
+        mined = repro.mine(survey_dataset, 0.10, params={"gamma": 1e6}, seed=1)
         truth = mine_exact(survey_dataset, 0.10)
         assert set(mined.frequent()) == set(truth.frequent())
 
     def test_mask_p_configured_from_gamma(self, survey_schema):
-        miner = make_miner("mask", survey_schema, 19.0)
-        assert miner.mechanism.p == pytest.approx(
+        assert _named("mask", survey_schema).p == pytest.approx(
             19.0 ** (1 / 6) / (1 + 19.0 ** (1 / 6))
         )
 
     def test_cp_rho_configured_from_gamma(self, survey_schema):
-        miner = make_miner("c&p", survey_schema, 19.0)
-        assert miner.gamma <= 19.0 * (1 + 1e-9)
+        assert _named("c&p", survey_schema).amplification() <= 19.0 * (1 + 1e-9)
 
     def test_perturb_exposed(self, survey_schema, survey_dataset):
-        det = make_miner("det-gd", survey_schema, 19.0)
-        perturbed = det.perturb(survey_dataset, seed=2)
+        perturbed = _named("det-gd", survey_schema).perturb(survey_dataset, seed=2)
         assert perturbed.schema == survey_schema
 
-        mask_bits = make_miner("mask", survey_schema, 19.0).perturb(
-            survey_dataset, seed=3
-        )
+        mask_bits = _named("mask", survey_schema).perturb(survey_dataset, seed=3)
         assert mask_bits.shape == (survey_dataset.n_records, survey_schema.n_boolean)
 
     def test_mine_exact_reference(self, survey_dataset):

@@ -392,6 +392,34 @@ class TestPrivacyCommand:
         assert "inf" not in table and "nan" not in table
 
 
+class TestServeCommand:
+    def test_config_takes_the_default_spec_and_only_the_set_flags(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.service
+        from repro.experiments.config import PAPER_GAMMA
+        from repro.service import ServiceConfig
+
+        configs = []
+
+        async def capture(config, **kwargs):
+            configs.append(config)
+
+        monkeypatch.setattr(repro.service, "run_server", capture)
+        argv = ["serve", "--data-dir", str(tmp_path), "--max-batch", "64"]
+        assert main(argv) == 0
+        [config] = configs
+        assert config.mechanism == {
+            "name": "det-gd",
+            "params": {"gamma": PAPER_GAMMA},
+        }
+        assert config.max_batch == 64
+        defaults = ServiceConfig(schema=config.schema, data_dir=str(tmp_path))
+        for name in ("max_latency", "max_inflight", "max_queued_rows",
+                     "drain_deadline"):
+            assert getattr(config, name) == getattr(defaults, name)
+
+
 class TestMechanismRowOrder:
     def test_order_mechanism_rows_uses_registry_metadata(self):
         from repro.experiments.reporting import order_mechanism_rows

@@ -496,6 +496,9 @@ class TestWire:
             wire.decode_records(schema, too_big)
         with pytest.raises(ServiceError):
             wire.decode_records(schema, [["a"] * schema.n_attributes])
+        for cell in (0.5, "1", True):
+            with pytest.raises(ServiceError, match="integers"):
+                wire.decode_records(schema, [[cell] * schema.n_attributes])
 
     def test_tenant_name_validation(self):
         assert wire.tenant_name({"tenant": "acme-1.prod"}) == "acme-1.prod"
@@ -1016,6 +1019,86 @@ class TestFailedOpensChargeNothing:
             assert status == 200, reply
         finally:
             service.close()
+
+
+class TestUntrustedInput:
+    """Bad cells, itemsets and framing answer 400 before any state changes."""
+
+    @pytest.mark.parametrize("cell", [0.5, "1"], ids=["float", "string"])
+    def test_coerced_cells_answer_400(self, schema, data, tmp_path, cell):
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        try:
+            status, _ = dispatch(server, "/v1/collections", {"tenant": "acme"})
+            assert status == 200
+            before = service.ledger_summary()
+            rows = wire.encode_records(data.records[:3])
+            rows[1][0] = cell
+            requests = {
+                "/v1/submit": {"tenant": "acme", "records": rows},
+                "/v1/perturb": {"records": rows},
+            }
+            for path, body in requests.items():
+                status, reply = dispatch(server, path, body)
+                assert status == 400, (path, reply)
+                assert reply["error"]["code"] == "bad_request"
+            assert service.queued_rows() == 0
+            assert service.ledger_summary() == before
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize(
+        "itemset",
+        [
+            {"attributes": [0], "values": [99]},
+            {"attributes": [0], "values": [-1]},
+            {"attributes": [0], "values": [1.0]},
+            {"attributes": [0.5], "values": [0]},
+            {"attributes": [True], "values": [0]},
+        ],
+        ids=["value-out-of-domain", "negative-value", "float-value",
+             "float-attribute", "bool-attribute"],
+    )
+    def test_bad_itemsets_answer_400(self, schema, data, tmp_path, itemset):
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        try:
+            status, _ = dispatch(
+                server,
+                "/v1/submit",
+                {"tenant": "acme", "records": wire.encode_records(data.records[:20])},
+            )
+            assert status == 200
+            status, reply = dispatch(
+                server, "/v1/reconstruct", {"tenant": "acme", "itemsets": [itemset]}
+            )
+            assert status == 400, reply
+            assert reply["error"]["code"] == "bad_request"
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_answers_400_and_closes(
+        self, schema, tmp_path, length
+    ):
+        import socket
+
+        def drive(port):
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(
+                    b"POST /v1/submit HTTP/1.1\r\nHost: localhost\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+                )
+                frame = b""
+                while chunk := sock.recv(65536):
+                    frame += chunk
+            return wire.parse_response(frame)
+
+        status, headers, payload = run_service(make_config(schema, tmp_path), drive)
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert "Content-Length" in payload["error"]["message"]
+        assert headers["connection"] == "close"
 
 
 class _FailOnce:
