@@ -41,7 +41,7 @@ import numpy as np
 from repro.data.backing import column_dtypes, record_dtype, validate_in_domain
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema, as_integer_array
-from repro.exceptions import DataError
+from repro.exceptions import DataError, SchemaError
 from repro.faultpoints import reach
 
 #: FRD magic bytes (8-byte aligned prefix, version in the name).
@@ -483,6 +483,55 @@ class FrdSpool:
         )
 
 
+def _read_frd_layout(path: Path) -> tuple[Schema, int, list[int]]:
+    """Schema, record count and column offsets of the ``.frd`` at ``path``.
+
+    The file is not trusted: its header must be byte for byte the one
+    :class:`FrdWriter` writes for the embedded schema and record count
+    (so the column dtypes and offsets are that layout's), and the file
+    exactly as long as that layout.  Anything else -- a truncated
+    prefix, a non-object header, a bad schema entry, a record count
+    that is not a non-negative integer, short dtype or offset lists, a
+    missing or extra tail -- raises :class:`DataError`.
+    """
+    with path.open("rb") as handle:
+        prefix = handle.read(len(FRD_MAGIC) + 4)
+        if prefix[: len(FRD_MAGIC)] != FRD_MAGIC:
+            raise DataError(f"{path} is not an FRD file (bad magic)")
+        if len(prefix) < len(FRD_MAGIC) + 4:
+            raise DataError(f"{path} has a truncated FRD header")
+        (header_len,) = struct.unpack("<I", prefix[len(FRD_MAGIC) :])
+        body = handle.read(header_len)
+        size = os.fstat(handle.fileno()).st_size
+    try:
+        header = json.loads(body.decode())
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path} has a corrupt FRD header") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path} has a corrupt FRD header (not a JSON object)")
+    if header.get("version") != 1 or header.get("layout") != "columnar":
+        raise DataError(f"{path}: unsupported FRD version/layout")
+    n_records = header.get("n_records")
+    if not isinstance(n_records, int) or isinstance(n_records, bool) or n_records < 0:
+        raise DataError(f"{path}: bad FRD record count {n_records!r}")
+    try:
+        schema = _schema_from_header(header.get("schema"))
+    except (TypeError, ValueError, SchemaError) as exc:
+        raise DataError(f"{path}: bad FRD schema: {exc}") from None
+    expected, offsets = _frd_header_bytes(schema, n_records)
+    if prefix + body != expected:
+        raise DataError(
+            f"{path}: FRD header does not match the layout of its schema "
+            f"and {n_records} records"
+        )
+    expected_size = offsets[-1] + n_records * column_dtypes(schema)[-1].itemsize
+    if size != expected_size:
+        raise DataError(
+            f"{path} is {size} bytes, not the {expected_size} its header declares"
+        )
+    return schema, n_records, offsets
+
+
 class FrdDataset:
     """A memory-mapped ``.frd`` dataset (see :func:`open_frd`).
 
@@ -494,39 +543,25 @@ class FrdDataset:
 
     def __init__(self, path, schema: Schema | None = None):
         self.path = Path(path)
-        with self.path.open("rb") as handle:
-            magic = handle.read(len(FRD_MAGIC))
-            if magic != FRD_MAGIC:
-                raise DataError(f"{self.path} is not an FRD file (bad magic)")
-            (header_len,) = struct.unpack("<I", handle.read(4))
-            try:
-                header = json.loads(handle.read(header_len).decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise DataError(f"{self.path} has a corrupt FRD header") from exc
-        if header.get("version") != 1 or header.get("layout") != "columnar":
-            raise DataError(f"{self.path}: unsupported FRD version/layout")
-        file_schema = _schema_from_header(header["schema"])
+        file_schema, self._n_records, offsets = _read_frd_layout(self.path)
         if schema is not None and file_schema != schema:
             raise DataError(
                 f"{self.path} holds schema {file_schema.names}, "
                 f"expected {schema.names}"
             )
         self.schema = file_schema
-        self._n_records = int(header["n_records"])
         self._dtype = record_dtype(self.schema)
         self._columns = []
-        for j, (dtype_name, offset) in enumerate(
-            zip(header["dtypes"], header["offsets"])
-        ):
+        for dtype, offset in zip(column_dtypes(self.schema), offsets):
             if self._n_records == 0:
-                self._columns.append(np.empty(0, dtype=np.dtype(dtype_name)))
+                self._columns.append(np.empty(0, dtype=dtype))
                 continue
             self._columns.append(
                 np.memmap(
                     self.path,
-                    dtype=np.dtype(dtype_name),
+                    dtype=dtype,
                     mode="r",
-                    offset=int(offset),
+                    offset=offset,
                     shape=(self._n_records,),
                 )
             )

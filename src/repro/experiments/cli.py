@@ -63,6 +63,12 @@ from repro.experiments.tables import (
     table3,
     table3_cells,
 )
+from repro.service.batcher import DEFAULT_MAX_BATCH, DEFAULT_MAX_LATENCY
+from repro.service.server import (
+    DEFAULT_DRAIN_DEADLINE,
+    DEFAULT_MAX_INFLIGHT,
+    DEFAULT_MAX_QUEUED_ROWS,
+)
 from repro.store import ClaimBoard, ResultStore, code_fingerprint, default_store_root
 
 _EXPERIMENTS = (
@@ -466,13 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=None,
-        help="micro-batch flush threshold in rows (default 4096)",
+        help=f"micro-batch flush threshold in rows (default {DEFAULT_MAX_BATCH})",
     )
     service.add_argument(
         "--max-latency",
         type=float,
         default=None,
-        help="micro-batch flush latency bound in seconds (default 0.020)",
+        help="seconds a micro-batch is held for more submissions to join; 0 "
+        f"flushes on the next event-loop turn (default {DEFAULT_MAX_LATENCY})",
     )
     service.add_argument(
         "--no-auto-register",
@@ -485,21 +492,22 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="admission limit on concurrent mutating requests; excess "
-        "is shed with HTTP 429 (default 64)",
+        f"is shed with HTTP 429 (default {DEFAULT_MAX_INFLIGHT})",
     )
     service.add_argument(
         "--max-queued-rows",
         type=int,
         default=None,
         help="admission limit on rows queued in micro-batchers; "
-        "submissions above it are shed with HTTP 429 (default 200000)",
+        f"submissions above it are shed with HTTP 429 (default "
+        f"{DEFAULT_MAX_QUEUED_ROWS})",
     )
     service.add_argument(
         "--drain-deadline",
         type=float,
         default=None,
         help="seconds shutdown waits for in-flight requests before "
-        "cancelling their connections (default 5.0)",
+        f"cancelling their connections (default {DEFAULT_DRAIN_DEADLINE})",
     )
     return parser
 

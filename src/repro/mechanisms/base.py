@@ -102,10 +102,24 @@ class MechanismSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MechanismSpec":
-        """Inverse of :meth:`canonical`."""
+        """Inverse of :meth:`canonical`.
+
+        Raises
+        ------
+        ExperimentError
+            When ``data`` is not a dict with a ``name``, or its
+            ``params`` is neither absent, ``None`` (both mean ``{}``)
+            nor a dict.
+        """
         if not isinstance(data, dict) or "name" not in data:
             raise ExperimentError(f"not a mechanism spec: {data!r}")
-        return cls(data["name"], data.get("params") or {})
+        params = data.get("params")
+        if params is not None and not isinstance(params, dict):
+            raise ExperimentError(
+                f"mechanism {data['name']!r} params must be a JSON object, "
+                f"got {type(params).__name__} {params!r}"
+            )
+        return cls(data["name"], params)
 
     def __str__(self) -> str:
         rendered = ", ".join(f"{k}={_thaw(v)!r}" for k, v in self.params)

@@ -12,11 +12,20 @@ Flush policy (both knobs configurable per server):
 * ``max_latency`` -- flush ``max_latency`` seconds after the oldest
   pending submission arrived, however few rows are waiting.
 
+The default ``max_latency`` is 0: **group commit**.  The flush runs on
+the next event-loop turn, so a lone submission never waits for company.
+Coalescing still happens, because processing a batch (perturb, spool
+fsync, journal commit) blocks the loop: every submission that arrives
+meanwhile is enqueued on the turns that follow and flushes together as
+the next batch.  A positive ``max_latency`` is an opt-in hold that
+trades latency for fewer, larger batches (tests use it to build queues
+deterministically).
+
 Correctness does not depend on where flushes fall: the sequential
 stream's output is bit-identical for *any* batch partition of the
 arrival order (see :mod:`repro.pipeline.batch`), so latency-driven
-flushes never change results -- only how many RNG calls and numpy
-dispatches the same records cost.
+flushes never change results -- only how many RNG calls, numpy
+dispatches and fsyncs the same records cost.
 
 The batcher runs entirely on the event loop: submissions enqueue
 ``(records, future)`` pairs, the flush coalesces them in arrival order,
@@ -34,9 +43,9 @@ import numpy as np
 
 from repro.exceptions import ServiceError
 
-#: Default flush thresholds (rows / seconds).
+#: Default flush thresholds (rows / seconds); a zero hold is group commit.
 DEFAULT_MAX_BATCH = 4096
-DEFAULT_MAX_LATENCY = 0.020
+DEFAULT_MAX_LATENCY = 0.0
 
 
 class MicroBatcher:
@@ -55,7 +64,8 @@ class MicroBatcher:
     max_batch:
         Row count that triggers an immediate flush.
     max_latency:
-        Seconds the oldest pending submission may wait before a flush.
+        Seconds the oldest pending submission may wait before a flush;
+        0 flushes on the next event-loop turn (group commit).
     """
 
     def __init__(

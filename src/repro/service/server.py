@@ -151,7 +151,11 @@ class ServiceConfig:
     seed:
         Root seed that per-collection seeds are derived from.
     max_batch, max_latency:
-        Micro-batcher flush thresholds (rows / seconds).
+        Micro-batcher flush thresholds (rows / seconds).  The default
+        ``max_latency`` of 0 is group commit: a batch flushes on the
+        next event-loop turn, and whatever arrives while it is
+        processed joins the next one.  A positive value holds each
+        batch that long for more submissions to join.
     auto_register:
         Whether first-touch tenants/collections are created implicitly
         with the defaults (convenient for simulations; production
@@ -367,6 +371,23 @@ class PerturbationService:
             ledger = self.register_tenant(tenant)
         return ledger
 
+    def _mechanism(self, mechanism) -> tuple:
+        """``(spec, live mechanism)`` for a wire spec (default when absent).
+
+        Any refusal -- not a spec, ``params`` that is not an object, an
+        unknown name or parameter, a value the factory rejects -- is
+        HTTP 400 ``bad_mechanism``.
+        """
+        mechanism = mechanism or self.config.mechanism
+        try:
+            spec = MechanismSpec.from_dict(mechanism)
+            return spec, from_spec(spec, self.schema)
+        except FrappError as error:
+            name = mechanism.get("name") if isinstance(mechanism, dict) else mechanism
+            raise ServiceError(
+                f"cannot build mechanism {name!r}: {error}", code="bad_mechanism"
+            ) from None
+
     def open_collection(
         self,
         tenant: str,
@@ -392,14 +413,7 @@ class PerturbationService:
             403 with the structured refusal body.
         """
         ledger = self._tenant(tenant)
-        spec = MechanismSpec.from_dict(mechanism or self.config.mechanism)
-        try:
-            live = from_spec(spec, self.schema)
-        except FrappError as error:
-            raise ServiceError(
-                f"cannot build mechanism {spec.name!r}: {error}",
-                code="bad_mechanism",
-            ) from None
+        _spec, live = self._mechanism(mechanism)
         statement = PrivacyAccountant(rho1=ledger.budget.rho1).statement(live)
         if seed is None:
             seed = derive_collection_seed(self.config.seed, tenant, collection)
@@ -555,16 +569,7 @@ class PerturbationService:
         """
         rows = wire.require(body, "records")
         records = wire.decode_records(self.schema, rows)
-        spec = MechanismSpec.from_dict(
-            body.get("mechanism") or self.config.mechanism
-        )
-        try:
-            mechanism = from_spec(spec, self.schema)
-        except FrappError as error:
-            raise ServiceError(
-                f"cannot build mechanism {spec.name!r}: {error}",
-                code="bad_mechanism",
-            ) from None
+        spec, mechanism = self._mechanism(body.get("mechanism"))
         seed = wire.seed(body)
         key = wire.idempotency_key(body)
         digest = None
@@ -831,7 +836,12 @@ class ServiceServer:
     # admission control
     # ------------------------------------------------------------------
     def _retry_after(self) -> float:
-        """Suggested client backoff: roughly one flush interval."""
+        """Suggested client backoff: 50 ms, or two holds when longer.
+
+        With the default zero hold (group commit) this is the 50 ms
+        floor; an opt-in ``max_latency`` above 25 ms stretches it to
+        two flush intervals.
+        """
         return max(0.05, 2.0 * self.service.config.max_latency)
 
     def _admission_refusal(self, method: str, path: str):
@@ -994,7 +1004,10 @@ class ServiceServer:
     async def _dispatch(self, method: str, path: str, raw_body: bytes):
         try:
             body = json.loads(raw_body.decode("utf-8")) if raw_body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers undecodable bytes, bad JSON and integers
+            # past the interpreter's digit limit; RecursionError, nesting
+            # too deep to parse.
             return 400, wire.error_body(
                 ServiceError(f"request body is not valid JSON: {error}")
             )

@@ -52,8 +52,6 @@ SERVE_ARGS = (
     "0",
     "--schema",
     "census",
-    "--max-latency",
-    "0.002",
     "--seed",
     "4242",
 )

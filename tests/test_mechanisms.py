@@ -12,11 +12,13 @@ from repro.data.schema import Attribute, Schema
 from repro.exceptions import (
     DataError,
     ExperimentError,
+    FrappError,
     MatrixError,
     UnknownMechanismError,
 )
 from repro.mechanisms import (
     CompositeMechanism,
+    Mechanism,
     MechanismSpec,
     PrivacyAccountant,
     available,
@@ -542,6 +544,60 @@ class TestUnifiedErrors:
 
         with pytest.raises(UnknownMechanismError):
             run_mechanism(survey_dataset, "nope", ExperimentConfig(min_support=0.1))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_NAMES = st.sampled_from(
+    ["det-gd", "ran-gd", "mask", "c&p", "warner", "additive-noise", "composite",
+     "DET-GD", "rangd", "cp", "nope"]
+)
+_PARAM_NAMES = st.sampled_from(
+    ["gamma", "relative_alpha", "alpha", "max_cut", "scale", "p", "parts"]
+)
+_NUMBERS = (
+    st.integers(-3, 40)
+    | st.floats(-5, 50)
+    | st.sampled_from([0, 1.0, 19.0, 1e308, 2**70])
+)
+_PARTS = st.lists(
+    st.fixed_dictionaries(
+        {"name": _NAMES, "n_attributes": st.integers(-1, 4) | _JSON},
+        optional={
+            "params": st.dictionaries(_PARAM_NAMES, _NUMBERS | _JSON, max_size=3)
+        },
+    ),
+    max_size=4,
+)
+#: Arbitrary JSON, and spec-shaped JSON with real names and parameters.
+_SPECS = _JSON | st.fixed_dictionaries(
+    {"name": _NAMES | _JSON},
+    optional={
+        "params": _JSON
+        | st.dictionaries(
+            _PARAM_NAMES | st.text(max_size=4), _NUMBERS | _JSON | _PARTS, max_size=3
+        )
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_SPECS)
+def test_any_json_spec_builds_or_raises_a_typed_error(data):
+    """``from_dict`` then ``from_spec`` on untrusted JSON: a mechanism
+    over the schema, or a :class:`FrappError` -- never a raw one."""
+    schema = _schema(2, 3, 4)
+    try:
+        with np.errstate(all="ignore"):
+            mechanism = from_spec(MechanismSpec.from_dict(data), schema)
+    except FrappError:
+        return
+    assert isinstance(mechanism, Mechanism)
+    assert mechanism.schema == schema
 
 
 class TestRunnerConfigForwarding:

@@ -16,7 +16,8 @@ The load-bearing claims under test:
 * statement merging is order-invariant and JSON round-trips exactly
   (Hypothesis);
 * the micro-batcher coalesces submissions in arrival order and flushes
-  on both thresholds;
+  on both thresholds; at the default zero hold (group commit) what
+  arrives while a batch is processed still flushes as one batch;
 * the HTTP service's perturbation is bit-identical to the offline
   engine for any submission partition, across restarts, and refuses
   budget breaches with HTTP 403; its answers equal the offline
@@ -106,7 +107,6 @@ def make_config(schema, tmp_path, **overrides) -> ServiceConfig:
         rho2=rho2_from_gamma(RHO1, GAMMA),
         mechanism={"name": "det-gd", "params": {"gamma": GAMMA}},
         seed=1234,
-        max_latency=0.002,
     )
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -420,6 +420,27 @@ class TestMicroBatcher:
         assert (off2, n2) == (4, 3)
         # Contexts ride along into the parts, in arrival order.
         assert part_lists == [[(0, 4, "ctx-a"), (4, 3, None)]]
+
+    def test_zero_hold_flushes_one_loop_turn_as_one_batch(self):
+        """Group commit: what is enqueued in one loop turn is one batch,
+        and a later submission starts the next one."""
+        sizes = []
+
+        def process(batch, parts):
+            sizes.append(len(parts))
+
+        async def main():
+            batcher = MicroBatcher(process)
+            first = [
+                asyncio.ensure_future(batcher.submit(np.zeros((2, 2), np.int64)))
+                for _ in range(5)
+            ]
+            await asyncio.gather(*first)
+            await batcher.submit(np.zeros((1, 2), np.int64))
+            return batcher.max_latency, batcher.batches_flushed
+
+        assert asyncio.run(main()) == (0.0, 2)
+        assert sizes == [5, 1]
 
     def test_latency_flush_fires_without_reaching_max_batch(self):
         def process(batch, parts):
@@ -875,12 +896,15 @@ class TestJournalLines:
 
 
 #: Mechanism parameters every entry point must refuse with a typed error:
-#: an unknown name, the removed counting knob, and a value the factory
-#: cannot take.
+#: an unknown name, the removed counting knob, a value the factory
+#: cannot take, and ``params`` that is not a JSON object.
 BAD_MECHANISM_PARAMS = [
     pytest.param({"gama": GAMMA}, id="unknown-parameter"),
     pytest.param({"gamma": GAMMA, "count_backend": "native"}, id="count-backend"),
     pytest.param({"gamma": "x"}, id="bad-value"),
+    pytest.param([1, 2], id="params-list"),
+    pytest.param("ab", id="params-string"),
+    pytest.param(7, id="params-number"),
 ]
 
 
@@ -1074,6 +1098,22 @@ class TestUntrustedInput:
             )
             assert status == 400, reply
             assert reply["error"]["code"] == "bad_request"
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"tenant": ' + b"9" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["integer-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_undecodable_bodies_answer_400(self, schema, tmp_path, raw):
+        service = PerturbationService(make_config(schema, tmp_path))
+        server = ServiceServer(service)
+        try:
+            status, reply = asyncio.run(server._dispatch("POST", "/v1/tenants", raw))
+            assert status == 400, reply
+            assert reply["error"]["code"] == "bad_request"
+            assert service.ledger_summary()["tenants"] == []
         finally:
             service.close()
 
@@ -1615,6 +1655,117 @@ class TestExactlyOnce:
         spans = {(r["start"], r["stop"]) for r in results}
         assert spans == {(0, 15)}
         assert status["records"] == 15
+
+
+# ----------------------------------------------------------------------
+# group commit at the default hold
+# ----------------------------------------------------------------------
+
+
+class TestGroupCommit:
+    def test_concurrent_keyed_clients_coalesce_at_the_default_hold(
+        self, schema, tmp_path, monkeypatch
+    ):
+        """Sixteen keyed clients against the zero hold: submits that
+        arrive while a batch perturbs and fsyncs flush together as the
+        next batch, every key is journaled once, and the spool is the
+        offline perturbation of the arrival order.
+
+        The first batch stalls until every client's first submit is on
+        the wire, so those submits queue behind it whatever the host's
+        timing.
+        """
+        import http.client
+
+        import repro.service.server as server_module
+
+        n_clients, n_requests, rows = 16, 3, 25
+        config = make_config(schema, tmp_path)
+        assert config.max_latency == 0.0
+        records = generate_census(n_clients * n_requests * rows, seed=8).records
+        all_sent = threading.Event()
+        sent = []
+        sizes = []
+        lock = threading.Lock()
+        send = http.client.HTTPConnection.request
+        process = server_module.CollectionRuntime._process_batch
+
+        def counted_send(connection, method, url, *args, **kwargs):
+            send(connection, method, url, *args, **kwargs)
+            if url == "/v1/submit":
+                with lock:
+                    sent.append(url)
+                    if len(sent) >= n_clients:
+                        all_sent.set()
+
+        def stalled_process(runtime, batch, parts):
+            all_sent.wait(timeout=30)
+            sizes.append(len(parts))
+            return process(runtime, batch, parts)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", counted_send)
+        monkeypatch.setattr(
+            server_module.CollectionRuntime, "_process_batch", stalled_process
+        )
+
+        def drive(port):
+            with ServiceClient(port=port) as client:
+                client.open_collection("acme")
+            start = threading.Barrier(n_clients)
+            responses, errors = [], []
+
+            def client_loop(index):
+                try:
+                    with ServiceClient(port=port) as client:
+                        client.health()
+                        start.wait(timeout=30)
+                        for j in range(n_requests):
+                            lo = (index * n_requests + j) * rows
+                            key = f"c{index}-{j}"
+                            reply = client.submit(
+                                "acme", records[lo : lo + rows], idempotency_key=key
+                            )
+                            responses.append((key, lo, reply))
+                except Exception as error:  # noqa: BLE001 - surfaced below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=client_loop, args=(index,))
+                for index in range(n_clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a client never finished"
+            return responses, errors
+
+        responses, errors = run_service(config, drive)
+        n_submits = n_clients * n_requests
+        assert not errors, errors[:3]
+        assert len(responses) == n_submits
+        assert sum(sizes) == n_submits
+        assert len(sizes) < n_submits
+        ledger = LedgerStore(config.data_dir).load("acme")
+        assert sorted(ledger.journal) == sorted(key for key, _, _ in responses)
+        for key, _, reply in responses:
+            journaled = ledger.journal[key]["response"]
+            assert (journaled["start"], journaled["stop"]) == (
+                reply["start"],
+                reply["stop"],
+            )
+        arrival = sorted((reply["start"], lo) for _, lo, reply in responses)
+        assert [start for start, _ in arrival] == list(range(0, n_submits * rows, rows))
+        arrived = np.concatenate([records[lo : lo + rows] for _, lo in arrival])
+        offline = offline_perturb(
+            schema,
+            CategoricalDataset(schema, arrived),
+            ledger.collections["default"].seed,
+        )
+        with FrdSpool(schema, tmp_path / "state" / "acme" / "default.frd") as spool:
+            np.testing.assert_array_equal(
+                spool.records(0, n_submits * rows), offline.records
+            )
 
 
 # ----------------------------------------------------------------------
