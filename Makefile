@@ -36,7 +36,7 @@ docs:
 # output check.  `service` needs >= 5 s for the analyst to run.
 bench:
 	$(PYTHON) perfbench/run.py --workload paper --seed 1 --seconds 2 --trace 1
-	$(PYTHON) perfbench/run.py --workload stream --seed 1 --seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload stream --seed 1 --seconds 2 --trace 1
 	$(PYTHON) perfbench/run.py --workload service --seed 1 --seconds 5 --trace 0
 
 clean:

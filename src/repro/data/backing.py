@@ -18,9 +18,11 @@ in one place:
   ``int64``).
 
 Dtype choice can never change any count: category indices are equal as
-integers whatever their width, and every kernel downstream
-(``ravel_multi_index``, ``bincount``, the bitmap packer) consumes them
-value-wise.  Tests pin this with a Hypothesis equivalence suite.
+integers whatever their width, and every kernel downstream (the
+joint-index encoder :meth:`Schema.encode_columns
+<repro.data.schema.Schema.encode_columns>`, ``bincount``, the bitmap
+packer) consumes them value-wise.  Tests pin this with a Hypothesis
+equivalence suite.
 """
 
 from __future__ import annotations

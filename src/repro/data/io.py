@@ -535,10 +535,11 @@ def _read_frd_layout(path: Path) -> tuple[Schema, int, list[int]]:
 class FrdDataset:
     """A memory-mapped ``.frd`` dataset (see :func:`open_frd`).
 
-    Serves record spans (``records(start, stop)``) without ever
-    materialising the records on the heap: each attribute column is an
-    ``np.memmap`` view into the file, and chunk assembly copies only
-    the requested span at the schema's compact cell dtype.
+    Serves record spans (``records(start, stop)``) and their joint
+    indices (``joint_indices(start, stop)``) without ever materialising
+    the records on the heap: each attribute column is an ``np.memmap``
+    view into the file, and chunk assembly copies only the requested
+    span at the schema's compact cell dtype.
     """
 
     def __init__(self, path, schema: Schema | None = None):
@@ -598,6 +599,21 @@ class FrdDataset:
         for j, column in enumerate(self._columns):
             out[:, j] = column[start:stop]
         return out
+
+    def joint_indices(self, start: int, stop: int) -> np.ndarray:
+        """Joint indices ``I_U`` of the ``[start, stop)`` span.
+
+        The counting path's reader: the mapped column slices go straight
+        into :meth:`Schema.encode_columns
+        <repro.data.schema.Schema.encode_columns>`, which range-checks
+        every cell (file bytes are not trusted) before it encodes, so no
+        ``(m, M)`` record rows are ever assembled.
+        """
+        start = max(0, int(start))
+        stop = min(self._n_records, int(stop))
+        return self.schema.encode_columns(
+            [column[start:stop] for column in self._columns]
+        )
 
     def iter_chunks(self, chunk_size: int):
         """Yield consecutive ``(m, M)`` record arrays of ``<= chunk_size``."""

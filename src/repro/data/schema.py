@@ -8,7 +8,10 @@ attribute) and the paper's joint index set
 The encoding is mixed-radix with attribute 0 most significant -- the
 same ordering the paper's Section 5 uses via its prefix products
 ``n_j = prod_{k<=j} |S^k_U|`` (we expose those as
-:meth:`Schema.prefix_products`).
+:meth:`Schema.prefix_products`).  One kernel computes it,
+:meth:`Schema.encode_columns`, over one array per attribute: the
+record-array encoders transpose into it, and the ``.frd`` reader feeds
+it the memory-mapped columns directly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import SchemaError
+from repro.exceptions import DataError, SchemaError
+
+#: Horner work dtypes with their largest values, narrowest first: the
+#: encode kernel folds in the first one that holds the domain size.
+_WORK_DTYPES = tuple(
+    (dtype, int(np.iinfo(dtype).max)) for dtype in (np.int16, np.int32, np.int64)
+)
 
 
 def as_integer_array(values) -> np.ndarray:
@@ -32,7 +41,7 @@ def as_integer_array(values) -> np.ndarray:
     conversion to ``int64``.
     """
     array = np.asarray(values)
-    if np.issubdtype(array.dtype, np.integer):
+    if array.dtype.kind in "iu":
         return array
     return array.astype(np.int64)
 
@@ -192,10 +201,11 @@ class Schema:
     def encode(self, records) -> np.ndarray:
         """Map records (shape ``(N, M)`` of category indices) to ``I_U``.
 
-        The inverse of :meth:`decode`.  Integer record arrays of any
-        width are consumed in place -- compact ``uint8`` records are
-        *not* upcast to ``int64`` first, which keeps the streaming hot
-        path copy-free.
+        The inverse of :meth:`decode`.  The records are transposed into
+        one contiguous copy at their own cell width (compact ``uint8``
+        records are *not* upcast to ``int64``) and encoded by
+        :meth:`encode_columns`, so an out-of-domain cell raises
+        :class:`~repro.exceptions.DataError`.
         """
         records = as_integer_array(records)
         if records.ndim != 2 or records.shape[1] != self.n_attributes:
@@ -203,7 +213,75 @@ class Schema:
                 f"records must have shape (N, {self.n_attributes}), "
                 f"got {records.shape}"
             )
-        return np.ravel_multi_index(records.T, dims=self.cardinalities)
+        return self.encode_columns(np.ascontiguousarray(records.T))
+
+    def encode_columns(self, columns, positions=None) -> np.ndarray:
+        """Joint indices of per-attribute columns: the one encode kernel.
+
+        ``columns[k]`` is a 1-D integer array holding the category index
+        of attribute ``positions[k]`` for every record; ``positions``
+        defaults to all attributes in schema order, which gives ``I_U``,
+        and a subset gives :meth:`encode_subset`'s sub-domain.  Columns
+        of any integer width, strided or memory-mapped, are read in
+        place.  Each column is range-checked first; then Horner's rule,
+        ``joint = joint * card + column``, folds them in the narrowest of
+        ``int16``/``int32``/``int64`` that holds the domain size (every
+        partial sum is below it), and the result is cast once to
+        ``intp``.
+
+        Raises
+        ------
+        DataError
+            A cell is negative or not below its attribute's cardinality.
+        SchemaError
+            The columns do not match ``positions`` in number or length,
+            or the domain has more cells than ``int64`` can index.
+        """
+        positions = (
+            tuple(range(self.n_attributes))
+            if positions is None
+            else self._validate_positions(positions)
+        )
+        columns = [as_integer_array(column) for column in columns]
+        if not positions or len(columns) != len(positions):
+            raise SchemaError(
+                f"expected one column per attribute position {positions}, "
+                f"got {len(columns)} columns"
+            )
+        n_records = columns[0].shape[0] if columns[0].ndim == 1 else -1
+        if any(column.shape != (n_records,) for column in columns):
+            raise SchemaError(
+                "columns must be 1-D and of equal length, got shapes "
+                f"{[column.shape for column in columns]}"
+            )
+        cardinalities = self.cardinalities
+        cards = [cardinalities[p] for p in positions]
+        size = math.prod(cards)
+        if size > _WORK_DTYPES[-1][1]:
+            raise SchemaError(
+                f"a domain of {size} cells has no int64 joint index; "
+                "encode an attribute subset instead"
+            )
+        for position, column, card in zip(positions, columns, cards):
+            if n_records and (
+                column.max() >= card
+                or (column.dtype.kind == "i" and column.min() < 0)
+            ):
+                record = int(np.argmax((column < 0) | (column >= card)))
+                raise DataError(
+                    f"record {record} has out-of-domain value "
+                    f"{int(column[record])} for attribute "
+                    f"{self.names[position]!r}"
+                )
+        work = next(dtype for dtype, largest in _WORK_DTYPES if size <= largest)
+        joint = columns[0].astype(work)
+        for column, card in zip(columns[1:], cards[1:]):
+            joint *= card
+            # The explicit loop dtype keeps uint64 columns off NumPy's
+            # uint64 + int64 -> float64 promotion; the range check makes
+            # the cast exact.
+            np.add(joint, column, out=joint, dtype=work, casting="unsafe")
+        return joint.astype(np.intp, copy=False)
 
     def decode(self, joint_indices, dtype=np.int64) -> np.ndarray:
         """Map joint indices in ``I_U`` back to ``(N, M)`` records.
@@ -232,15 +310,15 @@ class Schema:
         """Joint indices over the *sub*-domain of the given attributes.
 
         Used by the mining passes of Section 6 where supports are
-        estimated over itemsets on a subset ``Cs`` of attributes.
+        estimated over itemsets on a subset ``Cs`` of attributes.  The
+        selected record columns go to :meth:`encode_columns` as strided
+        views.
         """
         positions = self._validate_positions(positions)
         if not positions:
             raise SchemaError("attribute subset must be non-empty")
         records = as_integer_array(records)
-        cards = [self.cardinalities[p] for p in positions]
-        cols = [records[:, p] for p in positions]
-        return np.ravel_multi_index(cols, dims=cards)
+        return self.encode_columns([records[:, p] for p in positions], positions)
 
     def decode_subset(self, joint_indices, positions) -> np.ndarray:
         """Inverse of :meth:`encode_subset` (columns in ``positions`` order)."""

@@ -62,17 +62,24 @@ def _init_worker(engine, frd_path):
     _WORKER_FRD = None if frd_path is None else open_frd(frd_path, engine.schema)
 
 
+def _read_span(source, span, encode):
+    """One ``(start, stop)`` row span of an ``.frd`` source.
+
+    With ``encode`` the span is joint-encoded straight from the mapped
+    columns (:meth:`~repro.data.io.FrdDataset.joint_indices`), so the
+    counting path never assembles record rows.
+    """
+    return source.joint_indices(*span) if encode else source.records(*span)
+
+
 def _pool_task(work, chunk, seed_seq, encode):
     """Run ``work`` on one chunk with its own stream.
 
     A chunk of an ``.frd`` source arrives as a ``(start, stop)`` row
-    span and is read here -- and, with ``encode``, joint-encoded here,
-    next to the data.
+    span and is read here, next to the data.
     """
     if _WORKER_FRD is not None:
-        chunk = _WORKER_FRD.records(*chunk)
-        if encode:
-            chunk = _WORKER_ENGINE.schema.encode(chunk)
+        chunk = _read_span(_WORKER_FRD, chunk, encode)
     return work(_WORKER_ENGINE, chunk, np.random.default_rng(seed_seq))
 
 
@@ -139,20 +146,26 @@ class PerturbationPipeline:
     def _map(self, work, source, seed, encode=False):
         """Yield ``work(engine, chunk, rng)`` for each chunk, in order.
 
-        Chunks are record arrays, or joint indices with ``encode``.
+        Chunks are record arrays, or joint indices with ``encode``.  An
+        ``.frd`` source is cut into ``(start, stop)`` row spans that
+        :func:`_read_span` reads in this process, or in the pool
+        workers when ``workers > 1``.
         The pool path keeps at most ``4 * workers`` chunks in flight,
         so streaming sources larger than memory are never drained
         eagerly.
         """
         frd_path = None
-        if self.workers > 1 and isinstance(source, FrdDataset):
+        if isinstance(source, FrdDataset):
             if source.schema != self.schema:
                 raise DataError("chunk schema does not match the pipeline schema")
-            frd_path = str(source.path)
             chunks = (
                 (start, start + self.chunk_size)
                 for start in range(0, source.n_records, self.chunk_size)
             )
+            if self.workers > 1:
+                frd_path = str(source.path)
+            else:
+                chunks = (_read_span(source, span, encode) for span in chunks)
         else:
             chunks = iter_record_chunks(source, self.schema, self.chunk_size)
             if encode:

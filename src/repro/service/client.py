@@ -185,7 +185,9 @@ class ServiceClient:
             ) from None
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
+            # As in wire.parse_response: bad bytes, bad JSON, integers
+            # past the digit limit, or nesting too deep to parse.
             raise ServiceError(
                 f"server returned a non-JSON body (status {response.status}): "
                 f"{error}",

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.privacy import PrivacyRequirement
-from repro.exceptions import BudgetExceededError, ServiceError
+from repro.exceptions import BudgetExceededError, FrappError, ServiceError
 from repro.mechanisms.accountant import PrivacyStatement
 from repro.store.store import atomic_write_bytes
 
@@ -393,9 +393,9 @@ class LedgerStore:
         ------
         ServiceError
             With code ``ledger_corrupt`` when the snapshot cannot be
-            parsed, or a complete line is malformed or out of sequence
-            -- corrupt privacy state must never be silently reset to
-            "unspent".
+            parsed or is not a ledger, or a complete line is malformed
+            or out of sequence -- corrupt privacy state must never be
+            silently reset to "unspent".
         """
         path = self._ledger_path(tenant)
         try:
@@ -408,10 +408,19 @@ class LedgerStore:
             data = json.loads(path.read_bytes())
         except FileNotFoundError:
             return None
-        except (OSError, ValueError) as error:
+        except (OSError, ValueError, RecursionError) as error:
+            # ValueError covers undecodable bytes, bad JSON and integers
+            # past the interpreter's digit limit; RecursionError, nesting
+            # too deep to parse.
             raise _corrupt(tenant, f"unreadable snapshot at {path}: {error}") from error
-        ledger = TenantLedger.from_dict(data)
-        ledger.lines = int(data.get("lines", 0))
+        try:
+            ledger = TenantLedger.from_dict(data)
+            ledger.lines = int(data.get("lines", 0))
+        except (FrappError, ValueError, TypeError, KeyError, AttributeError) as error:
+            raise _corrupt(
+                tenant,
+                f"malformed snapshot at {path}: {type(error).__name__}: {error}",
+            ) from None
         # Everything after the last newline is a torn, uncommitted tail.
         complete = log[: log.rfind(b"\n") + 1]
         expected = None
@@ -522,7 +531,7 @@ def _parse_line(tenant: str, number: int, raw: bytes) -> dict:
             )
         ):
             raise ValueError("bad field types")
-    except (ValueError, TypeError, KeyError, AttributeError) as error:
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as error:
         raise _corrupt(tenant, f"log line {number} is malformed: {error}") from None
     return line
 

@@ -22,6 +22,7 @@ responses reuse the same encoding.  Itemsets travel as
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -186,9 +187,10 @@ def parse_response(frame: bytes) -> tuple[int, dict, dict]:
 
     Returns ``(status, headers, payload)`` with header names
     lower-cased.  Raises :class:`~repro.exceptions.ServiceError` on a
-    torn or malformed frame (missing header terminator, truncated or
-    oversized body, non-JSON payload) -- the conditions a client must
-    treat as "response never arrived".
+    torn or malformed frame (missing header terminator, malformed
+    ``Content-Length``, truncated or oversized body, a payload that does
+    not parse as JSON) -- the conditions a client must treat as
+    "response never arrived".
     """
     head, sep, body = frame.partition(b"\r\n\r\n")
     if not sep:
@@ -202,20 +204,31 @@ def parse_response(frame: bytes) -> tuple[int, dict, dict]:
     for line in lines[1:]:
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not raw_length.isdecimal():
+        raise ServiceError(f"malformed Content-Length header: {raw_length!r}")
+    length = int(raw_length)
     if len(body) != length:
         raise ServiceError(
             f"torn response body: Content-Length {length}, got {len(body)} bytes"
         )
     try:
         payload = json.loads(body.decode("utf-8")) if body else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers undecodable bytes, bad JSON and integers
+        # past the interpreter's digit limit; RecursionError, nesting
+        # too deep to parse.
         raise ServiceError(f"response body is not valid JSON: {error}") from None
     return status, headers, payload
 
 
 def decode_records(schema: Schema, rows) -> np.ndarray:
-    """Decode a JSON ``records`` payload into a validated compact array."""
+    """Decode a JSON ``records`` payload into a validated compact array.
+
+    Every row must be a list of the schema's width, and every cell
+    exactly an ``int`` (JSON booleans, floats and strings are refused,
+    not cast) inside its attribute's domain.
+    """
     if not isinstance(rows, list) or not rows:
         raise ServiceError("field 'records' must be a non-empty array of rows")
     if len(rows) > MAX_RECORDS_PER_REQUEST:
@@ -223,25 +236,28 @@ def decode_records(schema: Schema, rows) -> np.ndarray:
             f"at most {MAX_RECORDS_PER_REQUEST} records per request, "
             f"got {len(rows)}"
         )
+    width = schema.n_attributes
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        raise ServiceError(
+            f"records must be rows of {width} cells, one per attribute"
+        )
+    cells = list(itertools.chain.from_iterable(rows))
+    # Exactly int: JSON true/false decode to bool, and a cast would turn
+    # 0.5 into category 0 and "1" into 1.
+    kinds = set(map(type, cells))
+    if kinds != {int}:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds - {int}))
+        raise ServiceError(f"records must be rows of integers, got {names} cells")
     try:
-        records = np.asarray(rows)
-    except (TypeError, ValueError):
-        raise ServiceError("records must be rows of integers") from None
-    if records.ndim != 2 or records.shape[1] != schema.n_attributes:
-        raise ServiceError(
-            f"records must have {schema.n_attributes} attributes per row, "
-            f"got shape {tuple(records.shape)}"
-        )
-    # No cast: a cast would turn 0.5 into category 0 and "1" into 1.
-    if records.dtype.kind not in "iu":
-        raise ServiceError(
-            f"records must be rows of integers, got {records.dtype} cells"
-        )
+        records = np.fromiter(cells, dtype=np.int64, count=len(cells))
+    except OverflowError:
+        raise ServiceError("record cells out of the int64 range") from None
+    records = records.reshape(len(rows), width)
     try:
         validate_in_domain(schema, records)
     except DataError as error:
         raise ServiceError(str(error)) from None
-    return records.astype(record_dtype(schema), copy=False)
+    return records.astype(record_dtype(schema))
 
 
 def encode_records(records: np.ndarray) -> list:

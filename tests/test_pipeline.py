@@ -440,6 +440,35 @@ class TestMemmapSource:
         with pytest.raises(DataError):
             pipeline.accumulate(open_frd(path), seed=5)
 
+    def test_corrupt_cells_fail_closed_while_streaming(
+        self, census, det_engine, frd_path, tmp_path
+    ):
+        """A cell byte past its domain raises ``DataError`` on every
+        streaming path, in process and in pool workers, as it does when
+        the file is materialised."""
+        from repro.data.io import open_frd
+
+        path = tmp_path / "corrupt.frd"
+        path.write_bytes(frd_path.read_bytes())
+        age = open_frd(path).column("age")
+        with path.open("r+b") as handle:
+            handle.seek(age.offset + 5_000)
+            handle.write(bytes([200]))
+        source = open_frd(path)
+        with pytest.raises(DataError):
+            source.to_dataset()
+        for workers in (1, 2):
+            with pytest.raises(DataError, match="'age'"):
+                mine_stream(
+                    source, census.schema, GAMMA, 0.02, chunk_size=2_048,
+                    workers=workers, seed=8,
+                )
+            pipeline = PerturbationPipeline(
+                det_engine, chunk_size=2_048, workers=workers
+            )
+            with pytest.raises(DataError, match="'age'"):
+                list(pipeline.perturb_stream(source, seed=5))
+
     def test_memmap_sequential_equals_one_shot(self, census, det_engine, frd_path):
         from repro.data.io import open_frd
 

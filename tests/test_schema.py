@@ -1,12 +1,14 @@
 """Tests for repro.data.schema."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.schema import Attribute, Schema
-from repro.exceptions import SchemaError
+from repro.exceptions import DataError, SchemaError
 
 
 def schema_strategy(max_attrs=4, max_card=5):
@@ -18,6 +20,90 @@ def schema_strategy(max_attrs=4, max_card=5):
             Attribute(f"a{i}", [f"c{j}" for j in range(c)]) for i, c in enumerate(cs)
         )
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _schema_of(cards):
+    return Schema(
+        Attribute(f"a{i}", [f"c{j}" for j in range(c)]) for i, c in enumerate(cards)
+    )
+
+
+#: Cardinality lists whose joint domain needs each Horner work dtype of
+#: the encode kernel: int16 (at most 8**4 cells), int32 (60**3 to
+#: 128**4 cells) and int64 (80**5 to 128**6 cells).  No cardinality
+#: exceeds 128, so int8 cells can hold every category.
+_CARDS_BY_WORK_DTYPE = (
+    st.lists(st.integers(2, 8), min_size=1, max_size=4),
+    st.lists(st.integers(60, 128), min_size=3, max_size=4),
+    st.lists(st.integers(80, 128), min_size=5, max_size=6),
+)
+_INPUT_DTYPES = ("uint8", "uint16", "uint32", "uint64", "int8", "int64")
+
+
+@st.composite
+def _encode_cases(draw):
+    cards = tuple(draw(st.one_of(_CARDS_BY_WORK_DTYPE)))
+    dtype = np.dtype(draw(st.sampled_from(_INPUT_DTYPES)))
+    n = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = np.zeros((n, len(cards)), dtype=dtype)
+    for j, card in enumerate(cards):
+        records[:, j] = rng.integers(0, card, size=n)
+    layout = draw(st.sampled_from(["rows", "fortran-rows", "columns"]))
+    positions = draw(st.permutations(range(len(cards))))
+    positions = positions[: draw(st.integers(1, len(cards)))]
+    bad = None
+    if n:
+        row, j = draw(st.integers(0, n - 1)), draw(st.sampled_from(positions))
+        negative = dtype.kind == "i" and draw(st.booleans())
+        if negative or cards[j] > np.iinfo(dtype).max:
+            bad = (row, j, -draw(st.integers(1, 3)))
+        else:
+            bad = (row, j, cards[j] + draw(st.integers(0, 3)))
+    return _schema_of(cards), records, layout, positions, bad
+
+
+def _encode(schema, records, layout):
+    if layout == "columns":
+        return schema.encode_columns([records[:, j] for j in range(len(schema))])
+    if layout == "fortran-rows":
+        records = np.asfortranarray(records)
+    return schema.encode(records)
+
+
+@given(_encode_cases())
+@settings(max_examples=120, deadline=None)
+def test_encode_kernel_equals_ravel_multi_index(case):
+    """``np.ravel_multi_index`` is the oracle of the joint-index kernel.
+
+    Over every Horner work dtype, input dtypes from ``uint8`` to
+    ``uint64`` and ``int8``/``int64`` (``uint64`` cells meet an
+    ``int64`` fold, where NumPy's promotion would go through
+    ``float64``), rows in either memory order or per-attribute columns,
+    and empty inputs; a cell at or past its cardinality, or negative,
+    raises ``DataError`` on every entry point.
+    """
+    schema, records, layout, positions, bad = case
+    wide = records.astype(np.int64)
+    joint = _encode(schema, records, layout)
+    assert joint.dtype == np.intp
+    assert np.array_equal(joint, np.ravel_multi_index(wide.T, schema.cardinalities))
+    subset = schema.encode_subset(records, positions)
+    assert subset.dtype == np.intp
+    assert np.array_equal(
+        subset,
+        np.ravel_multi_index(
+            wide[:, positions].T, [schema.cardinalities[p] for p in positions]
+        ),
+    )
+    if bad is not None:
+        row, j, value = bad
+        records[row, j] = value
+        with pytest.raises(DataError, match=schema.names[j]):
+            _encode(schema, records, layout)
+        with pytest.raises(DataError, match=schema.names[j]):
+            schema.encode_subset(records, positions)
 
 
 class TestAttribute:
@@ -128,6 +214,16 @@ class TestEncoding:
             tiny_schema.encode([[0, 0, 0]])
         with pytest.raises(SchemaError):
             tiny_schema.encode([0, 1])
+        with pytest.raises(SchemaError):
+            tiny_schema.encode_columns([np.zeros(3, dtype=np.uint8)])
+        with pytest.raises(SchemaError):
+            tiny_schema.encode_columns([np.zeros(3, np.uint8), np.zeros(2, np.uint8)])
+
+    def test_encode_refuses_a_domain_past_int64(self):
+        wide = _schema_of((2,) * 64)
+        with pytest.raises(SchemaError, match="int64"):
+            wide.encode(np.zeros((1, 64), dtype=np.uint8))
+        assert wide.encode_subset(np.ones((1, 64), dtype=np.uint8), [0, 63]) == [3]
 
     def test_decode_range_validation(self, tiny_schema):
         with pytest.raises(SchemaError):

@@ -285,6 +285,26 @@ class TestLedger:
         assert excinfo.value.code == "ledger_corrupt"
         assert excinfo.value.status == 500
 
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            b'{"version": 2}',
+            b'{"version": 2, "budget": 5}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b"[1, 2]",
+        ],
+        ids=["no-budget", "no-tenant", "nested-past-recursion-limit",
+             "not-an-object"],
+    )
+    def test_malformed_snapshot_is_ledger_corrupt(self, tmp_path, snapshot):
+        store = LedgerStore(tmp_path)
+        store.create("t", self.budget(400.0))
+        (store.tenant_dir("t") / "ledger.json").write_bytes(snapshot)
+        with pytest.raises(ServiceError) as excinfo:
+            store.load("t")
+        assert excinfo.value.code == "ledger_corrupt"
+        assert excinfo.value.status == 500
+
     def test_prior_mismatch_rejected(self, tmp_path):
         ledger = LedgerStore(tmp_path).create(
             "t", PrivacyRequirement(0.10, 0.50)
@@ -520,6 +540,9 @@ class TestWire:
         for cell in (0.5, "1", True):
             with pytest.raises(ServiceError, match="integers"):
                 wire.decode_records(schema, [[cell] * schema.n_attributes])
+        # A bool among ints: NumPy would promote the row to int64.
+        with pytest.raises(ServiceError, match="integers"):
+            wire.decode_records(schema, [[True, 1, 0, 0, 1, 0]])
 
     def test_tenant_name_validation(self):
         assert wire.tenant_name({"tenant": "acme-1.prod"}) == "acme-1.prod"
@@ -610,6 +633,7 @@ class TestWireFraming:
             b"HTTP/1.1 200 OK\r\nContent-Length: 2",  # torn header
             b"garbage\r\n\r\n",  # malformed status line
             b"HTTP/1.1 abc OK\r\n\r\n",  # non-numeric status
+            b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n",  # bad length
         ):
             with pytest.raises(ServiceError):
                 wire.parse_response(torn)
@@ -757,9 +781,10 @@ class TestJournalLines:
             b'{"seq": 3, "collection": "gone", "records": 9, "journal": {}}\n',
             b'{"seq": 4, "collection": "c", "records": 9, "journal": {}}\n',
             b'{"seq": 1, "collection": "c", "records": 9, "journal": {}}\n',
+            b"[" * 100_000 + b"]" * 100_000 + b"\n",
         ],
         ids=["bad-json", "bad-type", "bad-journal", "unknown-collection",
-             "gap", "out-of-order"],
+             "gap", "out-of-order", "nested-past-recursion-limit"],
     )
     def test_bad_complete_line_is_ledger_corrupt(self, tmp_path, line):
         store, ledger = self.open_ledger(tmp_path)
@@ -1045,10 +1070,20 @@ class TestFailedOpensChargeNothing:
             service.close()
 
 
+#: Well-formed JSON that ``json.loads`` still cannot decode.
+UNDECODABLE_BODIES = [
+    b'{"tenant": ' + b"9" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+]
+UNDECODABLE_IDS = ["integer-past-digit-limit", "nested-past-recursion-limit"]
+
+
 class TestUntrustedInput:
     """Bad cells, itemsets and framing answer 400 before any state changes."""
 
-    @pytest.mark.parametrize("cell", [0.5, "1"], ids=["float", "string"])
+    @pytest.mark.parametrize(
+        "cell", [0.5, "1", True], ids=["float", "string", "bool"]
+    )
     def test_coerced_cells_answer_400(self, schema, data, tmp_path, cell):
         service = PerturbationService(make_config(schema, tmp_path))
         server = ServiceServer(service)
@@ -1101,11 +1136,7 @@ class TestUntrustedInput:
         finally:
             service.close()
 
-    @pytest.mark.parametrize(
-        "raw",
-        [b'{"tenant": ' + b"9" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000],
-        ids=["integer-past-digit-limit", "nested-past-recursion-limit"],
-    )
+    @pytest.mark.parametrize("raw", UNDECODABLE_BODIES, ids=UNDECODABLE_IDS)
     def test_undecodable_bodies_answer_400(self, schema, tmp_path, raw):
         service = PerturbationService(make_config(schema, tmp_path))
         server = ServiceServer(service)
@@ -1139,6 +1170,61 @@ class TestUntrustedInput:
         assert payload["error"]["code"] == "bad_request"
         assert "Content-Length" in payload["error"]["message"]
         assert headers["connection"] == "close"
+
+
+def _answer_once(frame: bytes):
+    """A listener that answers one request with ``frame`` verbatim."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                request += chunk
+            conn.sendall(frame)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener, thread
+
+
+class TestUntrustedResponses:
+    """A well-framed response whose body does not decode raises a typed
+    ``ServiceError`` on the client side of the wire."""
+
+    @staticmethod
+    def frame(body: bytes) -> bytes:
+        return (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
+            + body
+        )
+
+    @pytest.mark.parametrize("body", UNDECODABLE_BODIES, ids=UNDECODABLE_IDS)
+    def test_parse_response_raises_service_error(self, body):
+        with pytest.raises(ServiceError, match="not valid JSON"):
+            wire.parse_response(self.frame(body))
+
+    @pytest.mark.parametrize("body", UNDECODABLE_BODIES, ids=UNDECODABLE_IDS)
+    def test_client_raises_bad_gateway(self, body):
+        listener, thread = _answer_once(self.frame(body))
+        client = ServiceClient(port=listener.getsockname()[1], timeout=30)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                client.health()
+            assert excinfo.value.code == "bad_gateway"
+            assert excinfo.value.status == 502
+        finally:
+            client.close()
+            thread.join(timeout=30)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class _FailOnce:
