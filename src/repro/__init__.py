@@ -64,7 +64,7 @@ from repro.pipeline import (
     mine_stream,
     reconstruct_stream,
 )
-from repro.store import ClaimBoard, ResultStore, cache_key, code_fingerprint
+from repro.store import ResultStore, cache_key, code_fingerprint
 from repro.mechanisms import (
     CompositeMechanism,
     Mechanism,
@@ -96,7 +96,6 @@ __all__ = [
     "BitmapStreamSupportEstimator",
     "BitmapSupportCounter",
     "CategoricalDataset",
-    "ClaimBoard",
     "CompositeMechanism",
     "CutAndPastePerturbation",
     "FrappError",

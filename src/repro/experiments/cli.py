@@ -17,15 +17,16 @@ and runs the always-on perturbation service:
    $ frapp ledger show acme      # one tenant's full ledger
    $ frapp kernels               # active counting kernel / native-kernel report
 
-Execution knobs (``--workers``, ``--chunk-size``, ``--jobs``,
-``--claim-dir``, ``--lease``) are shared across all subcommands via
-:mod:`repro.experiments.options`.
+Execution knobs (``--workers``, ``--chunk-size``, ``--jobs``) are
+shared across all subcommands via :mod:`repro.experiments.options`.
 
 Experiment results are memoised in a content-addressed store (default
 ``~/.cache/frapp``, override with ``--cache-dir`` or
 ``$REPRO_CACHE_DIR``); ``--no-cache`` bypasses it, ``--force``
 recomputes and overwrites.  Cache hit/miss accounting goes to stderr
-so stdout stays byte-comparable between runs.
+so stdout stays byte-comparable between runs.  A bad input (a typed
+:class:`~repro.exceptions.FrappError`) ends the run with one line,
+``frapp <experiment>: <message>``, and exit status 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import argparse
 import sys
 
 from repro.data.census import census_schema
+from repro.exceptions import FrappError
 from repro.experiments.config import (
     PAPER_GAMMA,
     PAPER_RHO1,
@@ -69,7 +71,7 @@ from repro.service.server import (
     DEFAULT_MAX_INFLIGHT,
     DEFAULT_MAX_QUEUED_ROWS,
 )
-from repro.store import ClaimBoard, ResultStore, code_fingerprint, default_store_root
+from repro.store import ResultStore, code_fingerprint, default_store_root
 
 _EXPERIMENTS = (
     "table1",
@@ -114,22 +116,6 @@ def _store_from_args(args) -> ResultStore | None:
     except OSError as error:
         print(f"frapp: cache disabled ({root}: {error})", file=sys.stderr)
         return None
-
-
-def _orchestrator_from_args(args) -> Orchestrator:
-    store = _store_from_args(args)
-    claims = None
-    if args.claim_dir:
-        if store is None:
-            # Covers both --no-cache and an unopenable store directory:
-            # peers hand each other results through store commits, so
-            # claims without a store would deadlock the grid.
-            raise SystemExit(
-                "frapp: --claim-dir needs the result store "
-                "(drop --no-cache; peers share results through store commits)"
-            )
-        claims = ClaimBoard(args.claim_dir, lease=args.lease)
-    return Orchestrator(store=store, jobs=args.jobs, force=args.force, claims=claims)
 
 
 def _run_table1() -> str:
@@ -266,8 +252,6 @@ def _run_privacy(args) -> str:
         if math.isclose(args.gamma, PAPER_GAMMA, rel_tol=1e-9)
         else None
     )
-    from repro.exceptions import FrappError
-
     extra_specs = []
     for operand in args.extra:
         try:
@@ -628,27 +612,31 @@ def main(argv=None) -> int:
         raise SystemExit(
             f"frapp {args.experiment}: unexpected operand(s) {args.extra!r}"
         )
-    orchestrator = _orchestrator_from_args(args)
-    runners = {
-        "table1": lambda: _run_table1(),
-        "table2": lambda: _run_table2(),
-        "table3": lambda: _run_table3(args, orchestrator),
-        "fig1": lambda: _run_fig1(args, orchestrator),
-        "fig2": lambda: _run_fig2(args, orchestrator),
-        "fig3": lambda: _run_fig3(args, orchestrator),
-        "fig4": lambda: _run_fig4(args),
-        "sweep-gamma": lambda: _run_sweep_gamma(args, orchestrator),
-    }
-    if args.experiment == "all":
-        names = [name for name in runners if name != "sweep-gamma"]
-        # Pre-run the union DAG so independent cells from *different*
-        # artifacts run concurrently; the per-artifact materialisers
-        # below are then pure memo/store hits.
-        orchestrator.run(_all_cells(args))
-    else:
-        names = [args.experiment]
-    outputs = [runners[name]() for name in names]
-    print("\n\n".join(outputs))
+    try:
+        orchestrator = Orchestrator(
+            store=_store_from_args(args), jobs=args.jobs, force=args.force
+        )
+        runners = {
+            "table1": lambda: _run_table1(),
+            "table2": lambda: _run_table2(),
+            "table3": lambda: _run_table3(args, orchestrator),
+            "fig1": lambda: _run_fig1(args, orchestrator),
+            "fig2": lambda: _run_fig2(args, orchestrator),
+            "fig3": lambda: _run_fig3(args, orchestrator),
+            "fig4": lambda: _run_fig4(args),
+            "sweep-gamma": lambda: _run_sweep_gamma(args, orchestrator),
+        }
+        if args.experiment == "all":
+            names = [name for name in runners if name != "sweep-gamma"]
+            # Pre-run the union DAG so independent cells from *different*
+            # artifacts run concurrently; the per-artifact materialisers
+            # below are then pure memo/store hits.
+            orchestrator.run(_all_cells(args))
+        else:
+            names = [args.experiment]
+        print("\n\n".join(runners[name]() for name in names))
+    except FrappError as error:
+        raise SystemExit(f"frapp {args.experiment}: {error}")
     stats = orchestrator.stats
     if stats.hits or stats.misses:
         where = "disabled" if orchestrator.store is None else orchestrator.store.root

@@ -1,22 +1,19 @@
 """Shared execution-knob options for every ``frapp`` invocation.
 
-The execution knobs -- ``--workers``, ``--chunk-size``, ``--jobs``,
-``--claim-dir`` and ``--lease`` -- live in one parent parser
-(:func:`execution_options`) so every subcommand (experiments,
-``serve``, future tools) spells them identically and help text cannot
-drift.  None of them changes a result.  The counting kernel, the
-record storage and the chunk transport are not knobs at all: the
-kernel layer picks the kernel (:mod:`repro.mining.kernels`), datasets
-are always stored compact (:mod:`repro.data.backing`) and the
-executor picks the transport from the source
-(:mod:`repro.pipeline.executor`).
+The execution knobs -- ``--workers``, ``--chunk-size`` and ``--jobs``
+-- live in one parent parser (:func:`execution_options`) so every
+subcommand (experiments, ``serve``, future tools) spells them
+identically and help text cannot drift.  None of them changes a
+result.  The counting kernel, the record storage and the chunk
+transport are not knobs at all: the kernel layer picks the kernel
+(:mod:`repro.mining.kernels`), datasets are always stored compact
+(:mod:`repro.data.backing`) and the executor picks the transport from
+the source (:mod:`repro.pipeline.executor`).
 """
 
 from __future__ import annotations
 
 import argparse
-
-from repro.store.claims import DEFAULT_CLAIM_LEASE
 
 
 def execution_options() -> argparse.ArgumentParser:
@@ -45,19 +42,5 @@ def execution_options() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for independent experiment cells "
         "(frapp all --jobs 4 runs the whole grid concurrently)",
-    )
-    group.add_argument(
-        "--claim-dir",
-        default=None,
-        help="shared claim directory for multi-host runs: N frapp processes "
-        "pointed at one store and one claim dir split the cell grid via "
-        "lease-expiring claims (results identical to a single host)",
-    )
-    group.add_argument(
-        "--lease",
-        type=float,
-        default=DEFAULT_CLAIM_LEASE,
-        help="seconds before a dead peer's claims are stolen "
-        "(default %(default)s; needs --claim-dir)",
     )
     return parent

@@ -6,12 +6,14 @@ each cell is scored against).  This module decomposes every experiment
 (``frapp all``, the figures, Table 3 and the sweep ablations) into such
 cells, runs the ones that are missing from the content-addressed
 :class:`~repro.store.ResultStore` -- concurrently across worker
-processes when ``jobs > 1``, in one scheduling loop that also serves
-claim-coordinated hosts -- and lets the figure/table builders
-materialise their output purely from cell payloads.  Cells are the only
-way those builders run: given no orchestrator, they use an in-memory
-``Orchestrator()`` (no store, one job).  Arbitrary in-memory datasets,
-which cannot be cache-keyed, go through
+processes when ``jobs > 1``, in one scheduling loop -- and lets the
+figure/table builders materialise their output purely from cell
+payloads.  Cells are the only way those builders run: given no
+orchestrator, they use an in-memory ``Orchestrator()`` (no store, one
+job).  Processes that share one store need no coordination: commits are
+atomic and content-addressed, so each computes the cells it misses and
+their results agree.  Arbitrary in-memory datasets, which cannot be
+cache-keyed, go through
 :func:`~repro.experiments.runner.run_mechanism` and
 :func:`~repro.experiments.runner.run_comparison` instead.
 
@@ -51,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -543,7 +544,6 @@ class CacheStats:
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        self.remote = 0
         self.computed: dict[str, int] = {}
 
     @property
@@ -558,25 +558,12 @@ class CacheStats:
         self.misses += 1
         self.computed[func] = self.computed.get(func, 0) + 1
 
-    def record_remote(self) -> None:
-        """Count one cell adopted from a peer host's store commit.
-
-        Remote adoptions are hits (the cell was served, not computed),
-        tallied separately so multi-host runs can report how much work
-        the claim board actually shed.
-        """
-        self.hits += 1
-        self.remote += 1
-
     def summary(self) -> str:
         """One-line report for the CLI's stderr."""
-        line = (
+        return (
             f"cache: {self.hits} hit(s), {self.misses} computed "
             f"({self.mechanism_runs} mechanism run(s))"
         )
-        if self.remote:
-            line += f", {self.remote} adopted from peer(s)"
-        return line
 
 
 class Orchestrator:
@@ -594,18 +581,6 @@ class Orchestrator:
     fingerprint:
         Code fingerprint override (tests); defaults to
         :func:`~repro.store.code_fingerprint` of the live source.
-    claims:
-        A :class:`~repro.store.ClaimBoard` over a directory shared with
-        peer orchestrator processes (``--claim-dir``).  Ready cells are
-        claimed before they run; cells claimed by a live peer are
-        polled until the peer's commit lands in the shared store (then
-        adopted, see :meth:`CacheStats.record_remote`) or the peer's
-        lease expires (then stolen and computed here).  Requires a
-        store -- without one there is no channel for peers to share
-        results through.
-    poll_interval:
-        Seconds between store/claim re-checks while every ready cell
-        is claimed by a peer.
     """
 
     def __init__(
@@ -614,26 +589,13 @@ class Orchestrator:
         jobs: int = 1,
         force: bool = False,
         fingerprint: str | None = None,
-        claims=None,
-        poll_interval: float = 0.05,
     ):
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if claims is not None and store is None:
-            raise ExperimentError(
-                "cell claims need a shared store: peers hand results to "
-                "each other through store commits"
-            )
-        if poll_interval <= 0.0:
-            raise ExperimentError(
-                f"poll_interval must be positive, got {poll_interval}"
-            )
         self.store = store
         self.jobs = int(jobs)
         self.force = bool(force)
         self.fingerprint = fingerprint or code_fingerprint()
-        self.claims = claims
-        self.poll_interval = float(poll_interval)
         self.stats = CacheStats()
         self._memo: dict[str, object] = {}
 
@@ -728,117 +690,56 @@ class Orchestrator:
                 self.store.refresh_manifest()
         return {name: self._memo[name] for name in by_name}
 
-    def _ready(self, pending: dict[str, Cell]) -> list[Cell]:
-        return [
-            cell
-            for cell in pending.values()
-            if all(dep in self._memo for dep in cell.deps)
-        ]
-
-    def _adopt(self, cell: Cell, remote: bool = False) -> bool:
-        """Serve ``cell`` from the store, if a result is committed there.
-
-        ``remote`` marks a peer's commit that landed after this run's
-        initial store scan (see :meth:`CacheStats.record_remote`).
-        """
+    def _adopt(self, cell: Cell) -> bool:
+        """Serve ``cell`` from the store, if a result is committed there."""
         if self.force or self.store is None:
             return False
         cached = self.store.get(self.key_for(cell))
         if cached is None:
             return False
         self._memo[cell.name] = self._decode(cell, *cached)
-        if remote:
-            self.stats.record_remote()
-        else:
-            self.stats.hits += 1
+        self.stats.hits += 1
         return True
-
-    def _claim(self, cell: Cell) -> bool:
-        """Whether this process should compute the ready ``cell`` now.
-
-        Always, without a claim board.  With one, a peer's committed
-        result is adopted outright; otherwise the cell is claimed
-        (stealing expired/poisoned claims), and ``False`` while a live
-        peer holds it leaves the cell to be polled again.
-        """
-        if self.claims is None:
-            return True
-        key = self.key_for(cell)
-        if self._adopt(cell, remote=True) or not self.claims.acquire(key):
-            return False
-        if self._adopt(cell, remote=True):
-            # A peer committed and released between the store check and
-            # our claim: adopt, don't redo.
-            self.claims.release(key)
-            return False
-        return True
-
-    def _settle(self, cell: Cell, result) -> None:
-        """Commit ``result()``, and only then release the cell's claim.
-
-        A released claim therefore always implies an adoptable result;
-        the claim is released even when the computation raised.
-        """
-        try:
-            self._commit(cell, *result())
-        finally:
-            if self.claims is not None:
-                self.claims.release(self.key_for(cell))
 
     def _run_pending(self, pending: dict[str, Cell]) -> None:
         """Compute the pending cells, each once its dependency landed.
 
-        One loop serves every layout.  Each ready cell that
-        :meth:`_claim` hands to this process is computed inline when
-        ``jobs == 1`` and on a worker pool otherwise, whose results are
-        harvested as they land so dependants become ready at once.
-        With a claim board, cells held by a live peer are polled every
-        ``poll_interval`` until adopted or stolen, and claims still held
-        on exit (success or error) are released so a failing host never
-        blocks its peers for a full lease.
+        One loop serves both layouts.  Ready cells are computed inline
+        when one worker would do, and on a pool of at most
+        ``min(jobs, len(pending))`` processes otherwise, whose results
+        are harvested as they land so dependants become ready at once.
         """
+        # Forked pools start every worker at the first submit, so never
+        # ask for more workers than there are cells to hand them.
+        jobs = min(self.jobs, len(pending))
         # ProcessPoolExecutor workers are non-daemonic, so a cell may
         # itself fan out (a DET-GD/RAN-GD run with config.workers > 1
         # opens a nested PerturbationPipeline pool).
-        pool = ProcessPoolExecutor(self.jobs) if self.jobs > 1 else None
-        # Without claims nothing needs re-checking: block until a cell lands.
-        poll = None if self.claims is None else self.poll_interval
-        in_flight: dict[object, str] = {}
+        pool = ProcessPoolExecutor(jobs) if jobs > 1 else None
+        in_flight: dict[object, Cell] = {}
         try:
             while pending or in_flight:
-                progressed = False
-                submitted = set(in_flight.values())
-                ready = self._ready(pending)
+                ready = [
+                    cell
+                    for cell in pending.values()
+                    if all(dep in self._memo for dep in cell.deps)
+                ]
                 if not ready and not in_flight:
-                    # Claimed-elsewhere cells still count as ready, so
-                    # an empty ready set truly is a dependency cycle.
                     raise ExperimentError(
                         f"dependency cycle among cells {sorted(pending)}"
                     )
                 for cell in ready:
-                    if cell.name in submitted:
-                        continue
-                    if not self._claim(cell):
-                        if cell.name in self._memo:  # adopted from a peer
-                            del pending[cell.name]
-                            progressed = True
-                        continue
-                    progressed = True
+                    del pending[cell.name]
                     task = self._task(cell)
                     if pool is None:
-                        self._settle(cell, functools.partial(_execute_cell, task))
-                        del pending[cell.name]
+                        self._commit(cell, *_execute_cell(task))
                     else:
-                        in_flight[pool.submit(_execute_cell, task)] = cell.name
+                        in_flight[pool.submit(_execute_cell, task)] = cell
                 if in_flight:
                     # .result() re-raises worker exceptions in the parent.
-                    done, _ = wait(in_flight, timeout=poll, return_when=FIRST_COMPLETED)
+                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                     for future in done:
-                        self._settle(pending.pop(in_flight.pop(future)), future.result)
-                elif not progressed:
-                    time.sleep(self.poll_interval)
+                        self._commit(in_flight.pop(future), *future.result())
         finally:
             if pool is not None:
                 pool.shutdown()
-            if self.claims is not None:
-                self.claims.release_all()

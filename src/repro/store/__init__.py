@@ -13,13 +13,10 @@ manifest.
   package source (total cache invalidation on any code change);
 * :mod:`repro.store.store` -- :class:`ResultStore`: atomic writes,
   checksum-verified reads, corruption-as-miss semantics, ``ls/rm/gc``
-  maintenance, and concurrent-writer safety;
-* :mod:`repro.store.claims` -- :class:`ClaimBoard`: advisory
-  lease-expiring cell claims that let several ``frapp all`` hosts
-  split one grid over a shared store without duplicating work.
+  maintenance, and concurrent-writer safety: processes sharing one
+  store each compute the cells they miss, and their commits agree.
 """
 
-from repro.store.claims import DEFAULT_CLAIM_LEASE, Claim, ClaimBoard
 from repro.store.fingerprint import code_fingerprint, package_source_files
 from repro.store.keys import cache_key, canonical_json
 from repro.store.store import (
@@ -32,9 +29,6 @@ from repro.store.store import (
 
 __all__ = [
     "CacheEntry",
-    "Claim",
-    "ClaimBoard",
-    "DEFAULT_CLAIM_LEASE",
     "ResultStore",
     "STORE_VERSION",
     "atomic_write_bytes",

@@ -4,16 +4,13 @@ The production side is :mod:`repro.faultpoints`: code under test calls
 ``reach(name)`` at named barriers, which is a no-op unless the process
 runs with ``$REPRO_FAULTPOINTS`` pointing at a directory.  This module
 is the other half -- the utilities a *test* uses to drive a victim
-process into a barrier and do something unkind to it there:
+process into a barrier and do something unkind to it there.
 
-* **kill-at-barrier** -- :func:`hold` a barrier, launch the victim
-  with :func:`fault_env`, :func:`wait_reached`, then
-  :func:`sigkill`.  The victim dies frozen at an exact interior point
-  of a write sequence (mid-spool-append, mid-store-commit, mid-cell),
-  with no sleeps and no races.
-* **poisoned claim** -- :func:`poison_claim` plants a torn/garbage
-  claim file on a :class:`~repro.store.ClaimBoard` directory, the
-  state a host crash-looping mid-acquire leaves behind.
+To kill at a barrier, :func:`hold` it, launch the victim with
+:func:`fault_env`, :func:`wait_reached`, then :func:`sigkill`
+(:func:`kill_at` does the last two).  The victim dies frozen at an
+exact interior point of a write sequence (mid-spool-append,
+mid-store-commit, mid-cell), with no sleeps and no races.
 
 Tests that SIGKILL processes are marked ``faultinject`` and run in
 their own CI lane (see pyproject.toml and ci.yml).
@@ -118,17 +115,3 @@ def kill_at(process, root, name: str, timeout: float = DEFAULT_TIMEOUT) -> None:
     waiter = getattr(process, "wait", None) or process.join
     waiter()
 
-
-def poison_claim(claim_root, key: str, payload: bytes = b'{"key": "torn') -> Path:
-    """Plant a corrupt claim file for ``key`` on a claim directory.
-
-    The default payload is truncated JSON -- what a host killed between
-    ``write`` and ``rename`` can leave on filesystems without atomic
-    rename (or plain bit rot on shared storage).  A correct
-    :class:`~repro.store.ClaimBoard` must treat it as reclaimable,
-    never as a live claim.
-    """
-    path = Path(claim_root) / f"{key}.claim"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(payload)
-    return path

@@ -7,6 +7,7 @@
 
 import doctest
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,19 @@ class TestRepoDocuments:
         ):
             assert path in text
             assert (REPO / "src" / path).is_file()
+        # Every source, test and tool file README.md and DESIGN.md name
+        # exists.  EXPERIMENTS.md is a history log, so it may name files
+        # a later change deleted.
+        named = re.compile(
+            r"(?<![\w/.-])(?:src/repro|repro|tests|tools)/[\w/.-]*\.py\b"
+        )
+        missing = [
+            (document, path)
+            for document in ("README.md", "DESIGN.md")
+            for path in named.findall((REPO / document).read_text())
+            if not (REPO / re.sub(r"^repro/", "src/repro/", path)).is_file()
+        ]
+        assert not missing, missing
 
     def test_experiments_covers_all_paper_artifacts(self):
         text = (REPO / "EXPERIMENTS.md").read_text()

@@ -1,15 +1,15 @@
-"""SIGKILL crash-recovery: hosts die at fault barriers, nothing is lost.
+"""SIGKILL crash-recovery: processes die at fault barriers, nothing is lost.
 
 Every test here drives a real child process into a held barrier (see
 ``tests/faultinject.py`` / :mod:`repro.faultpoints`), delivers SIGKILL
 with the victim frozen at an exact interior point of a write sequence,
-and then proves the durability contract: the survivors recover the
-store / spool / claim state and a rerun produces results identical to
-a run that was never disturbed.
+and then proves the durability contract: a rerun recovers the store /
+spool state and produces results identical to a run that was never
+disturbed.
 
-These tests fork Python subprocesses and wait on leases, so they are
-marked ``faultinject`` and run in their own CI lane; the whole module
-still completes in seconds and is safe to run locally.
+These tests fork Python subprocesses and kill them, so they are marked
+``faultinject`` and run in their own CI lane; the whole module still
+completes in seconds and is safe to run locally.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.experiments.orchestrator import (
     comparison_cells,
 )
 from repro.faultpoints import LEDGER_PRE_COMMIT
-from repro.store import ClaimBoard, ResultStore
+from repro.store import ResultStore
 
 pytestmark = pytest.mark.faultinject
 
@@ -82,22 +82,18 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import (
     DatasetSpec, Orchestrator, comparison_cells,
 )
-from repro.store import ClaimBoard, ResultStore
+from repro.store import ResultStore
 
-store_root, claim_root, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store_root, n = sys.argv[1], int(sys.argv[2])
 spec = DatasetSpec.from_name("CENSUS", n_records=n)
 config = ExperimentConfig(min_support=0.05, mechanisms=("det-gd",))
 cells = comparison_cells(spec, config)[1]
-Orchestrator(
-    store=ResultStore(store_root),
-    fingerprint="fp",
-    claims=ClaimBoard(claim_root, lease=2.0, holder="victim"),
-).run(cells)
+Orchestrator(store=ResultStore(store_root), fingerprint="fp").run(cells)
 """
 
 
 class TestOrchestratorWorkerKilledMidCell:
-    def test_survivor_steals_the_claim_and_completes_identically(self, tmp_path):
+    def test_rerun_adopts_the_committed_cell(self, tmp_path):
         grid = grid_for()
         reference = {
             name: strip_seconds(result)
@@ -109,47 +105,28 @@ class TestOrchestratorWorkerKilledMidCell:
         }
 
         faults = tmp_path / "faults"
-        store_root, claim_root = tmp_path / "store", tmp_path / "claims"
+        store_root = tmp_path / "store"
         # Freeze (then kill) the victim inside the mechanism cell: its
-        # exact cell commits, its mechanism claim is left dangling.
+        # exact cell is committed, its mechanism cell never is.
         hold(faults, "cell:mechanism")
-        victim = launch(
-            VICTIM_HOST,
-            str(store_root),
-            str(claim_root),
-            "1200",
-            env=fault_env(faults),
-        )
+        victim = launch(VICTIM_HOST, str(store_root), "1200", env=fault_env(faults))
         try:
             kill_at(victim, faults, "cell:mechanism")
         finally:
             release(faults, "cell:mechanism")
 
-        board = ClaimBoard(claim_root, holder="survivor")
-        # The victim left its mechanism claim dangling (it may already
-        # have expired if the kill was slow; the file lingers either way
-        # until the survivor steals it).
-        assert list(claim_root.glob("*.claim"))
-        dangling = board.holder_of(
-            Orchestrator(store=ResultStore(store_root), fingerprint="fp").key_for(
-                grid[1]
-            )
-        )
-        assert dangling is None or dangling.holder == "victim"
+        store = ResultStore(store_root)
+        keys = Orchestrator(store=store, fingerprint="fp")
+        assert store.get(keys.key_for(grid[0])) is not None
+        assert store.get(keys.key_for(grid[1])) is None
 
-        survivor = Orchestrator(
-            store=ResultStore(store_root),
-            fingerprint="fp",
-            claims=board,
-            poll_interval=0.05,
-        )
-        results = survivor.run(grid)
+        rerun = Orchestrator(store=store, fingerprint="fp")
+        results = rerun.run(grid)
         assert {n: strip_seconds(r) for n, r in results.items()} == reference
-        # The victim committed the exact cell before dying; the
-        # survivor adopted it and recomputed only the torn mechanism.
-        assert survivor.stats.hits == 1
-        assert survivor.stats.misses == 1
-        assert not list(claim_root.glob("*.claim"))
+        # The rerun adopted the victim's exact cell and recomputed only
+        # the torn mechanism cell.
+        assert rerun.stats.hits == 1
+        assert rerun.stats.misses == 1
 
 
 VICTIM_SPOOL = """

@@ -1,6 +1,7 @@
 """Tests for repro.experiments.orchestrator (cells, DAG runs, caching)."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import direct_reference as direct
 import numpy as np
@@ -327,6 +328,27 @@ class TestOrchestratorRuns:
         _, cells = comparison_cells(spec, config)
         results = Orchestrator(store=store, jobs=2).run(cells)
         assert results[cells[1].name]["mechanism"] == "DET-GD"
+
+    def test_pool_never_outnumbers_the_pending_cells(self, store, monkeypatch):
+        """A forked pool starts all its workers at the first submit, so
+        ``jobs=8`` over two pending cells must ask for two, and over one
+        cell for none (it is computed inline)."""
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.experiments.orchestrator.ProcessPoolExecutor", RecordingPool
+        )
+        Orchestrator(store=store, jobs=8).run(
+            [exact_cell(SPEC, 0.02), exact_cell(SPEC, 0.05)]
+        )
+        assert started == [2]
+        Orchestrator(store=store, jobs=8).run([exact_cell(SPEC, 0.1)])
+        assert started == [2]
 
     def test_nan_error_values_cache_cleanly(self, store):
         """NaN rho (the documented per-length gap) must roundtrip, not crash."""

@@ -4,10 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +17,6 @@ from repro.experiments.reporting import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: sha256 of ``frapp all``'s stdout at paper scale, copied from
 #: ``PAPER_STDOUT_SHA256`` in perfbench/run.py (the benchmark's check).
@@ -112,6 +108,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 3(a)" in out and "rho2_minus" in out
 
+    #: Bad inputs each experiment subcommand meets as a typed FrappError.
+    BAD_INPUTS = (
+        ["all", "--jobs", "0"],
+        ["table3", "--min-support", "2"],
+        ["fig1", "--gamma", "0.5"],
+        ["fig1", "--workers", "0"],
+        ["fig1", "--workers", "2", "--chunk-size", "0"],
+        ["fig1", "--records", "0"],
+        ["fig1", "--records", "-3"],
+    )
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+    def test_bad_input_is_reported_in_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--no-cache"])
+        message = exited.value.code
+        assert isinstance(message, str)
+        assert message.startswith(f"frapp {argv[0]}: ")
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
 
 class TestCliCache:
     @pytest.fixture(autouse=True)
@@ -183,8 +200,8 @@ def _frapp(*argv):
 
 
 class TestFrappAllLayouts:
-    """``frapp all`` (at ``REPRO_SCALE=0.1``) prints the same bytes warm,
-    over a pool of jobs, and from each of two claim-coordinated hosts."""
+    """``frapp all`` (at ``REPRO_SCALE=0.1``) prints the same bytes warm
+    and over a pool of jobs."""
 
     @pytest.fixture(scope="class")
     def serial(self, tmp_path_factory):
@@ -209,40 +226,6 @@ class TestFrappAllLayouts:
         )
         assert "0 hit(s)" in summary
         assert pooled == serial[1]
-
-    def test_two_claimed_hosts_print_the_serial_stdout(self, serial, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.experiments",
-            "all",
-            "--cache-dir",
-            str(tmp_path / "store"),
-            "--claim-dir",
-            str(tmp_path / "claims"),
-        ]
-        hosts = [
-            subprocess.Popen(
-                argv,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
-            )
-            for _ in range(2)
-        ]
-        try:
-            for host in hosts:
-                stdout, stderr = host.communicate(timeout=600)
-                assert host.returncode == 0, stderr
-                assert stdout == serial[1]
-        finally:
-            for host in hosts:
-                if host.poll() is None:
-                    host.kill()
-                    host.wait()
 
 
 class TestGoldenStdout:
@@ -462,7 +445,7 @@ class TestUnifiedKnobs:
         )
 
     #: Spellings the execution group no longer takes: the five old
-    #: aliases and the four removed knobs.
+    #: aliases, the four removed knobs and the two claim-board options.
     REMOVED_SPELLINGS = (
         ("--num-workers", "3"),
         ("--chunksize", "128"),
@@ -473,6 +456,8 @@ class TestUnifiedKnobs:
         ("--backend", "int64"),
         ("--solver", "portfolio"),
         ("--dispatch", "shm"),
+        ("--claim-dir", "claims"),
+        ("--lease", "60"),
     )
 
     @pytest.mark.parametrize(("spelling", "value"), REMOVED_SPELLINGS)
