@@ -52,7 +52,7 @@ from repro.data import (
     open_frd,
     save_frd,
 )
-from repro.exceptions import FrappError, SolverError
+from repro.exceptions import FrappError
 from repro.metrics import evaluate_mining
 from repro.service.client import RetryPolicy
 from repro.pipeline import (
@@ -118,7 +118,6 @@ __all__ = [
     "RetryPolicy",
     "Schema",
     "Session",
-    "SolverError",
     "TransactionBitmaps",
     "WarnerRandomizedResponse",
     "__version__",

@@ -13,7 +13,7 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.engine` -- client-side perturbation samplers,
   including the Section-5 efficient algorithm;
 * :mod:`repro.core.reconstruction` -- distribution reconstruction
-  (Eq. 8) plus least-squares and iterative-Bayes ablations;
+  (Eq. 8), one exact solve;
 * :mod:`repro.core.marginal` -- the Eq.-28 marginal matrices that plug
   reconstruction into bottom-up mining;
 * :mod:`repro.core.estimation` -- Theorem-1 error bounds and
@@ -59,7 +59,7 @@ from repro.core.privacy import (
     worst_case_posterior,
 )
 from repro.core.randomized import RandomizedGammaDiagonal
-from repro.core.reconstruction import clip_counts, em_reconstruct, reconstruct_counts
+from repro.core.reconstruction import clip_counts, reconstruct_counts
 
 __all__ = [
     "BreachAudit",
@@ -77,7 +77,6 @@ __all__ = [
     "audit_property",
     "clip_counts",
     "design_mechanism",
-    "em_reconstruct",
     "empirical_posteriors",
     "estimate_subset_supports",
     "expected_perturbed_counts",

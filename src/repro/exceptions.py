@@ -37,14 +37,6 @@ class ReconstructionError(FrappError):
     """Distribution reconstruction failed (singular system, bad inputs)."""
 
 
-class SolverError(ReconstructionError):
-    """A reconstruction solver failed to produce an acceptable estimate.
-
-    Raised by ``reconstruct_counts(method="portfolio")`` when neither
-    the closed form nor least squares meets the residual bound.
-    """
-
-
 class MiningError(FrappError):
     """Frequent-itemset mining was asked to do something impossible."""
 

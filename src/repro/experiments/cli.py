@@ -586,33 +586,33 @@ def main(argv=None) -> int:
     # and vice versa (`frapp privacy --gamma 19 '<spec>'`), which plain
     # parse_args rejects once a nargs="*" positional is in play.
     args = build_parser().parse_intermixed_args(argv)
-    if args.experiment == "serve":
-        if args.extra:
-            raise SystemExit(
-                f"frapp serve: unexpected operand(s) {args.extra!r}"
-            )
-        return _run_serve(args)
-    if args.experiment == "ledger":
-        print(_run_ledger(args))
-        return 0
-    if args.experiment == "cache":
-        print(_run_cache(args))
-        return 0
-    if args.experiment == "privacy":
-        print(_run_privacy(args))
-        return 0
-    if args.experiment == "kernels":
-        if args.extra:
-            raise SystemExit(
-                f"frapp kernels: unexpected operand(s) {args.extra!r}"
-            )
-        print(_run_kernels(args))
-        return 0
-    if args.extra:
-        raise SystemExit(
-            f"frapp {args.experiment}: unexpected operand(s) {args.extra!r}"
-        )
     try:
+        if args.experiment == "serve":
+            if args.extra:
+                raise SystemExit(
+                    f"frapp serve: unexpected operand(s) {args.extra!r}"
+                )
+            return _run_serve(args)
+        if args.experiment == "ledger":
+            print(_run_ledger(args))
+            return 0
+        if args.experiment == "cache":
+            print(_run_cache(args))
+            return 0
+        if args.experiment == "privacy":
+            print(_run_privacy(args))
+            return 0
+        if args.experiment == "kernels":
+            if args.extra:
+                raise SystemExit(
+                    f"frapp kernels: unexpected operand(s) {args.extra!r}"
+                )
+            print(_run_kernels(args))
+            return 0
+        if args.extra:
+            raise SystemExit(
+                f"frapp {args.experiment}: unexpected operand(s) {args.extra!r}"
+            )
         orchestrator = Orchestrator(
             store=_store_from_args(args), jobs=args.jobs, force=args.force
         )

@@ -9,9 +9,8 @@ functions here take the :class:`JointCountAccumulator` produced by a
 the existing solvers, so the full perturb -> reconstruct -> mine loop
 runs over datasets larger than memory:
 
-* :func:`reconstruct_stream` -- accumulated ``Y`` through the
-  closed-form / least-squares / fallback / EM methods of
-  :mod:`repro.core.reconstruction`;
+* :func:`reconstruct_stream` -- accumulated ``Y`` through the O(n)
+  closed-form inverse of :mod:`repro.core.reconstruction`;
 * :class:`AccumulatedSupportEstimator` -- an Apriori ``SupportSource``
   answering Eq.-28 subset queries from the accumulated vector alone
   (numerically identical to
@@ -45,24 +44,18 @@ from repro.pipeline.executor import PerturbationPipeline
 
 
 def reconstruct_stream(
-    accumulator: JointCountAccumulator,
-    gamma: float,
-    method: str = "solve",
-    clip: bool = False,
+    accumulator: JointCountAccumulator, gamma: float, clip: bool = False
 ) -> np.ndarray:
     """Reconstruct original joint counts from accumulated perturbed ones.
 
     Feeds the accumulator's ``Y`` into
     :func:`repro.core.reconstruction.reconstruct_counts` with the
-    gamma-diagonal matrix's O(n) closed form (``method="solve"``), the
-    least-squares solver, the closed-form-then-least-squares fallback
-    (``"portfolio"``, which densifies only if least squares is
-    reached), or the EM estimator.  With ``clip`` the standard
-    clip-to-zero postprocessing is applied.
+    gamma-diagonal matrix, which inverts in O(n) through its closed
+    form (Eq. 8).  With ``clip`` the standard clip-to-zero
+    postprocessing is applied.
     """
     matrix = GammaDiagonalMatrix(n=accumulator.schema.joint_size, gamma=gamma)
-    target = matrix if method in ("solve", "portfolio") else matrix.to_dense()
-    estimates = reconstruct_counts(target, accumulator.counts, method=method)
+    estimates = reconstruct_counts(matrix, accumulator.counts)
     return clip_counts(estimates) if clip else estimates
 
 

@@ -185,21 +185,6 @@ class KroneckerOperator:
                 total *= dense_condition_number(factor)
         return float(total)
 
-    def inverse(self) -> "KroneckerOperator":
-        """``(F1 (x) ... (x) Fk)^{-1}`` as an operator of factor inverses."""
-        inverted = []
-        for factor in self.factors:
-            if isinstance(factor, UniformOffDiagonalMatrix):
-                inverted.append(factor.inverse())
-            else:
-                try:
-                    inverted.append(np.linalg.inv(factor))
-                except np.linalg.LinAlgError as exc:
-                    raise MatrixError(
-                        f"Kronecker factor is singular: {exc}"
-                    ) from exc
-        return KroneckerOperator(inverted)
-
     # ------------------------------------------------------------------
     # explicit densification
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The centrepiece is :class:`UniformOffDiagonalMatrix`, the two-parameter
 matrix family ``M = a*I + b*J`` (``J`` = all-ones).  The paper's
 gamma-diagonal matrix, its randomized expectation, and every induced
 marginal matrix ``A_HL`` of Eq. (28) all live in this family, which
-admits closed-form eigenvalues, inverse and condition number.  Working
+admits closed-form eigenvalues, solve and condition number.  Working
 with the closed forms instead of dense ``n x n`` arrays is what keeps
 reconstruction over joint domains of thousands of cells cheap.
 
@@ -74,32 +74,6 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(singular_values.max() / smallest)
 
 
-def residual_norm(matrix, estimate, observed) -> float:
-    """Relative residual ``||A @ x - y|| / ||y||`` of a candidate solve.
-
-    The acceptance metric of ``reconstruct_counts(method="portfolio")``
-    (:mod:`repro.core.reconstruction`): it works for dense arrays and
-    for any implicit operator exposing ``matvec`` (the ``a*I + b*J``
-    family here, :class:`~repro.stats.kronecker.KroneckerOperator`), so
-    a residual check never needs to densify the system it validates.
-    For ``y = 0`` the plain (absolute) residual norm is returned.
-    """
-    estimate = np.asarray(estimate, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    if isinstance(matrix, np.ndarray):
-        predicted = matrix @ estimate
-    elif hasattr(matrix, "matvec"):
-        predicted = matrix.matvec(estimate)
-    else:
-        raise MatrixError(
-            f"cannot compute a residual against {type(matrix).__name__} "
-            "(need an ndarray or a matvec operator)"
-        )
-    residual = float(np.linalg.norm(predicted - observed))
-    scale = float(np.linalg.norm(observed))
-    return residual / scale if scale > 0.0 else residual
-
-
 @dataclass(frozen=True)
 class UniformOffDiagonalMatrix:
     """The matrix family ``M = a*I + b*J`` of size ``n x n``.
@@ -109,7 +83,8 @@ class UniformOffDiagonalMatrix:
 
     * eigenvalues: ``a + n*b`` with multiplicity 1 (eigenvector **1**)
       and ``a`` with multiplicity ``n - 1``;
-    * inverse: ``(1/a) * (I - b/(a + n*b) * J)``;
+    * inverse: ``(1/a) * (I - b/(a + n*b) * J)``, which :meth:`solve`
+      applies in O(n);
     * ``M @ x = a*x + b*sum(x)`` -- an O(n) product.
 
     Attributes
@@ -162,8 +137,8 @@ class UniformOffDiagonalMatrix:
         Requires a positive-definite matrix; raises
         :class:`MatrixError` otherwise (matching the paper, which only
         states condition numbers for SPD matrices).  ``atol`` is the
-        same singularity tolerance :meth:`is_singular`, :meth:`solve`
-        and :meth:`inverse` use: an eigenvalue within ``atol`` of zero
+        same singularity tolerance :meth:`is_singular` and :meth:`solve`
+        use: an eigenvalue within ``atol`` of zero
         is treated as not positive definite, so a matrix that
         :meth:`solve` rejects never reports a (meaningless, huge)
         finite condition number.
@@ -201,8 +176,8 @@ class UniformOffDiagonalMatrix:
         """Solve ``M @ x = rhs`` in O(n) via the Sherman-Morrison form.
 
         ``x = (rhs - b/(a + n*b) * sum(rhs)) / a``.  ``atol`` is the
-        singularity tolerance (shared with :meth:`is_singular`,
-        :meth:`inverse` and :meth:`condition_number`).
+        singularity tolerance (shared with :meth:`is_singular` and
+        :meth:`condition_number`).
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.n,):
@@ -211,12 +186,3 @@ class UniformOffDiagonalMatrix:
             raise MatrixError("matrix is singular; cannot solve")
         bulk = self.a + self.n * self.b
         return (rhs - (self.b / bulk) * rhs.sum()) / self.a
-
-    def inverse(self, atol: float = DEFAULT_ATOL) -> "UniformOffDiagonalMatrix":
-        """Closed-form inverse, itself of ``a*I + b*J`` form."""
-        if self.is_singular(atol):
-            raise MatrixError("matrix is singular; no inverse")
-        bulk = self.a + self.n * self.b
-        return UniformOffDiagonalMatrix(
-            n=self.n, a=1.0 / self.a, b=-self.b / (self.a * bulk)
-        )

@@ -9,6 +9,17 @@ from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
 
 
+@pytest.fixture(autouse=True)
+def isolated_result_store(tmp_path_factory, monkeypatch):
+    """Point the default result store at a fresh directory per test.
+
+    A test that calls ``main`` with no store option would otherwise
+    write the user's ``~/.cache/frapp``.  Tests that set
+    ``REPRO_CACHE_DIR`` themselves override this.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("store")))
+
+
 @pytest.fixture
 def rng():
     """A deterministic generator, fresh per test."""

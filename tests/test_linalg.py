@@ -112,13 +112,6 @@ class TestUniformOffDiagonalMatrix:
         vector = np.linspace(0.5, 2.0, m.n)
         assert np.allclose(m.solve(m.matvec(vector)), vector, atol=1e-8)
 
-    @given(uniform_family)
-    @settings(max_examples=60)
-    def test_inverse_is_closed_form(self, m):
-        inv = m.inverse()
-        product = m.to_dense() @ inv.to_dense()
-        assert np.allclose(product, np.eye(m.n), atol=1e-8)
-
     def test_condition_number_matches_svd(self):
         m = UniformOffDiagonalMatrix(n=6, a=0.3, b=0.1)
         assert m.condition_number() == pytest.approx(
@@ -134,11 +127,11 @@ class TestUniformOffDiagonalMatrix:
         with pytest.raises(MatrixError):
             singular.solve(np.ones(2))
 
-    def test_singular_inverse_rejected(self):
+    def test_vanishing_bulk_eigenvalue_solve_rejected(self):
         # a + n*b = 0 makes the bulk eigenvalue vanish.
         singular = UniformOffDiagonalMatrix(n=2, a=2.0, b=-1.0)
         with pytest.raises(MatrixError):
-            singular.inverse()
+            singular.solve(np.ones(2))
 
     def test_shape_mismatch_rejected(self):
         m = UniformOffDiagonalMatrix(n=3, a=1.0, b=0.0)
@@ -149,7 +142,7 @@ class TestUniformOffDiagonalMatrix:
 
 
 class TestUniformOffDiagonalAtol:
-    """One atol threads through is_singular/solve/inverse/condition_number."""
+    """One atol threads through is_singular/solve/condition_number."""
 
     def test_near_singular_solve_respects_atol(self):
         # a = 1e-13 sits below the default 1e-9 tolerance: rejected by
@@ -161,13 +154,6 @@ class TestUniformOffDiagonalAtol:
         assert np.all(np.isfinite(x))
         # cond ~ 4e13, so the roundtrip only holds to ~cond * eps.
         assert np.allclose(near.matvec(x), np.ones(4), atol=1e-2)
-
-    def test_near_singular_inverse_respects_atol(self):
-        near = UniformOffDiagonalMatrix(n=4, a=1e-13, b=1.0)
-        with pytest.raises(MatrixError):
-            near.inverse()
-        inv = near.inverse(atol=0.0)
-        assert np.isfinite(inv.a) and np.isfinite(inv.b)
 
     def test_condition_number_boundary_matches_solve(self):
         # The same matrix must never be "solvable but condition-less"
@@ -186,8 +172,6 @@ class TestUniformOffDiagonalAtol:
         assert m.is_singular(atol)
         with pytest.raises(MatrixError):
             m.solve(np.ones(3), atol=atol)
-        with pytest.raises(MatrixError):
-            m.inverse(atol=atol)
         with pytest.raises(MatrixError):
             m.condition_number(atol=atol)
         assert not m.is_singular(atol=0.25)

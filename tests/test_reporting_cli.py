@@ -108,7 +108,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Figure 3(a)" in out and "rho2_minus" in out
 
-    #: Bad inputs each experiment subcommand meets as a typed FrappError.
+    #: Bad inputs each subcommand meets as a typed FrappError.  Both
+    #: ``serve`` cases fail in ``resolve``, before any port is bound;
+    #: the ``ledger`` verbs load a snapshot with no budget.
     BAD_INPUTS = (
         ["all", "--jobs", "0"],
         ["table3", "--min-support", "2"],
@@ -117,12 +119,19 @@ class TestCli:
         ["fig1", "--workers", "2", "--chunk-size", "0"],
         ["fig1", "--records", "0"],
         ["fig1", "--records", "-3"],
+        ["privacy", "--gamma", "0.5"],
+        ["serve", "--gamma", "0.5"],
+        ["serve", "--mechanism", "bogus"],
+        ["ledger", "show", "acme"],
+        ["ledger", "ls"],
     )
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
-    def test_bad_input_is_reported_in_one_line(self, argv, capsys):
+    def test_bad_input_is_reported_in_one_line(self, argv, tmp_path, capsys):
+        (tmp_path / "acme").mkdir()
+        (tmp_path / "acme" / "ledger.json").write_text('{"version": 2}')
         with pytest.raises(SystemExit) as exited:
-            main([*argv, "--no-cache"])
+            main([*argv, "--no-cache", "--data-dir", str(tmp_path)])
         message = exited.value.code
         assert isinstance(message, str)
         assert message.startswith(f"frapp {argv[0]}: ")

@@ -57,10 +57,13 @@ def _encode_cases(draw):
     if n:
         row, j = draw(st.integers(0, n - 1)), draw(st.sampled_from(positions))
         negative = dtype.kind == "i" and draw(st.booleans())
-        if negative or cards[j] > np.iinfo(dtype).max:
+        past = cards[j] + draw(st.integers(0, 3))
+        # A value past the cardinality that the dtype cannot hold (int8
+        # cells of a 125..128-category attribute) goes negative instead.
+        if negative or past > np.iinfo(dtype).max:
             bad = (row, j, -draw(st.integers(1, 3)))
         else:
-            bad = (row, j, cards[j] + draw(st.integers(0, 3)))
+            bad = (row, j, past)
     return _schema_of(cards), records, layout, positions, bad
 
 
