@@ -43,6 +43,7 @@ from repro.exceptions import ExperimentError
 from repro.mechanisms import resolve
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.itemsets import Itemset
+from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
 
 __all__ = ["Session", "connect", "mine", "perturb", "reconstruct"]
 
@@ -104,8 +105,10 @@ class Session:
         ``seed=`` keyword.
     workers, chunk_size:
         Execution knobs routed to
-        :class:`~repro.pipeline.PerturbationPipeline` (in-process and
-        one-shot when left at their defaults).
+        :class:`~repro.pipeline.PerturbationPipeline`, which every
+        pipeline-capable mechanism perturbs through (in-process at
+        ``workers=1``, where no chunk size changes a result).  MASK
+        and C&P perturb in one shot and refuse ``workers != 1``.
     """
 
     def __init__(
@@ -116,7 +119,7 @@ class Session:
         params: dict | None = None,
         seed=None,
         workers: int = 1,
-        chunk_size: int | None = None,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ):
         self.schema = schema
         self.mechanism = resolve(
@@ -126,32 +129,25 @@ class Session:
         self.workers = int(workers)
         self.chunk_size = chunk_size
 
-    def _pipelined(self) -> bool:
-        return self.workers != 1 or self.chunk_size is not None
-
     def perturb(self, data, *, seed=None) -> CategoricalDataset:
         """Perturb a dataset (or raw record array) with this session's
         mechanism.
 
-        Bit-identical across the direct and pipelined paths for the
-        same seed (the pipeline's determinism contract).
+        At ``workers=1`` the output is bit-identical to the
+        mechanism's one-shot ``perturb`` for the same seed, whatever
+        the chunk size (the pipeline's determinism contract).
         """
         dataset = _as_dataset(self.schema, data)
         seed = self.seed if seed is None else seed
-        if self._pipelined():
-            from repro.pipeline import PerturbationPipeline
+        if not self.mechanism.supports_pipeline:
+            self.mechanism._reject_pipeline(self.workers)
+            return self.mechanism.perturb(dataset, seed=seed)
+        from repro.pipeline import PerturbationPipeline
 
-            pipeline = PerturbationPipeline(
-                self.mechanism,
-                workers=self.workers,
-                **(
-                    {}
-                    if self.chunk_size is None
-                    else {"chunk_size": self.chunk_size}
-                ),
-            )
-            return pipeline.perturb(dataset, seed=seed)
-        return self.mechanism.perturb(dataset, seed=seed)
+        pipeline = PerturbationPipeline(
+            self.mechanism, chunk_size=self.chunk_size, workers=self.workers
+        )
+        return pipeline.perturb(dataset, seed=seed)
 
     def reconstruct(self, perturbed, itemsets) -> np.ndarray:
         """Reconstructed fractional supports of ``itemsets``.

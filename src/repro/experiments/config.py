@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.core.privacy import gamma_from_rho
 from repro.exceptions import ExperimentError
 from repro.mechanisms.registry import paper_mechanisms
+from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
 
 #: The paper's privacy requirement and its implied amplification bound.
 PAPER_RHO1 = 0.05
@@ -71,13 +72,12 @@ class ExperimentConfig:
     #: figures plot); ``"apriori"`` runs the deployable cascade where
     #: identification errors compound across levels.
     protocol: str = "per-level"
-    #: Chunked/multi-worker execution of the gamma-diagonal mechanisms
-    #: (see DESIGN.md, "Scaling").  ``workers=1`` with ``chunk_size``
-    #: unset is the direct one-shot path; any other combination routes
-    #: DET-GD/RAN-GD through :class:`repro.pipeline.PerturbationPipeline`
-    #: (MASK and C&P always run direct).
+    #: Execution of the pipeline-capable mechanisms (see DESIGN.md,
+    #: "Scaling"): DET-GD/RAN-GD always perturb through
+    #: :class:`repro.pipeline.PerturbationPipeline`, whose ``workers=1``
+    #: output no chunk size changes; MASK and C&P run in one shot.
     workers: int = 1
-    chunk_size: int | None = None
+    chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self):
         if self.gamma <= 1.0:
@@ -96,10 +96,8 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ExperimentError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ExperimentError(
-                f"chunk_size must be >= 1 (or None), got {self.chunk_size}"
-            )
+        if self.chunk_size < 1:
+            raise ExperimentError(f"chunk_size must be >= 1, got {self.chunk_size}")
 
     def mechanism_defaults(self) -> dict:
         """This config's :data:`MECHANISM_KNOBS`, by name.

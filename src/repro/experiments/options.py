@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 
+from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
+
 
 def execution_options() -> argparse.ArgumentParser:
     """The parent parser carrying the shared execution knobs.
@@ -33,8 +35,8 @@ def execution_options() -> argparse.ArgumentParser:
     group.add_argument(
         "--chunk-size",
         type=int,
-        default=None,
-        help="records per pipeline chunk (unset = one-shot when workers=1)",
+        default=DEFAULT_CHUNK_SIZE,
+        help="records per pipeline chunk (changes no result when workers=1)",
     )
     group.add_argument(
         "--jobs",

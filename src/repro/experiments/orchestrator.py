@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.canonical import canonicalise
 from repro.data.census import CENSUS_N_RECORDS, census_schema, generate_census
 from repro.data.health import HEALTH_N_RECORDS, generate_health, health_schema
 from repro.exceptions import ExperimentError
@@ -68,7 +69,6 @@ from repro.mechanisms import registry as mechanism_registry
 from repro.mining.apriori import AprioriResult
 from repro.mining.itemsets import Itemset
 from repro.store import ResultStore, cache_key, canonical_json, code_fingerprint
-from repro.store.keys import _canonicalise
 
 #: Cell funcs that execute a perturbation mechanism (the expensive
 #: grid cells a warm run must never recompute).
@@ -286,8 +286,7 @@ def _compute_mechanism(params, deps, env):
     config = ExperimentConfig(
         min_support=params["min_support"],
         protocol=params["protocol"],
-        workers=env.get("workers", 1),
-        chunk_size=env.get("chunk_size"),
+        **env,
         # A name-keyed cell holds the knobs its mechanism is built with;
         # a spec cell holds none.
         **{knob: params[knob] for knob in MECHANISM_KNOBS if knob in params},
@@ -388,10 +387,10 @@ def exact_cell(dataset: DatasetSpec, min_support: float, env=None) -> Cell:
 def _pipeline_signature(mechanism, config: ExperimentConfig):
     """The results-affecting part of the pipeline execution knobs.
 
-    ``workers == 1`` runs (chunked or not) are bit-identical to the
-    one-shot path, so they normalise to ``None``; multi-worker runs
-    spawn per-chunk streams, so their output is a function of the
-    chunk layout (see :mod:`repro.pipeline.executor`).  Whether a
+    ``workers == 1`` runs are bit-identical for every chunk size, so
+    they normalise to ``None``; multi-worker runs spawn per-chunk
+    streams, so their output is a function of the chunk layout (see
+    :mod:`repro.pipeline.executor`).  Whether a
     mechanism has a pipeline path at all is registry metadata
     (``mechanism_registry.get(...).pipeline``).
     """
@@ -400,10 +399,7 @@ def _pipeline_signature(mechanism, config: ExperimentConfig):
         return None
     if config.workers == 1:
         return None
-    from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
-
-    chunk = config.chunk_size if config.chunk_size is not None else DEFAULT_CHUNK_SIZE
-    return {"seeding": "spawn", "chunk_size": int(chunk)}
+    return {"seeding": "spawn", "chunk_size": int(config.chunk_size)}
 
 
 def config_env(config: ExperimentConfig) -> dict:
@@ -611,7 +607,7 @@ class Orchestrator:
                 raise ExperimentError(f"unknown cell func {cell.func!r}")
             previous = by_name.get(cell.name)
             if previous is not None:
-                if _canonicalise(previous.key_spec()) != _canonicalise(cell.key_spec()):
+                if canonicalise(previous.key_spec()) != canonicalise(cell.key_spec()):
                     raise ExperimentError(
                         f"two different cells share the name {cell.name!r}"
                     )

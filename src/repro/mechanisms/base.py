@@ -35,6 +35,7 @@ from repro.core.reconstruction import reconstruct_counts
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, ExperimentError
+from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
 from repro.stats.rng import as_generator
 
 #: Largest joint-domain size the streaming path accumulates as a dense
@@ -234,14 +235,18 @@ class Mechanism(abc.ABC):
         """
 
     @abc.abstractmethod
-    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
+    def build_estimator(
+        self, dataset, seed=None, workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ):
         """Perturb ``dataset`` and wrap it in this mechanism's estimator.
 
         The returned object satisfies the Apriori ``SupportSource``
         protocol (``supports(itemsets) -> array``).  Mechanisms with
-        ``supports_pipeline`` route non-default ``workers`` /
-        ``chunk_size`` through :class:`repro.pipeline.PerturbationPipeline`;
-        others raise :class:`~repro.exceptions.ExperimentError` for them.
+        ``supports_pipeline`` perturb through
+        :class:`repro.pipeline.PerturbationPipeline`, where no chunk
+        size changes a ``workers=1`` estimate; the others perturb in one
+        shot and raise :class:`~repro.exceptions.ExperimentError` for
+        ``workers != 1``.
         """
 
     # ------------------------------------------------------------------
@@ -251,10 +256,10 @@ class Mechanism(abc.ABC):
         if dataset.schema != self.schema:
             raise DataError("dataset schema does not match the mechanism schema")
 
-    def _reject_pipeline(self, workers, chunk_size) -> None:
-        if workers != 1 or chunk_size is not None:
+    def _reject_pipeline(self, workers) -> None:
+        if workers != 1:
             raise ExperimentError(
-                f"mechanism {self.display or self.key!r} has no chunked/"
+                f"mechanism {self.display or self.key!r} has no "
                 "multi-worker execution path (supports_pipeline=False)"
             )
 
@@ -367,35 +372,27 @@ class ColumnarMechanism(Mechanism):
             )
         return positions
 
-    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
-        """Generic estimator: invert the induced marginal per itemset.
+    def _accumulate(self, source, seed, workers: int, chunk_size: int):
+        """Perturb ``source`` through the pipeline and fold its output.
 
-        The direct path perturbs in one shot and counts on the perturbed
-        dataset; pipeline options stream the perturbation through
-        :class:`repro.pipeline.PerturbationPipeline` and answer the same
-        subset-count queries from the accumulated joint counts -- the
-        two sources agree exactly, so estimates only depend on the
-        perturbed records, not on the execution layout.  Wide schemas
-        (joint domain beyond :data:`MAX_JOINT_ACCUMULATION`) accumulate
-        packed transaction bitmaps instead of the joint count vector:
-        subset counts come from AND/popcount over the itemset's
-        attribute rows, which answers the same queries exactly without
-        ever touching joint-domain indices.
+        The offline layout rule: joint counts while the joint domain
+        fits :data:`MAX_JOINT_ACCUMULATION`, packed transaction bitmaps
+        beyond it.  Both answer ``subset_counts`` exactly, so the layout
+        never changes an estimate.
         """
-        if workers == 1 and chunk_size is None:
-            perturbed = self.perturb(dataset, seed=seed)
-            return MarginalInversionEstimator(
-                self, perturbed.subset_counts, perturbed.n_records
-            )
-        from repro.pipeline import DEFAULT_CHUNK_SIZE, PerturbationPipeline
+        from repro.pipeline import PerturbationPipeline
 
-        pipeline = PerturbationPipeline(
-            self, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE, workers=workers
-        )
+        pipeline = PerturbationPipeline(self, chunk_size=chunk_size, workers=workers)
         if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
-            accumulator = pipeline.accumulate_bitmaps(dataset, seed=seed)
-        else:
-            accumulator = pipeline.accumulate(dataset, seed=seed)
+            return pipeline.accumulate_bitmaps(source, seed=seed)
+        return pipeline.accumulate(source, seed=seed)
+
+    def build_estimator(
+        self, dataset, seed=None, workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ):
+        """Generic estimator: invert the induced marginal per itemset,
+        over the subset counts :meth:`_accumulate` folded."""
+        accumulator = self._accumulate(dataset, seed, workers, chunk_size)
         return MarginalInversionEstimator(
             self, accumulator.subset_counts, accumulator.n_records
         )
@@ -454,7 +451,5 @@ class MarginalInversionEstimator:
                     self._subset_counts(attrs),
                 )
                 self._solved[attrs] = solved
-            dims = [cards[a] for a in attrs]
-            cell = int(np.ravel_multi_index(itemset.values, dims=dims))
-            estimates[i] = solved[cell] / self.n_records
+            estimates[i] = solved[itemset.cell(cards)] / self.n_records
         return estimates

@@ -38,13 +38,9 @@ from repro.core.privacy import amplification as matrix_amplification
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MatrixError
-from repro.mechanisms.base import (
-    MAX_JOINT_ACCUMULATION,
-    ColumnarMechanism,
-    Mechanism,
-    MechanismSpec,
-)
+from repro.mechanisms.base import ColumnarMechanism, Mechanism, MechanismSpec
 from repro.mechanisms.registry import register
+from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
 from repro.stats.kronecker import KroneckerOperator
 
 
@@ -118,40 +114,21 @@ class GammaDiagonalMechanism(ColumnarMechanism):
         """Fixed-width sampler for composite slicing."""
         return self.engine.perturb_from_uniforms(records, draws)
 
-    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
-        """Perturb and wrap in the Eq.-28 support estimator.
-
-        The direct path (``workers=1``, no ``chunk_size``) perturbs in
-        one shot; any pipeline option routes through
-        :class:`repro.pipeline.PerturbationPipeline`.  Like
-        :meth:`ColumnarMechanism.build_estimator`, the pipeline then
-        accumulates joint counts while the joint domain fits
-        :data:`~repro.mechanisms.base.MAX_JOINT_ACCUMULATION` and packed
-        bitmaps beyond it (see the two estimators' docstrings for the
-        memory trade-offs).
-        """
-        from repro.mining.counting import GammaDiagonalSupportEstimator
-
-        if workers == 1 and chunk_size is None:
-            perturbed = self.perturb(dataset, seed=seed)
-            return GammaDiagonalSupportEstimator(perturbed, self.gamma)
+    def build_estimator(
+        self, dataset, seed=None, workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ):
+        """The Eq.-28 closed form over the accumulator that
+        :meth:`ColumnarMechanism._accumulate` folded."""
         from repro.pipeline import (
-            DEFAULT_CHUNK_SIZE,
             AccumulatedSupportEstimator,
+            BitmapAccumulator,
             BitmapStreamSupportEstimator,
-            PerturbationPipeline,
         )
 
-        pipeline = PerturbationPipeline(
-            self.engine, chunk_size=chunk_size or DEFAULT_CHUNK_SIZE, workers=workers
-        )
-        if self.schema.joint_size > MAX_JOINT_ACCUMULATION:
-            return BitmapStreamSupportEstimator(
-                pipeline.accumulate_bitmaps(dataset, seed=seed), self.gamma
-            )
-        return AccumulatedSupportEstimator(
-            pipeline.accumulate(dataset, seed=seed), self.gamma
-        )
+        accumulator = self._accumulate(dataset, seed, workers, chunk_size)
+        if isinstance(accumulator, BitmapAccumulator):
+            return BitmapStreamSupportEstimator(accumulator, self.gamma)
+        return AccumulatedSupportEstimator(accumulator, self.gamma)
 
 
 class RandomizedGammaDiagonalMechanism(GammaDiagonalMechanism):
@@ -281,11 +258,13 @@ class MaskMechanism(Mechanism):
         """Booleanize and flip; returns the ``(N, M_b)`` bit matrix."""
         return self.operator.perturb(dataset, seed=seed)
 
-    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
-        """Perturb and wrap in the tensor-power estimator."""
+    def build_estimator(
+        self, dataset, seed=None, workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ):
+        """Perturb in one shot and wrap in the tensor-power estimator."""
         from repro.mining.counting import MaskSupportEstimator
 
-        self._reject_pipeline(workers, chunk_size)
+        self._reject_pipeline(workers)
         perturbed_bits = self.perturb(dataset, seed=seed)
         return MaskSupportEstimator(self.schema, perturbed_bits, self.operator)
 
@@ -320,11 +299,13 @@ class CutAndPasteMechanism(Mechanism):
         """Apply the operator; returns the ``(N, M_b)`` bit matrix."""
         return self.operator.perturb(dataset, seed=seed)
 
-    def build_estimator(self, dataset, seed=None, workers: int = 1, chunk_size=None):
-        """Perturb and wrap in the partial-support estimator."""
+    def build_estimator(
+        self, dataset, seed=None, workers: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ):
+        """Perturb in one shot and wrap in the partial-support estimator."""
         from repro.mining.counting import CutAndPasteSupportEstimator
 
-        self._reject_pipeline(workers, chunk_size)
+        self._reject_pipeline(workers)
         perturbed_bits = self.perturb(dataset, seed=seed)
         return CutAndPasteSupportEstimator(self.schema, perturbed_bits, self.operator)
 

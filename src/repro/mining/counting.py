@@ -12,18 +12,21 @@ Implementations:
 
 * :class:`ExactSupportCounter` -- true supports on a categorical
   dataset;
-* :class:`GammaDiagonalSupportEstimator` -- DET-GD/RAN-GD: observed
-  perturbed supports pushed through the Eq.-28 closed-form inverse;
+* :class:`GammaDiagonalSupportEstimator` -- DET-GD/RAN-GD on a
+  materialised perturbed dataset: observed perturbed supports pushed
+  through the Eq.-28 closed-form inverse (the mechanisms' own
+  ``build_estimator`` accumulates instead, see
+  :class:`repro.pipeline.AccumulatedSupportEstimator`);
 * :class:`MaskSupportEstimator` -- MASK: per-candidate tensor-power
   system over the item bits;
 * :class:`CutAndPasteSupportEstimator` -- C&P: per-candidate
   partial-support system.
 
-Every *observed*-support side (exact counting, and the counting pass of
-the DET-GD/RAN-GD, MASK and C&P estimators) runs on the packed
-AND/popcount kernels of :mod:`repro.mining.kernels`: whole candidate
-batches per Apriori level, with the previous level's itemset bitmaps
-cached.  MASK and C&P also keep every counted itemset in a
+Every *observed*-support side here (exact counting, and the counting
+pass of the dataset-backed DET-GD/RAN-GD, MASK and C&P estimators) runs
+on the packed AND/popcount kernels of :mod:`repro.mining.kernels`:
+whole candidate batches per Apriori level, with the previous level's
+itemset bitmaps cached.  MASK and C&P also keep every counted itemset in a
 :class:`~repro.mining.kernels.counting.SupersetCounts` memo, from which
 a candidate's ``2^k`` pattern counts follow without touching the
 bitmaps again.  The kernel layer itself picks the compiled or the NumPy
@@ -70,9 +73,7 @@ def supports_from_subset_counts(
         if counts is None:
             counts = subset_counts(attrs)
             cache[attrs] = counts
-        dims = [cards[a] for a in attrs]
-        cell = int(np.ravel_multi_index(itemset.values, dims=dims))
-        supports[i] = counts[cell] / n_records
+        supports[i] = counts[itemset.cell(cards)] / n_records
     return supports
 
 

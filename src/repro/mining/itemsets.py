@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.data.schema import Schema
-from repro.exceptions import MiningError
+from repro.exceptions import DataError, MiningError
 
 
 @dataclass(frozen=True, order=True)
@@ -121,6 +121,21 @@ class Itemset:
             attribute = schema[attr]
             parts.append(f"{attribute.name}={attribute.categories[value]}")
         return " & ".join(parts)
+
+    def cell(self, cardinalities) -> int:
+        """This itemset's cell in the sub-domain of its attributes,
+        indexed like :meth:`~repro.data.schema.Schema.encode_subset`.
+
+        ``cardinalities`` is the schema's; an item outside that domain
+        raises :class:`~repro.exceptions.DataError`.
+        """
+        cell = 0
+        for attr, value in self.items:
+            card = cardinalities[attr] if 0 <= attr < len(cardinalities) else 0
+            if not 0 <= value < card:
+                raise DataError(f"item ({attr}, {value}) out of domain for this schema")
+            cell = cell * card + value
+        return cell
 
     def boolean_positions(self, schema: Schema) -> tuple[int, ...]:
         """Positions of this itemset's items in the booleanized row.

@@ -17,21 +17,18 @@ runs over datasets larger than memory:
   :class:`~repro.mining.counting.GammaDiagonalSupportEstimator` on the
   materialised perturbed dataset, because joint counts determine every
   subset count);
-* :func:`mine_stream` -- the end-to-end convenience: chunked
-  perturbation, count accumulation, and Apriori over reconstructed
-  supports.
+* :func:`mine_stream` -- the end-to-end convenience: Apriori over the
+  estimator DET-GD's ``build_estimator`` accumulates from the stream.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import GammaDiagonalPerturbation
 from repro.core.gamma_diagonal import GammaDiagonalMatrix
 from repro.core.reconstruction import clip_counts, reconstruct_counts
 from repro.data.schema import Schema
-from repro.exceptions import ExperimentError, MiningError
-from repro.mechanisms.base import MAX_JOINT_ACCUMULATION
+from repro.exceptions import MiningError
 from repro.mining.apriori import AprioriResult, apriori
 from repro.mining.counting import (
     reconstruct_gamma_diagonal_supports,
@@ -40,7 +37,6 @@ from repro.mining.counting import (
 from repro.mining.kernels import BitmapSupportCounter
 from repro.pipeline.accumulator import BitmapAccumulator, JointCountAccumulator
 from repro.pipeline.chunking import DEFAULT_CHUNK_SIZE
-from repro.pipeline.executor import PerturbationPipeline
 
 
 def reconstruct_stream(
@@ -133,7 +129,6 @@ def mine_stream(
     schema: Schema,
     gamma: float,
     min_support: float,
-    engine=None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
     seed=None,
@@ -141,42 +136,17 @@ def mine_stream(
 ) -> AprioriResult:
     """Privacy-preserving mining over a chunked record stream.
 
-    Runs DET-GD perturbation (or the supplied ``engine``) through the
-    chunked executor, accumulates the perturbed stream, and mines it
-    with Apriori over Eq.-28 reconstructed supports.  Those supports
-    invert the gamma-diagonal matrix of ``gamma``, so a supplied
-    ``engine`` must perturb over ``schema`` with that same ``gamma``;
-    anything else raises :class:`~repro.exceptions.ExperimentError`.
-
-    The schema picks the accumulated representation, as
-    :meth:`repro.mechanisms.ColumnarMechanism.build_estimator` does.
-    While the joint domain fits
-    :data:`~repro.mechanisms.base.MAX_JOINT_ACCUMULATION`, the stream
-    folds joint counts: peak memory is one chunk plus the ``(|S_U|,)``
-    count vector, so ``source`` may be arbitrarily large (e.g.
-    :func:`repro.data.io.iter_csv_chunks` or an open ``.frd`` memory
-    map).  Wider schemas fold packed transaction bitmaps --
-    ``O(N * M_b / 8)`` memory, independent of the joint domain -- and
-    every mining pass runs on the AND/popcount kernels.  Both mine
-    identical itemsets for the same seed.
+    Apriori over DET-GD's
+    :meth:`~repro.mechanisms.builtin.GammaDiagonalMechanism.build_estimator`,
+    which folds the perturbed stream into joint counts (one chunk plus
+    the ``(|S_U|,)`` vector in memory, so ``source`` may be arbitrarily
+    large, e.g. :func:`repro.data.io.iter_csv_chunks` or an open
+    ``.frd``) or, past :data:`~repro.mechanisms.base.MAX_JOINT_ACCUMULATION`,
+    packed bitmaps; both mine identical itemsets for the same seed.
     """
-    if engine is None:
-        engine = GammaDiagonalPerturbation(schema, gamma)
-    pipeline = PerturbationPipeline(engine, chunk_size=chunk_size, workers=workers)
-    if engine.schema != schema:
-        raise ExperimentError("engine schema does not match the stream schema")
-    engine_gamma = getattr(engine, "gamma", None)
-    if engine_gamma != gamma:
-        raise ExperimentError(
-            f"mine_stream reconstructs with gamma={gamma!r}, but the engine "
-            f"perturbs with gamma={engine_gamma!r}"
-        )
-    if schema.joint_size <= MAX_JOINT_ACCUMULATION:
-        estimator = AccumulatedSupportEstimator(
-            pipeline.accumulate(source, seed=seed), gamma
-        )
-    else:
-        estimator = BitmapStreamSupportEstimator(
-            pipeline.accumulate_bitmaps(source, seed=seed), gamma
-        )
+    from repro.mechanisms.builtin import GammaDiagonalMechanism
+
+    estimator = GammaDiagonalMechanism(schema, gamma).build_estimator(
+        source, seed=seed, workers=workers, chunk_size=chunk_size
+    )
     return apriori(estimator, schema, min_support, max_length)

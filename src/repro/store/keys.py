@@ -31,15 +31,11 @@ import json
 from repro.canonical import canonicalise
 from repro.exceptions import ExperimentError
 
-#: Back-compat alias -- the canonicaliser now lives in the shared leaf
-#: :mod:`repro.canonical` (mechanism specs use the same rules).
-_canonicalise = canonicalise
-
 
 def canonical_json(obj) -> str:
     """Render ``obj`` as deterministic, separator-free, key-sorted JSON."""
     return json.dumps(
-        _canonicalise(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
+        canonicalise(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
     )
 
 

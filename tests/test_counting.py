@@ -154,6 +154,24 @@ def test_boolean_estimators_reject_out_of_domain_items(kind, item):
         estimator.supports([Itemset.of(item, (2, 1))])
 
 
+@pytest.mark.parametrize("source", ["gd", "accumulated", "marginal-inversion"])
+@pytest.mark.parametrize("value", [2, -1])
+def test_count_path_estimators_reject_out_of_domain_items(
+    survey_schema, survey_dataset, source, value
+):
+    """An item value at its attribute's cardinality, or below zero,
+    raises :class:`DataError` on every count-path Eq.-28 estimator.
+
+    On the survey schema, cardinalities (3, 2, 2), ``(1, 2)`` would
+    otherwise read the cell of ``(2, 0)`` in a pair with attribute 2.
+    """
+    estimator = _support_sources(survey_schema, survey_dataset)[source]()
+    with pytest.raises(DataError, match="out of domain"):
+        estimator.supports([Itemset.of((0, 0)), Itemset.of((1, value))])
+    with pytest.raises(DataError, match="out of domain"):
+        estimator.supports([Itemset.of((1, value), (2, 1))])
+
+
 # ----------------------------------------------------------------------
 # every support source accepts a one-shot iterable
 # ----------------------------------------------------------------------

@@ -12,7 +12,11 @@ Three layers, mirroring how wide-schema reconstruction is built up:
   peak RSS linear in the number of attribute groups.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -407,24 +411,54 @@ def _peak_rss_bytes():
     raise OSError("no VmHWM line")
 
 
+#: Child-process body of :class:`TestWideSchemaMemory`: peak RSS once
+#: the imports are done and again after one ``_wide_singletons`` call.
+_RSS_CHILD = """
+import json, sys
+from test_kronecker import _peak_rss_bytes, _wide_singletons
+before = _peak_rss_bytes()
+supports = _wide_singletons(int(sys.argv[1]))
+report = {"net": _peak_rss_bytes() - before, "supports": supports.tolist()}
+print(json.dumps(report))
+"""
+
+
+def _fresh_process_singletons(n_groups):
+    """``_wide_singletons(n_groups)`` in a fresh interpreter: its net
+    peak RSS over the post-import baseline, and its supports.
+
+    A fresh process has no heap that earlier work freed, so the net is
+    the call's own peak, whatever ran before in the test process.
+    """
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    result = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, str(n_groups)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout)
+    return report["net"], np.asarray(report["supports"])
+
+
 class TestWideSchemaMemory:
     def test_peak_rss_linear_in_group_count(self):
         """Peak RSS grows about linearly with the attribute-group count
         (3x slack over the linear extrapolation from 12 groups, plus
         64 MiB for allocator noise) though the joint domain grows as
         ``4**g``, and the widest run stays below the dense joint-count
-        vector of even the narrowest (``8 * 4**12`` bytes)."""
+        vector of even the narrowest (``8 * 4**12`` bytes).  Each group
+        count runs in its own fresh interpreter."""
         try:
-            Path("/proc/self/clear_refs").write_text("5")
             _peak_rss_bytes()
         except OSError:
-            pytest.skip("needs Linux's resettable peak-RSS counter")
+            pytest.skip("needs Linux's peak-RSS counter (VmHWM)")
         nets = {}
         for n_groups in (12, 25, 50):
-            Path("/proc/self/clear_refs").write_text("5")
-            before = _peak_rss_bytes()
-            supports = _wide_singletons(n_groups)
-            nets[n_groups] = _peak_rss_bytes() - before
+            nets[n_groups], supports = _fresh_process_singletons(n_groups)
             assert supports.shape == (4 * n_groups,)
             assert np.all(np.isfinite(supports))
             # The planted singleton sits at ~0.625, the rest near 0.25.

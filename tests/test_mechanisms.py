@@ -390,21 +390,40 @@ class TestCompositeEstimation:
         ).supports(itemsets)
         assert np.allclose(inverted, closed_form, atol=1e-9)
 
-    def test_pipeline_estimator_matches_direct(self, mixed_schema, warner_det_composite, rng):
+    @pytest.mark.parametrize("kind", ["warner-det-gd", "det-gd", "ran-gd"])
+    def test_pipeline_estimator_matches_direct(self, request, mixed_schema, kind, rng):
+        """``build_estimator`` equals the one-shot oracle at workers=1:
+        perturb the whole dataset, then estimate from its own counts."""
+        from repro.mechanisms.base import MarginalInversionEstimator
+        from repro.mining.counting import GammaDiagonalSupportEstimator
+
         records = np.stack(
             [rng.integers(0, c, 6000) for c in mixed_schema.cardinalities], axis=1
         )
         dataset = CategoricalDataset(mixed_schema, records)
-        itemsets = all_items(mixed_schema)
-        chunked = warner_det_composite.build_estimator(
-            dataset, seed=21, workers=1, chunk_size=512
+        itemsets = all_items(mixed_schema) + [
+            Itemset.of((0, 1), (1, 2)),
+            Itemset.of((1, 0), (2, 3)),
+            Itemset.of((0, 0), (1, 1), (2, 2)),
+        ]
+        if kind == "warner-det-gd":
+            mechanism = request.getfixturevalue("warner_det_composite")
+            perturbed = mechanism.perturb(dataset, seed=21)
+            oracle = MarginalInversionEstimator(
+                mechanism, perturbed.subset_counts, perturbed.n_records
+            )
+        else:
+            mechanism = create(kind, mixed_schema, gamma=7.0)
+            oracle = GammaDiagonalSupportEstimator(
+                mechanism.perturb(dataset, seed=21), mechanism.gamma
+            )
+        expected = oracle.supports(itemsets)
+        default = mechanism.build_estimator(dataset, seed=21).supports(itemsets)
+        chunked = mechanism.build_estimator(
+            dataset, seed=21, chunk_size=512
         ).supports(itemsets)
-        direct = warner_det_composite.build_estimator(dataset, seed=21).supports(
-            itemsets
-        )
-        # workers=1 chunked threads one stream through the chunks, so
-        # estimates are bit-identical to the one-shot path.
-        assert np.array_equal(chunked, direct)
+        np.testing.assert_array_equal(default, expected)
+        np.testing.assert_array_equal(chunked, expected)
 
 
 class TestEndToEnd:

@@ -320,29 +320,6 @@ class TestStreamingFrontEnd:
         )
         assert 1 in result.by_length
 
-    def test_mine_stream_rejects_a_mismatched_gamma(self):
-        """The stream inverts with ``gamma``, so the engine must perturb
-        with that gamma; an engine without one cannot be checked."""
-        data = generate_census(20_000, seed=1)
-        engine = GammaDiagonalPerturbation(data.schema, 5.0)
-        with pytest.raises(ExperimentError, match="gamma"):
-            mine_stream(data, data.schema, GAMMA, 0.02, engine=engine, seed=3)
-        dense = GammaDiagonalMatrix(data.schema.joint_size, GAMMA).to_dense()
-        no_gamma = MatrixPerturbation(data.schema, dense)
-        with pytest.raises(ExperimentError, match="gamma"):
-            mine_stream(data, data.schema, GAMMA, 0.02, engine=no_gamma, seed=3)
-        matched = GammaDiagonalPerturbation(data.schema, GAMMA)
-        expected = mine_stream(data, data.schema, GAMMA, 0.02, seed=3)
-        got = mine_stream(data, data.schema, GAMMA, 0.02, engine=matched, seed=3)
-        assert got == expected
-
-    def test_mine_stream_rejects_an_engine_on_another_schema(
-        self, census, tiny_dataset
-    ):
-        engine = GammaDiagonalPerturbation(tiny_dataset.schema, GAMMA)
-        with pytest.raises(ExperimentError, match="schema"):
-            mine_stream(census, census.schema, GAMMA, 0.02, engine=engine, seed=3)
-
 
 # ----------------------------------------------------------------------
 # miner / experiment integration
