@@ -88,7 +88,8 @@ def _realise_diagonal_or_other(
     ``n - 1`` joint values, from a pre-drawn ``(m, 2)`` uniform block.
 
     ``draws[:, 0]`` decides keep-vs-replace against ``diagonal_probs``
-    and ``draws[:, 1]`` maps to a cyclic shift in ``1..n-1`` -- exact
+    and ``draws[:, 1]`` maps to a cyclic shift
+    ``1 + floor(draws[:, 1] * (n - 1))`` in ``1..n-1`` -- exact
     uniformity over the *other* values, fully vectorised.  This
     realises any matrix with diagonal ``diag`` and constant
     off-diagonal ``(1 - diag)/(n - 1)`` exactly -- including randomized
@@ -96,12 +97,24 @@ def _realise_diagonal_or_other(
     (where the naive keep-or-uniform mixture would need a negative keep
     probability).  Shifts are drawn for kept records too so every
     record consumes the same number of uniforms.
+
+    The shifted value ``(joint + shift) mod n`` takes no modulo:
+    ``floor(draws[:, 1] * (n - 1)) - (n - 1) + joint`` lies in
+    ``[-(n - 1), n - 2]`` and is the answer, or ``n`` short of it when
+    negative.  Read as ``uint64``, a negative value lies above every
+    in-domain one, so ``minimum(v, v + n)`` adds ``n`` back exactly
+    there.  No intermediate wraps for any ``n < 2**63``.  The result
+    is a new ``int64`` array; ``joint`` and ``draws`` are only read.
     """
     if joint.shape[0] == 0:
         return joint.copy()
-    keep = draws[:, 0] < diagonal_probs
-    shifts = 1 + (draws[:, 1] * (n - 1)).astype(np.int64)
-    return np.where(keep, joint, (joint + shifts) % n)
+    out = (draws[:, 1] * (n - 1)).astype(np.int64)
+    out -= n - 1
+    out += joint
+    wrapped = out.view(np.uint64)
+    np.minimum(wrapped, wrapped + n, out=wrapped)
+    np.copyto(out, joint, where=draws[:, 0] < diagonal_probs)
+    return out
 
 
 def _diagonal_or_other(

@@ -20,6 +20,11 @@ from repro.exceptions import DataError, MiningError
 class Itemset:
     """An immutable itemset: ``((attr, value), ...)`` sorted by attribute.
 
+    ``attributes`` holds the attribute positions, ascending (the subset
+    ``Cs``).  It is stored at construction, since estimators read it
+    per candidate, and it is not a dataclass field: equality, ordering
+    and hashing see ``items`` alone.
+
     Examples
     --------
     >>> its = Itemset.of((2, 1), (0, 3))
@@ -41,6 +46,7 @@ class Itemset:
                 f"itemset {items} assigns one attribute more than once"
             )
         object.__setattr__(self, "items", items)
+        object.__setattr__(self, "attributes", tuple(attrs))
 
     @classmethod
     def of(cls, *items) -> "Itemset":
@@ -56,6 +62,7 @@ class Itemset:
         """
         itemset = object.__new__(cls)
         object.__setattr__(itemset, "items", items)
+        object.__setattr__(itemset, "attributes", tuple(a for a, _ in items))
         return itemset
 
     # ------------------------------------------------------------------
@@ -65,11 +72,6 @@ class Itemset:
     def length(self) -> int:
         """Number of items (the paper's "itemset length")."""
         return len(self.items)
-
-    @property
-    def attributes(self) -> tuple[int, ...]:
-        """Attribute positions, ascending (the subset ``Cs``)."""
-        return tuple(a for a, _ in self.items)
 
     @property
     def values(self) -> tuple[int, ...]:

@@ -209,8 +209,12 @@ def realise_from_uniforms(
     """Diagonal-or-other realisation from a pre-drawn uniform block.
 
     Bit-identical to ``_realise_diagonal_or_other`` in
-    ``repro.core.engine`` (``keep = draws[:, keep_col] < diagonal``,
-    shift ``1 + floor(draws[:, shift_col] * (n - 1))`` mod ``n``).
+    ``repro.core.engine``: a record is kept when
+    ``draws[:, keep_col] < diagonal`` and otherwise moves to
+    ``(joint + 1 + floor(draws[:, shift_col] * (n - 1))) mod n``.  The
+    C kernel takes that modulo, the NumPy one adds ``n`` back to a
+    negative difference instead; both are exact for every domain up to
+    ``MAX_NATIVE_DOMAIN``, the largest this kernel accepts.
     ``diagonal`` may be a scalar or a per-record vector.  With
     ``cards`` given the realised joint indices are decoded straight
     into an ``(m, len(cards))`` record array of ``out_dtype`` -- the

@@ -4,11 +4,15 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from realise_reference import realise_exact, realise_reference
 
 from repro.core.engine import (
     GammaDiagonalPerturbation,
     MatrixPerturbation,
     RandomizedGammaDiagonalPerturbation,
+    _realise_diagonal_or_other,
 )
 from repro.core.gamma_diagonal import GammaDiagonalMatrix
 from repro.data.dataset import CategoricalDataset
@@ -24,6 +28,80 @@ def empirical_transition(schema, perturb, original_value, n_trials, seed):
     perturbed = perturb(dataset, seed)
     counts = np.bincount(perturbed.joint_indices(), minlength=schema.joint_size)
     return counts / n_trials
+
+
+#: Every ``n`` below this bound fits the NumPy modulo oracle's ``int64``.
+MODULO_ORACLE_DOMAIN = 1 << 62
+#: The largest double a generator's ``random()`` can return.
+LARGEST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+unit_draws = st.one_of(
+    st.sampled_from([0.0, LARGEST_BELOW_ONE]),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+@st.composite
+def realise_inputs(draw):
+    """``(joint, diagonal, n, draws)`` for the keep-or-shift kernel.
+
+    ``n`` spans the whole ``int64`` range with its edges (``2**62``,
+    ``3 * 2**61``, ``2**63 - 1``) sampled outright; ``draws`` is the
+    tail of a three-wide block half the time, the view RAN-GD passes.
+    """
+    n = draw(
+        st.one_of(
+            st.integers(2, MODULO_ORACLE_DOMAIN),
+            st.integers(MODULO_ORACLE_DOMAIN + 1, 2**63 - 1),
+            st.sampled_from([2, 3, MODULO_ORACLE_DOMAIN, 3 << 61, 2**63 - 1]),
+        )
+    )
+    m = draw(st.integers(1, 12))
+    cells = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
+    joint = np.array(draw(st.lists(cells, min_size=m, max_size=m)), dtype=np.int64)
+    block = np.array(
+        draw(st.lists(unit_draws, min_size=3 * m, max_size=3 * m))
+    ).reshape(m, 3)
+    draws = block[:, 1:] if draw(st.booleans()) else np.ascontiguousarray(block[:, :2])
+    probabilities = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        diagonal = draw(probabilities)
+    else:
+        diagonal = np.array(draw(st.lists(probabilities, min_size=m, max_size=m)))
+    return joint, diagonal, n, draws
+
+
+#: 61 binary attributes and a ternary one: ``n = 3 * 2**61``.  From
+#: joint ``n - 1``, shift draw 0.999999 lands on cell
+#: 6917522110112054272; the modulo form's ``joint + shift`` passes
+#: ``2**63`` and wraps to 2305836091684666368.
+WIDE_DOMAIN_CASE = (
+    np.array([3 * 2**61 - 1]),
+    0.0,
+    3 * 2**61,
+    np.array([[0.5, 0.999999]]),
+)
+
+
+class TestRealiseKernel:
+    @given(realise_inputs())
+    @example(WIDE_DOMAIN_CASE)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_modulo_oracle(self, inputs):
+        """The modulo-free kernel is the modulo formula, bit for bit."""
+        joint, diagonal, n, draws = inputs
+        joint_before, draws_before = joint.copy(), draws.copy()
+        got = _realise_diagonal_or_other(joint, diagonal, n, draws)
+        assert got.dtype == np.int64
+        assert got.tolist() == realise_exact(
+            joint, diagonal, n, draws[:, 0], draws[:, 1]
+        )
+        if n <= MODULO_ORACLE_DOMAIN:
+            assert np.array_equal(
+                got, realise_reference(joint, diagonal, n, draws[:, 0], draws[:, 1])
+            )
+        assert np.array_equal(joint, joint_before)
+        assert np.array_equal(draws, draws_before)
 
 
 class TestGammaDiagonalVectorized:

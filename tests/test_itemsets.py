@@ -38,6 +38,15 @@ class TestStructure:
         assert itemset.attributes == (0, 2, 4)
         assert itemset.values == (3, 1, 0)
 
+    def test_stored_attributes_are_not_a_field(self):
+        """Both constructors store ``attributes``; only ``items`` compares."""
+        checked = Itemset.of((2, 1), (0, 3))
+        trusted = Itemset._trusted(((0, 3), (2, 1)))
+        assert checked.attributes is checked.attributes
+        assert checked.attributes == trusted.attributes == (0, 2)
+        assert checked == trusted and hash(checked) == hash(trusted)
+        assert repr(checked) == "Itemset(items=((0, 3), (2, 1)))"
+
     def test_contains_and_iter(self):
         itemset = Itemset.of((0, 3), (2, 1))
         assert (0, 3) in itemset

@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 import pytest
 from kernel_sides import KERNEL_SIDES, KERNELS, kernel_side, oracle_supports
+from realise_reference import realise_reference as _realise_reference
 
 import repro.core.engine as engine_module
 from repro.core.engine import (
@@ -76,13 +77,6 @@ def _bitcount_reference(words, axis=None):
     """Popcount via Python ``int.bit_count`` -- slow but unarguable."""
     counts = np.asarray(np.frompyfunc(lambda w: int(w).bit_count(), 1, 1)(words))
     return counts.astype(np.int64).sum(axis=axis, dtype=np.int64)
-
-
-def _realise_reference(joint, diagonal, n, keep, shift_draws):
-    """The pure-NumPy keep-or-shift realisation the kernels replicate."""
-    keep_mask = keep < diagonal
-    shift = 1 + (shift_draws * (n - 1)).astype(np.int64)
-    return np.where(keep_mask, joint, (joint + shift) % n)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,16 @@ value's column of the declared distribution:
   columns of ``reconstruction_matrix(M)``.
 
 One Bonferroni-corrected level covers every histogram of the module.
+
+A histogram pools records, so it cannot see whether they are perturbed
+independently.  The count-variance audit can: over a few hundred seeds
+of one fixed dataset, the sample variance of each perturbed joint
+count ``Y_v`` under DET-GD and RAN-GD is held against the
+Poisson-binomial variance of paper Section 4.2, with success
+probabilities ``p_i = E[Ã][v, u_i]``.  A RAN-GD sampler that shared
+one realised diagonal among several records would inflate it.  Those
+variances have a Bonferroni level of their own.
+
 The chi-square tail is computed with the standard library, so the
 audit needs no SciPy.
 """
@@ -26,6 +36,7 @@ import math
 
 import numpy as np
 import pytest
+from poisson_binomial import PoissonBinomial
 
 from repro.baselines.mask import itemset_matrix
 from repro.data.dataset import CategoricalDataset
@@ -182,6 +193,64 @@ def test_sampler_realises_its_declared_distribution(name, p_values):
     level = FAMILY_ALPHA / sum(len(values) for values in p_values.values())
     failing = {u: p for u, p in enumerate(p_values[name]) if p <= level}
     assert not failing, f"{name}: origin -> p-value below {level:.2g}: {failing}"
+
+
+#: Seeds of the count-variance audit, one ``perturb`` call each.
+VARIANCE_SEEDS = 300
+#: Records per joint value of its fixed dataset.  The skew matters: a
+#: diagonal shared among records moves ``Y_v`` with the number of
+#: records already at ``v`` against the number elsewhere.
+VARIANCE_CELL_COUNTS = (400, 200, 150, 100, 80, 60, 50, 40, 40, 30, 30, 20)
+
+
+def _count_variance_p_values(mechanism) -> list[float]:
+    """Two-sided chi-square p-value of each perturbed count's variance.
+
+    ``(seeds - 1) * S^2 / Var[Y_v]`` is chi-square with ``seeds - 1``
+    degrees of freedom when ``Y_v`` is near normal, which a
+    Poisson-binomial over 1,200 records is.
+    """
+    size = SCHEMA.joint_size
+    joint = np.repeat(np.arange(size), VARIANCE_CELL_COUNTS)
+    dataset = CategoricalDataset(SCHEMA, SCHEMA.decode(joint))
+    counts = np.array(
+        [
+            np.bincount(
+                mechanism.perturb(dataset, seed=seed).joint_indices(),
+                minlength=size,
+            )
+            for seed in range(VARIANCE_SEEDS)
+        ]
+    )
+    matrix = mechanism.matrix()
+    df = VARIANCE_SEEDS - 1
+    p_values = []
+    for v in range(size):
+        variance = PoissonBinomial(matrix[v, joint]).variance
+        upper = chi2_sf(df * counts[:, v].var(ddof=1) / variance, df)
+        p_values.append(min(1.0, 2.0 * min(upper, 1.0 - upper)))
+    return p_values
+
+
+VARIANCE_AUDITS = {
+    "det-gd": lambda: create("det-gd", SCHEMA, gamma=5.0),
+    "ran-gd": lambda: create("ran-gd", SCHEMA, gamma=5.0, relative_alpha=0.5),
+}
+
+
+@pytest.fixture(scope="module")
+def variance_p_values() -> dict[str, list[float]]:
+    return {
+        name: _count_variance_p_values(build())
+        for name, build in VARIANCE_AUDITS.items()
+    }
+
+
+@pytest.mark.parametrize("name", VARIANCE_AUDITS)
+def test_perturbed_counts_have_poisson_binomial_variance(name, variance_p_values):
+    level = FAMILY_ALPHA / sum(len(values) for values in variance_p_values.values())
+    failing = {v: p for v, p in enumerate(variance_p_values[name]) if p <= level}
+    assert not failing, f"{name}: cell -> p-value below {level:.2g}: {failing}"
 
 
 @pytest.mark.parametrize(
