@@ -26,7 +26,10 @@ Analytical machinery provided alongside the operator:
   C&P's accuracy -- and does not affect the qualitative comparison.
 * :func:`partial_support_matrix` -- the ``(k+1) x (k+1)`` transition
   matrix between itemset-intersection sizes used for support
-  reconstruction and for the Fig.-4 condition numbers.
+  reconstruction and for the Fig.-4 condition numbers.  Reconstruction
+  needs only the full-intersection component of its minimum-norm
+  solution, one fixed row per ``k``
+  (:meth:`CutAndPastePerturbation.support_row`).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from math import comb
 
 import numpy as np
 
+from repro.baselines.mask import bit_columns
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MatrixError, PrivacyError
@@ -218,8 +222,10 @@ class CutAndPastePerturbation:
         self.schema = schema
         self.max_cut = int(max_cut)
         self.rho = float(rho)
-        # Partial-support matrices by itemset length, built on first use.
+        # Partial-support matrices and their support rows by itemset
+        # length, built on first use.
         self._matrices: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_gamma(
@@ -284,26 +290,63 @@ class CutAndPastePerturbation:
             self._matrices[k] = matrix
         return matrix
 
+    def support_row(self, k: int) -> np.ndarray:
+        """Row ``k`` of the pseudo-inverse of :meth:`reconstruction_matrix`.
+
+        The support estimate of a ``k``-itemset is the full-intersection
+        component of the minimum-norm least-squares solution of the
+        partial-support system, which is this row times the observed
+        intersection-size distribution.  Built once per ``k`` with one
+        ``lstsq`` and returned read-only.
+        """
+        row = self._rows.get(k)
+        if row is None:
+            # For k > K the matrix is exactly rank-deficient (the cut
+            # carries at most K items of evidence), so use least squares:
+            # it returns the minimum-norm solution instead of
+            # numerically-exploded garbage.  This is the mechanism behind
+            # the paper's observation that C&P "does not work after
+            # 3-length itemsets".
+            solution, *_ = np.linalg.lstsq(
+                self.reconstruction_matrix(k), np.eye(k + 1), rcond=None
+            )
+            row = solution[k].copy()
+            row.setflags(write=False)
+            self._rows[k] = row
+        return row
+
+    def solve_intersection_sizes(self, observed: np.ndarray) -> np.ndarray:
+        """Support estimates from observed intersection-size distributions.
+
+        ``observed`` is one length-``k + 1`` distribution (entry ``l``
+        is the share of perturbed records that meet the ``k``-itemset in
+        ``l`` items) or a ``(..., k + 1)`` stack of them, one row per
+        candidate.  Returns each row's full-intersection component of
+        the minimum-norm solution: the elementwise product with
+        :meth:`support_row`, summed over the last axis, so a row's
+        estimate is the same float whichever batch it arrives in.  The
+        input is not modified.
+        """
+        observed = np.asarray(observed, dtype=float)
+        if observed.ndim == 0:
+            raise DataError("need an intersection-size distribution, got a scalar")
+        return (observed * self.support_row(observed.shape[-1] - 1)).sum(axis=-1)
+
     def estimate_itemset_support(self, perturbed_bits: np.ndarray, positions) -> float:
         """Estimated fractional support of the itemset on given bit columns.
 
         Counts the distribution of intersection sizes with the itemset
-        in the perturbed database and solves the partial-support system;
-        the original support is the full-intersection component.
+        (its bit columns: distinct in-range integers, see
+        :func:`~repro.baselines.mask.bit_columns`) in the perturbed
+        database and solves the partial-support system
+        (:meth:`solve_intersection_sizes`); the original support is the
+        full-intersection component.
         """
-        positions = list(positions)
+        bits, positions = bit_columns(perturbed_bits, positions)
         k = len(positions)
-        perturbed_bits = np.asarray(perturbed_bits)
-        n_records = perturbed_bits.shape[0]
+        n_records = bits.shape[0]
         if n_records == 0:
             raise DataError("empty perturbed database")
-        intersections = perturbed_bits[:, positions].sum(axis=1).astype(np.int64)
+        intersections = bits[:, positions].sum(axis=1).astype(np.int64)
         observed = np.bincount(intersections, minlength=k + 1).astype(float) / n_records
-        matrix = self.reconstruction_matrix(k)
-        # For k > K the matrix is exactly rank-deficient (the cut carries
-        # at most K items of evidence), so use least squares: it returns
-        # the minimum-norm solution instead of numerically-exploded
-        # garbage.  This is the mechanism behind the paper's observation
-        # that C&P "does not work after 3-length itemsets".
-        solution, *_ = np.linalg.lstsq(matrix, observed, rcond=None)
-        return float(solution[k])
+        return float(self.solve_intersection_sizes(observed))

@@ -18,7 +18,11 @@ Key analytical facts used by the paper:
 * For a ``k``-item itemset, the reconstruction matrix is the ``k``-fold
   tensor power of the per-bit matrix ``[[p, 1-p], [1-p, p]]``, whose
   condition number is ``(1/(2p-1))^k`` -- the exponential growth shown
-  in Fig. 4.
+  in Fig. 4.  The per-bit matrix is ``(2p-1) I + (1-p) J``, so
+  :meth:`MaskPerturbation.solve_pattern_counts` inverts the power one
+  bit axis at a time in closed form
+  (:class:`~repro.stats.kronecker.KroneckerOperator`), never forming
+  it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import numpy as np
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Schema
 from repro.exceptions import DataError, MatrixError, PrivacyError
+from repro.stats.kronecker import KroneckerOperator
+from repro.stats.linalg import UniformOffDiagonalMatrix
 from repro.stats.rng import as_generator
 
 
@@ -59,7 +65,9 @@ def itemset_matrix(p: float, k: int) -> np.ndarray:
 
     ``2^k x 2^k``, indexed by bit patterns of the ``k`` item-bits
     (row = perturbed pattern, column = original pattern; most
-    significant bit first).
+    significant bit first).  The analytic matrix, for conditioning
+    and as the tests' oracle: reconstruction never builds it
+    (:meth:`MaskPerturbation.solve_pattern_counts`).
     """
     if k < 1:
         raise MatrixError(f"itemset length must be >= 1, got {k}")
@@ -87,6 +95,36 @@ def full_record_probability(p: float, matches: int, n_bits: int) -> float:
     return (p ** matches) * ((1.0 - p) ** (n_bits - matches))
 
 
+def bit_columns(perturbed_bits, positions) -> tuple[np.ndarray, list[int]]:
+    """``perturbed_bits`` as a 2-D array and ``positions`` as a list.
+
+    The per-itemset scans of MASK and C&P count the columns at
+    ``positions``; a repeated, negative, fractional or too-large
+    position would count the wrong columns (or raise a bare
+    ``IndexError``), so each must be a distinct integer in
+    ``[0, perturbed_bits.shape[1])``.  Raises :class:`DataError`
+    otherwise.  The width need not be ``M_b``:
+    :meth:`MaskPerturbation.perturb_boolean` output has any width.
+    """
+    bits = np.asarray(perturbed_bits)
+    if bits.ndim != 2:
+        raise DataError(f"perturbed bits must be 2-D, got shape {bits.shape}")
+    columns = list(positions)
+    width = bits.shape[1]
+    for position in columns:
+        if (
+            isinstance(position, (bool, np.bool_))
+            or not isinstance(position, (int, np.integer))
+            or not 0 <= position < width
+        ):
+            raise DataError(
+                f"bit position {position!r} is not a column index in [0, {width})"
+            )
+    if len(set(columns)) != len(columns):
+        raise DataError(f"bit positions repeat: {columns}")
+    return bits, [int(position) for position in columns]
+
+
 class MaskPerturbation:
     """MASK over a categorical schema, via booleanization.
 
@@ -104,8 +142,6 @@ class MaskPerturbation:
             raise MatrixError(f"p must lie in [0, 1], got {p}")
         self.schema = schema
         self.p = float(p)
-        # Tensor-power matrices by itemset length, built on first use.
-        self._matrices: dict[int, np.ndarray] = {}
 
     @classmethod
     def for_gamma(cls, schema: Schema, gamma: float) -> "MaskPerturbation":
@@ -147,16 +183,17 @@ class MaskPerturbation:
         """Reconstructed counts of all ``2^k`` patterns over bit positions.
 
         Counts the perturbed pattern distribution of the selected bit
-        columns and solves the tensor-power system.  Index ``2^k - 1``
-        (all bits set) is the itemset-support estimate.
+        columns (distinct in-range integers, see :func:`bit_columns`)
+        and solves the tensor-power system.  Index ``2^k - 1`` (all
+        bits set) is the itemset-support estimate.
         """
-        positions = list(positions)
+        bits, positions = bit_columns(perturbed_bits, positions)
         k = len(positions)
         if k < 1:
             raise DataError("need at least one bit position")
         if k > 20:
             raise DataError(f"pattern space 2^{k} too large to reconstruct")
-        sub = np.asarray(perturbed_bits)[:, positions].astype(np.int64)
+        sub = bits[:, positions].astype(np.int64)
         weights = 1 << np.arange(k - 1, -1, -1)
         codes = sub @ weights
         observed = np.bincount(codes, minlength=1 << k).astype(float)
@@ -165,30 +202,36 @@ class MaskPerturbation:
     def solve_pattern_counts(self, observed_counts: np.ndarray) -> np.ndarray:
         """Solve the tensor-power system for observed pattern counts.
 
-        ``observed_counts`` is the length-``2^k`` perturbed pattern
+        ``observed_counts`` is one length-``2^k`` perturbed pattern
         distribution (msb-first codes, as produced by
         :meth:`estimate_pattern_counts`'s counting pass or by the bitmap
-        kernel's :func:`repro.mining.kernels.pattern_counts`).  The
-        ``2^k x 2^k`` matrix is built once per ``k`` and kept read-only.
+        kernel's :func:`repro.mining.kernels.pattern_counts`), or a
+        ``(..., 2^k)`` stack of them, one row per candidate.
+
+        The system's matrix is the ``k``-fold Kronecker power of the bit
+        matrix ``[[p, 1-p], [1-p, p]] = (2p-1) I + (1-p) J``, so the
+        inverse is applied along each of the ``k`` bit axes in closed
+        form (:meth:`~repro.stats.kronecker.KroneckerOperator.solve`):
+        ``O(k 2^k)`` per row, no LU factorisation and no ``2^k x 2^k``
+        matrix.  Each row's solution is bit-identical to solving it
+        alone, and the input is not modified.  Raises
+        :class:`MatrixError` when ``p == 1/2`` (the bit matrix is
+        singular).
         """
         observed = np.asarray(observed_counts, dtype=float)
-        size = observed.shape[0]
+        size = observed.shape[-1] if observed.ndim else 0
         k = int(size).bit_length() - 1
         if size < 2 or size != (1 << k):
             raise DataError(
-                f"pattern counts must have a 2^k length >= 2, got {size}"
+                f"pattern counts must have a 2^k length >= 2, got shape {observed.shape}"
             )
-        matrix = self._matrices.get(k)
-        if matrix is None:
-            matrix = itemset_matrix(self.p, k)
-            matrix.setflags(write=False)
-            self._matrices[k] = matrix
-        return np.linalg.solve(matrix, observed)
+        bit = UniformOffDiagonalMatrix(2, 2.0 * self.p - 1.0, 1.0 - self.p)
+        return KroneckerOperator([bit] * k).solve(observed)
 
     def estimate_itemset_support(self, perturbed_bits: np.ndarray, positions) -> float:
         """Estimated fractional support of the itemset on given bits."""
-        n_records = np.asarray(perturbed_bits).shape[0]
-        if n_records == 0:
+        bits, positions = bit_columns(perturbed_bits, positions)
+        if bits.shape[0] == 0:
             raise DataError("empty perturbed database")
-        counts = self.estimate_pattern_counts(perturbed_bits, positions)
-        return float(counts[-1] / n_records)
+        counts = self.estimate_pattern_counts(bits, positions)
+        return float(counts[-1] / bits.shape[0])

@@ -17,10 +17,12 @@ Implementations:
   through the Eq.-28 closed-form inverse (the mechanisms' own
   ``build_estimator`` accumulates instead, see
   :class:`repro.pipeline.AccumulatedSupportEstimator`);
-* :class:`MaskSupportEstimator` -- MASK: per-candidate tensor-power
-  system over the item bits;
-* :class:`CutAndPasteSupportEstimator` -- C&P: per-candidate
-  partial-support system.
+* :class:`MaskSupportEstimator` -- MASK: the tensor-power system over
+  the item bits, solved in closed form for all candidates of one length
+  at once;
+* :class:`CutAndPasteSupportEstimator` -- C&P: the partial-support
+  system, one cached minimum-norm row per length applied to all its
+  candidates at once.
 
 Every *observed*-support side here (exact counting, and the counting
 pass of the dataset-backed DET-GD/RAN-GD, MASK and C&P estimators) runs
@@ -154,7 +156,10 @@ class _BooleanSupportEstimator:
     counted by a :class:`~repro.mining.kernels.BitmapSupportCounter`
     and recorded in a
     :class:`~repro.mining.kernels.counting.SupersetCounts` memo, which
-    then yields the pattern counts.
+    then yields the pattern counts, stacked into one block per
+    candidate length.  Candidates wider than
+    :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits go to
+    the operator's per-itemset column scan instead.
     """
 
     def __init__(self, schema: Schema, perturbed_bits: np.ndarray):
@@ -170,36 +175,47 @@ class _BooleanSupportEstimator:
         self._counter = BitmapSupportCounter(bitmaps)
         self._supersets = SupersetCounts(bitmaps)
 
-    def _observed(self, itemsets: list) -> tuple[list, list]:
-        """Bit rows and pattern counts (None when too wide) per itemset.
+    def _estimates(self, itemsets, solve, scan) -> np.ndarray:
+        """One ``solve(block)`` per candidate length, ``scan`` if wide.
 
-        Rows are resolved by
+        ``block`` is the ``(c, 2^k)`` ``int64`` pattern counts of the
+        batch's ``c`` narrow ``k``-bit candidates; ``solve`` returns
+        their ``c`` estimates.  Rows are resolved by
         :meth:`~repro.mining.kernels.TransactionBitmaps.itemset_rows`,
         which rejects items outside the schema's domain.
         """
+        itemsets = list(itemsets)
         bitmaps = self._counter.bitmaps
         rows = [bitmaps.itemset_rows(itemset) for itemset in itemsets]
         if itemsets and bitmaps.n_records == 0:
             raise DataError("empty perturbed database")
         narrow = [i for i, r in enumerate(rows) if len(r) <= MAX_PATTERN_BITS]
-        patterns = [None] * len(itemsets)
+        by_length: dict[int, list[int]] = {}
         if narrow:
             counts = self._counter.counts([itemsets[i] for i in narrow])
             # Record the whole batch first: a candidate's subsets may
             # come later in the same batch.
             for i, count in zip(narrow, counts):
                 self._supersets.record(rows[i], count)
-            for i in narrow:
-                patterns[i] = self._supersets.patterns(rows[i])
-        return rows, patterns
+                by_length.setdefault(len(rows[i]), []).append(i)
+        estimates = np.empty(len(itemsets))
+        for i, r in enumerate(rows):
+            if len(r) > MAX_PATTERN_BITS:
+                estimates[i] = scan(self.perturbed_bits, r)
+        for index in by_length.values():
+            block = np.array([self._supersets.patterns(rows[i]) for i in index])
+            estimates[index] = solve(block)
+        return estimates
 
 
 class MaskSupportEstimator(_BooleanSupportEstimator):
     """Reconstructed supports from MASK-perturbed boolean data.
 
-    Each candidate's pattern counts, from memoised superset counts over
-    the packed perturbed bits, go through the operator's tensor-power
-    solve, so every estimate equals
+    The pattern counts of all candidates of one length, from memoised
+    superset counts over the packed perturbed bits, go through one call
+    of the operator's closed-form tensor-power solve, so a level costs
+    one solve per candidate length and no LAPACK call.  That solve
+    treats every row as it would alone, so every estimate equals
     :meth:`~repro.baselines.mask.MaskPerturbation.estimate_itemset_support`,
     the per-candidate column scan that answers candidates wider than
     :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits.
@@ -212,20 +228,13 @@ class MaskSupportEstimator(_BooleanSupportEstimator):
         self.mask = mask
 
     def supports(self, itemsets) -> np.ndarray:
-        """Tensor-power reconstruction per candidate (paper Section 7)."""
-        itemsets = list(itemsets)
-        rows, patterns = self._observed(itemsets)
+        """Tensor-power reconstruction, one solve per candidate length."""
         n_records = self.perturbed_bits.shape[0]
-        estimates = np.empty(len(itemsets))
-        for i, observed in enumerate(patterns):
-            if observed is None:
-                estimates[i] = self.mask.estimate_itemset_support(
-                    self.perturbed_bits, rows[i]
-                )
-                continue
-            solved = self.mask.solve_pattern_counts(observed.astype(float))
-            estimates[i] = float(solved[-1] / n_records)
-        return estimates
+
+        def solve(block: np.ndarray) -> np.ndarray:
+            return self.mask.solve_pattern_counts(block.astype(float))[:, -1] / n_records
+
+        return self._estimates(itemsets, solve, self.mask.estimate_itemset_support)
 
 
 class CutAndPasteSupportEstimator(_BooleanSupportEstimator):
@@ -234,8 +243,12 @@ class CutAndPasteSupportEstimator(_BooleanSupportEstimator):
     The partial-support system takes each candidate's intersection-size
     histogram: its pattern counts, from memoised superset counts over
     the packed perturbed bits, folded by the popcount of the pattern
-    code with integer adds.  The solve is the operator's, so every
-    estimate equals
+    code with one integer matmul per candidate length.  All candidates
+    of one length then go through one call of the operator's
+    :meth:`~repro.baselines.cut_and_paste.CutAndPastePerturbation.solve_intersection_sizes`,
+    which applies one cached minimum-norm row per length (one ``lstsq``
+    per length over the operator's life) and treats every row as it
+    would alone, so every estimate equals
     :meth:`~repro.baselines.cut_and_paste.CutAndPastePerturbation.estimate_itemset_support`,
     the per-candidate column scan that answers candidates wider than
     :data:`~repro.mining.kernels.counting.MAX_PATTERN_BITS` bits.
@@ -251,26 +264,17 @@ class CutAndPasteSupportEstimator(_BooleanSupportEstimator):
         self.operator = operator
 
     def supports(self, itemsets) -> np.ndarray:
-        """Partial-support-system reconstruction per candidate."""
-        itemsets = list(itemsets)
-        rows, patterns = self._observed(itemsets)
+        """Partial-support reconstruction, one solve per candidate length."""
         n_records = self.perturbed_bits.shape[0]
-        estimates = np.empty(len(itemsets))
-        for i, observed in enumerate(patterns):
-            if observed is None:
-                estimates[i] = self.operator.estimate_itemset_support(
-                    self.perturbed_bits, rows[i]
-                )
-                continue
-            k = len(rows[i])
-            histogram = np.zeros(k + 1, dtype=np.int64)
-            np.add.at(histogram, [code.bit_count() for code in range(1 << k)], observed)
-            # The operator's least-squares solve (the matrix is
-            # rank-deficient beyond K items).
-            solution, *_ = np.linalg.lstsq(
-                self.operator.reconstruction_matrix(k),
-                histogram.astype(float) / n_records,
-                rcond=None,
+
+        def solve(block: np.ndarray) -> np.ndarray:
+            k = block.shape[1].bit_length() - 1
+            # fold[code, l] = 1 where the pattern code has l bits set.
+            fold = np.zeros((1 << k, k + 1), dtype=np.int64)
+            fold[range(1 << k), [code.bit_count() for code in range(1 << k)]] = 1
+            histograms = block @ fold
+            return self.operator.solve_intersection_sizes(
+                histograms.astype(float) / n_records
             )
-            estimates[i] = float(solution[k])
-        return estimates
+
+        return self._estimates(itemsets, solve, self.operator.estimate_itemset_support)

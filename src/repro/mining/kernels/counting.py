@@ -25,9 +25,10 @@ from repro.mining.kernels import native
 from repro.mining.kernels.bitmap import TransactionBitmaps, popcount_words
 
 #: Pattern spaces larger than this are beyond :func:`pattern_counts`:
-#: 2^k AND/popcounts (and the 2^k x 2^k tensor-power solve downstream)
-#: stop paying off, so the MASK and C&P estimators scan those
-#: candidates directly instead.
+#: the memo's 2^k superset counts (one AND/popcount and one dict entry
+#: each) stop paying off against one scan of the candidate's ``k`` bit
+#: columns, so the MASK and C&P estimators scan those candidates
+#: directly instead.
 MAX_PATTERN_BITS = 12
 
 

@@ -110,25 +110,32 @@ class KroneckerOperator:
     # ------------------------------------------------------------------
     # factor-by-factor application
     # ------------------------------------------------------------------
-    def _apply(self, vector: np.ndarray, apply_factor) -> np.ndarray:
-        """Apply one transform per factor along its own tensor axis."""
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (self.n,):
+    def _apply(self, block: np.ndarray, apply_factor) -> np.ndarray:
+        """Apply one transform per factor along its own tensor axis.
+
+        ``block`` is one length-``n`` vector or a ``(..., n)`` stack of
+        them.  Each factor sees a ``(rows, dim, rest)`` stack whose
+        ``[r]`` slice is the ``(dim, rest)`` matrix row ``r`` gives on
+        its own, and every transform works slice by slice, so a row
+        comes out bit for bit as it would alone.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.ndim == 0 or block.shape[-1] != self.n:
             raise MatrixError(
-                f"expected vector of shape ({self.n},), got {vector.shape}"
+                f"expected shape ({self.n},) or (..., {self.n}), got {block.shape}"
             )
-        tensor = vector.reshape(self.dims)
-        for axis, factor in enumerate(self.factors):
-            tensor = np.moveaxis(tensor, axis, 0)
-            lead_shape = tensor.shape
-            flat = apply_factor(factor, tensor.reshape(lead_shape[0], -1))
-            tensor = np.moveaxis(flat.reshape(lead_shape), 0, axis)
-        return tensor.reshape(-1)
+        tensor = block.reshape((-1,) + self.dims)
+        for axis, factor in enumerate(self.factors, start=1):
+            tensor = np.moveaxis(tensor, axis, 1)
+            shape = tensor.shape
+            flat = tensor.reshape(shape[0], shape[1], self.n // shape[1])
+            tensor = np.moveaxis(apply_factor(factor, flat).reshape(shape), 1, axis)
+        return tensor.reshape(block.shape)
 
     @staticmethod
     def _matmat(factor, flat: np.ndarray) -> np.ndarray:
         if isinstance(factor, UniformOffDiagonalMatrix):
-            return factor.a * flat + factor.b * flat.sum(axis=0)
+            return factor.a * flat + factor.b * flat.sum(axis=1, keepdims=True)
         return factor @ flat
 
     @staticmethod
@@ -137,14 +144,19 @@ class KroneckerOperator:
             if factor.is_singular(atol):
                 raise MatrixError("Kronecker factor is singular; cannot solve")
             bulk = factor.a + factor.n * factor.b
-            return (flat - (factor.b / bulk) * flat.sum(axis=0)) / factor.a
+            spread = (factor.b / bulk) * flat.sum(axis=1, keepdims=True)
+            return (flat - spread) / factor.a
         try:
             return np.linalg.solve(factor, flat)
         except np.linalg.LinAlgError as exc:
             raise MatrixError(f"Kronecker factor is singular: {exc}") from exc
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """``(F1 (x) ... (x) Fk) @ vector`` without forming the product."""
+        """``(F1 (x) ... (x) Fk) @ vector`` without forming the product.
+
+        ``vector`` may also be a ``(..., n)`` stack; each row's product
+        is bit-identical to the call on that row alone.
+        """
         return self._apply(vector, self._matmat)
 
     def solve(self, rhs: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
@@ -152,7 +164,10 @@ class KroneckerOperator:
 
         Uses ``(A (x) B)^{-1} = A^{-1} (x) B^{-1}``: each factor is
         solved along its own tensor axis (closed form for the
-        ``a*I + b*J`` family, LU for dense factors).
+        ``a*I + b*J`` family, LU for dense factors).  ``rhs`` may be a
+        ``(..., n)`` stack of right-hand sides, solved in one pass; each
+        row's solution is bit-identical to the call on that row alone
+        (a dense factor is then factorised once per row).
         """
         return self._apply(rhs, lambda f, flat: self._solve_columns(f, flat, atol))
 

@@ -13,6 +13,8 @@ from repro.baselines.cut_and_paste import (
     rho_for_gamma,
     transition_probability,
 )
+from repro.data.census import census_schema
+from repro.data.health import health_schema
 from repro.exceptions import DataError, MatrixError, PrivacyError
 from repro.stats.linalg import condition_number
 
@@ -239,3 +241,44 @@ class TestOperator:
         operator = CutAndPastePerturbation(survey_schema, 3, 0.4)
         with pytest.raises(DataError):
             operator.estimate_itemset_support(np.empty((0, 7)), [0])
+
+
+class TestSupportRow:
+    @pytest.mark.parametrize("schema", [census_schema(), health_schema()])
+    def test_matches_per_candidate_lstsq(self, schema):
+        """Within 1e-12 of ``lstsq`` per candidate, rank-deficient ``k > K`` too.
+
+        Observed distributions are perturbed ones (``R_k`` times a random
+        original, with sampling noise) and arbitrary ones.
+        """
+        operator = CutAndPastePerturbation.for_gamma(schema, 19.0)
+        rng = np.random.default_rng(schema.n_attributes)
+        for k in range(1, schema.n_attributes + 1):
+            matrix = operator.reconstruction_matrix(k)
+            for _ in range(20):
+                perturbed = matrix @ rng.dirichlet(np.full(k + 1, 0.5))
+                sampled = rng.multinomial(50_000, perturbed / perturbed.sum()) / 50_000
+                for observed in (sampled, rng.dirichlet(np.ones(k + 1))):
+                    expected = np.linalg.lstsq(matrix, observed, rcond=None)[0][k]
+                    got = operator.solve_intersection_sizes(observed)
+                    assert abs(got - expected) <= 1e-12
+        row = operator.support_row(2)
+        assert operator.support_row(2) is row
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    def test_block_solve_is_row_by_row_and_leaves_its_input(self):
+        """A stacked block solves to its rows' own estimates, bit for bit."""
+        operator = CutAndPastePerturbation.for_gamma(census_schema(), 19.0)
+        rng = np.random.default_rng(9)
+        for k in (1, 3, 5):
+            block = rng.dirichlet(np.ones(k + 1), size=(2, 3))
+            before = block.copy()
+            block.setflags(write=False)
+            solved = operator.solve_intersection_sizes(block)
+            assert solved.shape == (2, 3)
+            assert np.array_equal(block, before)
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(
+                    operator.solve_intersection_sizes(block[index]), solved[index]
+                )

@@ -22,6 +22,7 @@ from spawn_reference import perturb_spawned
 from repro.baselines.cut_and_paste import CutAndPastePerturbation
 from repro.baselines.mask import MaskPerturbation
 from repro.core.engine import GammaDiagonalPerturbation
+from repro.data.census import census_schema
 from repro.data.dataset import CategoricalDataset
 from repro.data.schema import Attribute, Schema
 from repro.exceptions import DataError, MiningError
@@ -41,7 +42,7 @@ from repro.mining.kernels import (
     popcount_words,
 )
 from repro.mining.kernels.counting import MAX_PATTERN_BITS
-from repro.mining.reconstructing import mine_exact
+from repro.mining.reconstructing import mine_exact, mine_per_level
 from repro.pipeline import (
     BitmapAccumulator,
     BitmapStreamSupportEstimator,
@@ -372,20 +373,12 @@ def test_boolean_estimators_equal_per_itemset_scan(schema, seed, kind, side):
 @pytest.mark.parametrize("kind", ["mask", "cp"])
 def test_wide_candidates_take_the_direct_scan(kind, side, monkeypatch):
     """Past ``MAX_PATTERN_BITS`` items the operator scans the columns."""
-    from repro.mining import counting
-
     schema = Schema(
         [Attribute(f"a{i}", ["x", "y"]) for i in range(MAX_PATTERN_BITS + 1)]
     )
     rng = np.random.default_rng(13)
     bits = (rng.random((200, schema.n_boolean)) < 0.5).astype(np.int8)
-    if kind == "mask":
-        # MASK's 2^13-pattern solve is too large for a test; lower the
-        # limit so a 3-itemset takes the same path instead.
-        monkeypatch.setattr(counting, "MAX_PATTERN_BITS", 2)
-        wide = Itemset.of((0, 1), (4, 0), (7, 1))
-    else:
-        wide = Itemset((attr, attr % 2) for attr in range(schema.n_attributes))
+    wide = Itemset((attr, attr % 2) for attr in range(schema.n_attributes))
     narrow = Itemset.of((0, 1), (5, 0))
     out_of_domain = Itemset((attr, 2 * (attr == 3)) for attr in range(13))
     with kernel_side(side):
@@ -402,6 +395,86 @@ def test_wide_candidates_take_the_direct_scan(kind, side, monkeypatch):
         assert scans == [wide.boolean_positions(schema)]
         with pytest.raises(DataError, match="out of domain"):
             estimator.supports([out_of_domain])
+
+
+def _census_operator(kind):
+    """The gamma = 19 MASK or C&P operator of the CENSUS schema."""
+    schema = census_schema()
+    if kind == "mask":
+        return MaskPerturbation.for_gamma(schema, 19.0)
+    return CutAndPastePerturbation.for_gamma(schema, 19.0)
+
+
+@pytest.mark.parametrize(
+    "bits_shape, positions",
+    [
+        ((100, 23), [0, 0]),
+        ((100, 23), [-1]),
+        ((100, 23), [23]),
+        ((100, 23), [1.5]),
+        ((100, 23), [True]),
+        ((23,), [0]),
+    ],
+    ids=["repeated", "negative", "past-width", "fractional", "boolean", "one-row"],
+)
+@pytest.mark.parametrize("kind", ["mask", "cp"])
+def test_per_itemset_scans_reject_bad_positions(kind, bits_shape, positions):
+    """The scans count only distinct in-range integer columns of 2-D bits.
+
+    ``[0, 0]`` used to count one column twice, ``[-1]`` the last
+    column, and ``[23]`` and ``[1.5]`` raised a bare ``IndexError``.
+    """
+    operator = _census_operator(kind)
+    bits = (np.random.default_rng(23).random(bits_shape) < 0.5).astype(np.int8)
+    scans = [operator.estimate_itemset_support]
+    if kind == "mask":
+        scans.append(operator.estimate_pattern_counts)
+    for scan in scans:
+        with pytest.raises(DataError, match="bit position|2-D"):
+            scan(bits, positions)
+
+
+@pytest.mark.parametrize("kind", ["mask", "cp"])
+def test_level_solves_make_no_lapack_call_per_candidate(
+    kind, survey_dataset, monkeypatch
+):
+    """MASK solves in closed form; C&P makes one ``lstsq`` per length.
+
+    Counted over two ``mine_per_level`` runs (levels up to 3 items) on
+    one operator, so the C&P bound holds over the operator's life.
+    """
+    calls = {"solve": 0, "lstsq": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    schema = survey_dataset.schema
+    truth = mine_exact(survey_dataset, 0.01)
+    assert max(truth.by_length) >= 3
+    if kind == "mask":
+        operator = MaskPerturbation(schema, p=0.8)
+    else:
+        operator = CutAndPastePerturbation(schema, max_cut=2, rho=0.3)
+    monkeypatch.setattr(np.linalg, "solve", counted("solve"))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq"))
+    for seed in (1, 2):
+        bits = operator.perturb(survey_dataset, seed=seed)
+        if kind == "mask":
+            estimator = MaskSupportEstimator(schema, bits, operator)
+        else:
+            estimator = CutAndPasteSupportEstimator(schema, bits, operator)
+        mine_per_level(estimator, schema, 0.01, truth)
+    if kind == "mask":
+        assert calls == {"solve": 0, "lstsq": 0}
+    else:
+        assert calls["solve"] == 0
+        assert 1 <= calls["lstsq"] <= len(truth.by_length)
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,25 @@ _factor = st.one_of(_uodm_factor, _dense_factor())
 _factors = st.lists(_factor, min_size=1, max_size=4)
 
 
+def _one_vector_reference(op, vector, solve):
+    """``matvec``/``solve`` on one vector as the operator did before it
+    took ``(..., n)`` blocks: each factor on a ``(dim, rest)`` matrix."""
+    tensor = vector.reshape(op.dims)
+    for axis, factor in enumerate(op.factors):
+        tensor = np.moveaxis(tensor, axis, 0)
+        shape = tensor.shape
+        flat = tensor.reshape(shape[0], -1)
+        if isinstance(factor, UniformOffDiagonalMatrix) and solve:
+            bulk = factor.a + factor.n * factor.b
+            flat = (flat - (factor.b / bulk) * flat.sum(axis=0)) / factor.a
+        elif isinstance(factor, UniformOffDiagonalMatrix):
+            flat = factor.a * flat + factor.b * flat.sum(axis=0)
+        else:
+            flat = np.linalg.solve(factor, flat) if solve else factor @ flat
+        tensor = np.moveaxis(flat.reshape(shape), 0, axis)
+    return tensor.reshape(-1)
+
+
 class TestKroneckerAlgebra:
     @settings(max_examples=60, deadline=None)
     @given(factors=_factors, seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -102,6 +121,25 @@ class TestKroneckerAlgebra:
         assert np.allclose(
             op.solve(rhs), np.linalg.solve(dense, rhs), rtol=1e-8, atol=1e-8
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factors=_factors,
+        rows=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_block_equals_per_row_calls(self, factors, rows, seed):
+        """A ``(rows, n)`` block gives each row's own result bit for bit,
+        and one vector gives the one-vector reference's floats."""
+        op = KroneckerOperator(factors)
+        block = np.random.default_rng(seed).normal(size=(rows, op.n))
+        for method, solve in ((op.matvec, False), (op.solve, True)):
+            got = method(block)
+            assert got.shape == block.shape
+            for row, out in zip(block, got):
+                alone = method(row)
+                assert np.array_equal(alone, out)
+                assert np.array_equal(alone, _one_vector_reference(op, row, solve))
 
     @settings(max_examples=60, deadline=None)
     @given(factors=_factors)
